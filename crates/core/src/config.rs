@@ -159,16 +159,20 @@ impl Default for IoConfig {
 pub struct ServingConfig {
     /// Maximum records fused into one forward pass by the micro-batcher.
     pub max_batch: usize,
-    /// Maximum time a request waits for batch-mates before the batcher
-    /// flushes a partial batch, microseconds.
+    /// Upper bound on how long the batcher holds a partial batch for
+    /// requests that are announced but not yet enqueued, microseconds,
+    /// counted from the batch's oldest record. A cap, not a wait: with
+    /// nobody on the way (or the batch full) dispatch is immediate.
     pub max_delay_us: u64,
     /// Bound on the accepted-connection queue; connections beyond this are
     /// shed with `503` + `Retry-After` instead of queueing unboundedly.
     pub queue_limit: usize,
     /// Handler threads draining the connection queue.
     pub handler_threads: usize,
-    /// Per-connection read timeout, milliseconds (slow or stalled clients
-    /// get `408` instead of pinning a handler thread).
+    /// Read timeout on a connection, milliseconds. A request that stalls
+    /// part-way gets `408` instead of pinning a handler thread; a
+    /// persistent connection with nothing buffered for this long is idle
+    /// and is closed without a response.
     pub request_timeout_ms: u64,
     /// Largest request body accepted, bytes (`413` beyond this).
     pub max_body_bytes: usize,

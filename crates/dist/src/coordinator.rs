@@ -537,6 +537,9 @@ fn dispatch_loop(
     connect_timeout: Duration,
 ) {
     let me = &sched.workers[wi];
+    // One persistent connection per worker for the whole search; the read
+    // timeout on it is the lease.
+    let mut client = http::Client::new(&me.addr, lease_timeout);
     loop {
         if !me.alive.load(Ordering::SeqCst) {
             return;
@@ -562,7 +565,7 @@ fn dispatch_loop(
         let t0 = Instant::now();
         let result = {
             let _sp = telemetry::span("dist", "dist.ship");
-            http::request(&me.addr, "POST", "/work/train", Some(payload), lease_timeout)
+            client.request("POST", "/work/train", Some(payload))
         };
         telemetry::DIST_SHARDS_INFLIGHT
             .set(sched.inflight.fetch_sub(1, Ordering::SeqCst) as i64 - 1);

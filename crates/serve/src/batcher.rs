@@ -2,9 +2,18 @@
 //! forward pass — across tenants.
 //!
 //! Requests enqueue a record and block on a reply channel; a single
-//! batcher thread collects up to `max_batch` records — waiting at most
-//! `max_delay_us` for stragglers once the first record arrives — and runs
-//! them grouped by *shared base*: all records whose variants ride the same
+//! batcher thread takes up to `max_batch` queued records and runs them.
+//! The door is work-conserving: a batch is dispatched as soon as it is
+//! full, or *no announced request is still on its way*, or `max_delay_us`
+//! have passed since its first record was enqueued — the delay is a cap
+//! on waiting for requests known to be coming, never a fixed wait. A
+//! request is announced by taking a [`Ticket`] ([`MicroBatcher::announce`];
+//! the server does so before decoding the body, [`MicroBatcher::predict`]
+//! on entry, so the ticket spans the registry lookup and a delta-store
+//! fault-in) and stops counting when it is enqueued or fails early.
+//! Batches otherwise form from whatever queued while the previous forward
+//! ran. Records run grouped by *shared base*: all records whose variants
+//! ride the same
 //! frozen base share **one** trunk forward over the union batch
 //! ([`forward_batch_shared_trunk`]), then each tenant's adapter/head
 //! suffix runs on its own row slice — the serving dual of the paper's
@@ -84,11 +93,35 @@ struct Pending {
     /// a model it was never validated for.
     artifact: Arc<ModelArtifact>,
     reply: mpsc::Sender<Result<PredictOutput, PredictError>>,
+    /// When the record entered the queue; the door's cap runs from the
+    /// oldest queued record.
+    enqueued: Instant,
 }
 
 struct State {
     queue: Vec<Pending>,
+    /// Live [`Ticket`]s: requests announced and not yet enqueued or failed.
+    announced: usize,
     shutdown: bool,
+}
+
+/// A request on its way to the queue. While any ticket is live the batcher
+/// holds a partial batch (up to `max_delay_us`); dropping it — at enqueue,
+/// or on any early return — releases the door.
+pub struct Ticket<'a> {
+    inner: &'a Inner,
+}
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        let mut st = self.inner.state.lock().expect("batcher lock");
+        st.announced -= 1;
+        let release = st.announced == 0 && !st.queue.is_empty();
+        drop(st);
+        if release {
+            self.inner.cv.notify_all();
+        }
+    }
 }
 
 struct Inner {
@@ -109,7 +142,7 @@ impl MicroBatcher {
     /// Starts the batcher thread against `registry`.
     pub fn start(registry: Arc<ModelRegistry>, cfg: &ServingConfig) -> MicroBatcher {
         let inner = Arc::new(Inner {
-            state: Mutex::new(State { queue: Vec::new(), shutdown: false }),
+            state: Mutex::new(State { queue: Vec::new(), announced: 0, shutdown: false }),
             cv: Condvar::new(),
             registry,
             max_batch: cfg.max_batch.max(1),
@@ -123,6 +156,13 @@ impl MicroBatcher {
         MicroBatcher { inner, worker: Some(worker) }
     }
 
+    /// Announces a request that will reach [`MicroBatcher::predict_announced`]
+    /// shortly, so a batch forming meanwhile waits for it.
+    pub fn announce(&self) -> Ticket<'_> {
+        self.inner.state.lock().expect("batcher lock").announced += 1;
+        Ticket { inner: &self.inner }
+    }
+
     /// Submits one record for tenant `id` and blocks until its prediction
     /// (or failure) comes back. Shape validation happens up front against
     /// the tenant's current variant — faulting it in from the delta store
@@ -130,6 +170,16 @@ impl MicroBatcher {
     /// validated artifact is pinned into the queue entry so a concurrent
     /// hot swap or eviction cannot change which model answers.
     pub fn predict(&self, id: &str, record: Vec<f32>) -> Result<PredictOutput, PredictError> {
+        self.predict_announced(self.announce(), id, record)
+    }
+
+    /// [`MicroBatcher::predict`] for a request announced earlier.
+    pub fn predict_announced(
+        &self,
+        ticket: Ticket<'_>,
+        id: &str,
+        record: Vec<f32>,
+    ) -> Result<PredictOutput, PredictError> {
         let artifact = match self.inner.registry.get(id) {
             Ok(a) => a,
             Err(RegistryError::UnknownModel(m)) => return Err(PredictError::UnknownModel(m)),
@@ -147,8 +197,12 @@ impl MicroBatcher {
             if st.shutdown {
                 return Err(PredictError::Shutdown);
             }
-            st.queue.push(Pending { record, artifact, reply: tx });
+            st.queue.push(Pending { record, artifact, reply: tx, enqueued: Instant::now() });
             telemetry::SERVE_BATCH_QUEUE_DEPTH.set(st.queue.len() as i64);
+            // The ticket is redeemed under the same lock as the push, so
+            // the batcher never sees this request in neither count.
+            st.announced -= 1;
+            std::mem::forget(ticket);
         }
         self.inner.cv.notify_all();
         rx.recv().unwrap_or(Err(PredictError::Shutdown))
@@ -194,27 +248,28 @@ fn batcher_loop(inner: &Inner) {
         if st.queue.is_empty() && st.shutdown {
             return;
         }
-        // A record is in: hold the door for `max_delay` or until the batch
-        // fills. On shutdown, flush immediately.
-        let deadline = Instant::now() + inner.max_delay;
-        while st.queue.len() < inner.max_batch && !st.shutdown {
-            let now = Instant::now();
-            if now >= deadline {
+        // A record is in: hold the door only while the batch has room and
+        // an announced request is still on its way, and never past
+        // `max_delay` from the oldest record. On shutdown, flush at once.
+        let first = st.queue[0].enqueued;
+        let mut outcome = "immediate";
+        while st.queue.len() < inner.max_batch && st.announced > 0 && !st.shutdown {
+            let waited = first.elapsed();
+            if waited >= inner.max_delay {
+                outcome = "capped";
                 break;
             }
-            let (next, timeout) = inner
-                .cv
-                .wait_timeout(st, deadline - now)
-                .expect("batcher wait");
-            st = next;
-            if timeout.timed_out() {
-                break;
-            }
+            outcome = "held";
+            st = inner.cv.wait_timeout(st, inner.max_delay - waited).expect("batcher wait").0;
         }
         let n = st.queue.len().min(inner.max_batch);
         let batch: Vec<Pending> = st.queue.drain(..n).collect();
         telemetry::SERVE_BATCH_QUEUE_DEPTH.set(st.queue.len() as i64);
         drop(st);
+        if telemetry::metrics_enabled() {
+            telemetry::SERVE_DOOR_WAIT_US.record(first.elapsed().as_micros() as u64);
+            telemetry::counter_with("serve.door", &[("outcome", outcome)]).add(1);
+        }
         run_batch(batch);
     }
 }
@@ -472,44 +527,55 @@ mod tests {
         ServingConfig { max_batch, max_delay_us, ..ServingConfig::default() }
     }
 
+    /// Runs every job on its own thread with all tickets taken before the
+    /// first submit, so the door stays shut until the last one is queued:
+    /// batch composition is exact, not a matter of thread timing.
+    fn predict_all_in_one_window(
+        batcher: &MicroBatcher,
+        jobs: &[(String, Vec<f32>)],
+    ) -> Vec<PredictOutput> {
+        let tickets: Vec<Ticket<'_>> = jobs.iter().map(|_| batcher.announce()).collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = jobs
+                .iter()
+                .zip(tickets)
+                .map(|((id, r), t)| {
+                    s.spawn(move || {
+                        batcher.predict_announced(t, id, r.clone()).expect("prediction succeeds")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
     #[test]
     fn concurrent_predictions_are_bit_identical_to_solo() {
         let g = model(7, 32, 5);
         let registry = Arc::new(ModelRegistry::new());
         registry.publish("default", g.clone()).unwrap();
-        let batcher = Arc::new(MicroBatcher::start(Arc::clone(&registry), &cfg(8, 20_000)));
+        let batcher = MicroBatcher::start(Arc::clone(&registry), &cfg(8, 10_000_000));
 
         let mut rng = seeded_rng(99);
-        let records: Vec<Vec<f32>> = (0..16)
-            .map(|_| (0..32).map(|_| rng.gen_f32() * 2.0 - 1.0).collect())
+        let jobs: Vec<(String, Vec<f32>)> = (0..16)
+            .map(|_| ("default".to_string(), (0..32).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()))
             .collect();
+        let outputs = predict_all_in_one_window(&batcher, &jobs);
 
-        let handles: Vec<_> = records
-            .iter()
-            .cloned()
-            .map(|r| {
-                let b = Arc::clone(&batcher);
-                std::thread::spawn(move || b.predict("default", r).expect("prediction succeeds"))
-            })
-            .collect();
-        let outputs: Vec<PredictOutput> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-
-        let mut saw_real_batch = false;
-        for (r, out) in records.iter().zip(&outputs) {
+        for ((_, r), out) in jobs.iter().zip(&outputs) {
             assert_eq!(out.values, solo_forward(&g, r), "batched != solo");
             assert_eq!(out.version, 1);
             assert_eq!(out.model_id, "default");
-            saw_real_batch |= out.batch_size > 1;
+            // 16 announced requests against max_batch 8: the door closes
+            // early on the first full batch, and the second fills before
+            // the last ticket is redeemed.
+            assert_eq!(out.batch_size, 8, "two full batches");
         }
-        // With a 20ms door and 16 concurrent submitters, at least one
-        // batch must have fused multiple records.
-        assert!(saw_real_batch, "batching never fused any requests");
     }
 
-    /// Three tenants on one base submitting concurrently: every answer is
-    /// bit-identical to solo serving of that tenant's full variant, and at
-    /// least one batch shares the trunk across tenants.
+    /// Three tenants on one base submitting in one window: every answer is
+    /// bit-identical to solo serving of that tenant's full variant, and
+    /// the one batch shares the trunk across all of them.
     #[test]
     fn cross_tenant_batches_share_trunk_and_stay_bit_identical() {
         let variants: Vec<ModelGraph> =
@@ -518,36 +584,125 @@ mod tests {
         for (i, g) in variants.iter().enumerate() {
             registry.publish(&format!("user-{i}"), g.clone()).unwrap();
         }
-        let batcher = Arc::new(MicroBatcher::start(Arc::clone(&registry), &cfg(16, 20_000)));
+        let batcher = MicroBatcher::start(Arc::clone(&registry), &cfg(16, 10_000_000));
 
         let mut rng = seeded_rng(321);
-        let jobs: Vec<(usize, Vec<f32>)> = (0..12)
-            .map(|j| (j % 3, (0..16).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()))
-            .collect();
-        let handles: Vec<_> = jobs
-            .iter()
-            .cloned()
-            .map(|(t, r)| {
-                let b = Arc::clone(&batcher);
-                std::thread::spawn(move || {
-                    b.predict(&format!("user-{t}"), r).expect("prediction succeeds")
-                })
+        let jobs: Vec<(String, Vec<f32>)> = (0..12)
+            .map(|j| {
+                (format!("user-{}", j % 3), (0..16).map(|_| rng.gen_f32() * 2.0 - 1.0).collect())
             })
             .collect();
-        let outputs: Vec<PredictOutput> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let outputs = predict_all_in_one_window(&batcher, &jobs);
 
-        let mut saw_shared_trunk = false;
-        for ((t, r), out) in jobs.iter().zip(&outputs) {
+        for (j, ((id, r), out)) in jobs.iter().zip(&outputs).enumerate() {
             assert_eq!(
                 out.values,
-                solo_forward(&variants[*t], r),
-                "tenant {t}: shared-trunk result != solo serving"
+                solo_forward(&variants[j % 3], r),
+                "{id}: shared-trunk result != solo serving"
             );
-            assert_eq!(out.model_id, format!("user-{t}"));
-            saw_shared_trunk |= out.trunk_batch > out.batch_size;
+            assert_eq!(&out.model_id, id);
+            assert_eq!((out.batch_size, out.trunk_batch), (4, 12), "one union batch");
         }
-        assert!(saw_shared_trunk, "no batch ever shared a trunk across tenants");
+    }
+
+    /// Polls `done` until it holds, panicking after `within`.
+    fn wait_for(what: &str, within: Duration, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + within;
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// The door rule, one clause at a time. `max_delay_us` is 200 ms in
+    /// every case, so "far less than the door" and "the cap" are far apart.
+    #[test]
+    fn door_opens_when_nobody_is_on_the_way_and_never_later_than_the_cap() {
+        const DOOR: Duration = Duration::from_millis(200);
+        let registry = Arc::new(ModelRegistry::new());
+        registry.publish("m", model(3, 8, 2)).unwrap();
+        let batcher = MicroBatcher::start(Arc::clone(&registry), &cfg(4, 200_000));
+        let record = vec![0.5f32; 8];
+
+        // A lone request is not held at all.
+        let t0 = Instant::now();
+        let out = batcher.predict("m", record.clone()).unwrap();
+        assert!(t0.elapsed() < DOOR / 4, "lone request waited {:?}", t0.elapsed());
+        assert_eq!(out.batch_size, 1);
+
+        std::thread::scope(|s| {
+            // Held while a ticket is outstanding, released the moment it
+            // drops: the queued request is still unanswered after the
+            // ticket has been observed to hold it, and answered well
+            // inside the cap once the ticket is gone.
+            let ticket = batcher.announce();
+            let t0 = Instant::now();
+            let held = s.spawn(|| batcher.predict("m", record.clone()).unwrap());
+            wait_for("the request to queue", DOOR, || batcher.queue_depth() == 1);
+            assert!(!held.is_finished(), "door opened under an outstanding ticket");
+            drop(ticket);
+            assert_eq!(held.join().unwrap().batch_size, 1);
+            assert!(t0.elapsed() < DOOR, "release waited out the cap: {:?}", t0.elapsed());
+
+            // Capped: a ticket that never redeems costs `max_delay_us`, no more.
+            let ticket = batcher.announce();
+            let t0 = Instant::now();
+            batcher.predict("m", record.clone()).unwrap();
+            let waited = t0.elapsed();
+            assert!(waited >= DOOR && waited < 4 * DOOR, "cap is {DOOR:?}, waited {waited:?}");
+            drop(ticket);
+
+            // `max_batch` closes the door early, ticket or no ticket.
+            let ticket = batcher.announce();
+            let t0 = Instant::now();
+            let full: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| batcher.predict("m", record.clone()).unwrap()))
+                .collect();
+            for h in full {
+                assert_eq!(h.join().unwrap().batch_size, 4);
+            }
+            assert!(t0.elapsed() < DOOR, "full batch waited {:?}", t0.elapsed());
+            drop(ticket);
+        });
+    }
+
+    /// Every early error releases its ticket: afterwards a lone request is
+    /// answered at once, which it would not be with a ticket leaked.
+    #[test]
+    fn failed_requests_release_their_tickets() {
+        let dir = std::env::temp_dir()
+            .join(format!("nautilus-batcher-tickets-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let serving = ServingConfig {
+            max_delay_us: 10_000_000,
+            delta_store_dir: Some(dir.to_string_lossy().into_owned()),
+            ..ServingConfig::default()
+        };
+        let registry = Arc::new(ModelRegistry::with_config(&serving).unwrap());
+        registry.publish("m", model(1, 6, 2)).unwrap();
+        registry.publish("gone", model(2, 6, 2)).unwrap();
+        let batcher = MicroBatcher::start(Arc::clone(&registry), &serving);
+
+        assert!(matches!(
+            batcher.predict("nobody", vec![0.0; 6]),
+            Err(PredictError::UnknownModel(_))
+        ));
+        assert!(matches!(
+            batcher.predict("m", vec![0.0; 4]),
+            Err(PredictError::BadShape { got: 4, want: 6 })
+        ));
+        // A fault-in that finds its store gone is a registry error.
+        registry.evict("gone").unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(
+            batcher.predict("gone", vec![0.0; 6]),
+            Err(PredictError::Registry(_))
+        ));
+        assert_eq!(batcher.inner.state.lock().unwrap().announced, 0);
+
+        let t0 = Instant::now();
+        batcher.predict("m", vec![0.5; 6]).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(2), "a leaked ticket held the door");
     }
 
     #[test]
@@ -576,27 +731,27 @@ mod tests {
         let g2 = model(32, 9, 3);
         let registry = Arc::new(ModelRegistry::new());
         registry.publish("m", g1.clone()).unwrap();
-        // A long door so both requests land in the same batch window.
-        let batcher = Arc::new(MicroBatcher::start(Arc::clone(&registry), &cfg(8, 300_000)));
+        let batcher = MicroBatcher::start(Arc::clone(&registry), &cfg(8, 10_000_000));
 
         let r1 = vec![0.25f32; 6];
-        let b1 = Arc::clone(&batcher);
-        let rec1 = r1.clone();
-        let h1 = std::thread::spawn(move || b1.predict("m", rec1));
-        // Wait until the first request is queued (validated against v1),
-        // then swap to a model with a different input shape and submit a
-        // second request validated against v2.
-        while batcher.inner.state.lock().unwrap().queue.len() < 1 {
-            std::thread::yield_now();
-        }
-        registry.publish("m", g2.clone()).unwrap();
         let r2 = vec![-0.5f32; 9];
-        let b2 = Arc::clone(&batcher);
-        let rec2 = r2.clone();
-        let h2 = std::thread::spawn(move || b2.predict("m", rec2));
-
-        let o1 = h1.join().unwrap().expect("v1 request must survive the swap");
-        let o2 = h2.join().unwrap().expect("v2 request must succeed");
+        // The second request's ticket is taken first, so the first waits
+        // for it: both land in the same batch window.
+        let second = batcher.announce();
+        let (o1, o2) = std::thread::scope(|s| {
+            let h1 = s.spawn(|| batcher.predict("m", r1.clone()));
+            // Once the first request is queued (validated against v1),
+            // swap to a model with a different input shape and submit the
+            // second request, validated against v2.
+            wait_for("the v1 request to queue", Duration::from_secs(10), || {
+                batcher.queue_depth() == 1
+            });
+            registry.publish("m", g2.clone()).unwrap();
+            let o2 = batcher.predict_announced(second, "m", r2.clone());
+            (h1.join().unwrap(), o2)
+        });
+        let o1 = o1.expect("v1 request must survive the swap");
+        let o2 = o2.expect("v2 request must succeed");
         assert_eq!(o1.version, 1);
         assert_eq!(o1.values, solo_forward(&g1, &r1));
         assert_eq!(o2.version, 2);
@@ -607,22 +762,19 @@ mod tests {
     fn shutdown_drains_pending_work() {
         let registry = Arc::new(ModelRegistry::new());
         registry.publish("m", model(2, 8, 3)).unwrap();
-        // A wide-open door: requests would sit for 10s without the drain.
-        let batcher = Arc::new(MicroBatcher::start(Arc::clone(&registry), &cfg(64, 10_000_000)));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let b = Arc::clone(&batcher);
-                std::thread::spawn(move || b.predict("m", vec![i as f32; 8]))
-            })
-            .collect();
-        // Give the submitters a moment to enqueue, then drain.
-        while batcher.inner.state.lock().unwrap().queue.len() < 4 {
-            std::thread::yield_now();
-        }
-        batcher.inner.state.lock().unwrap().shutdown = true;
-        batcher.inner.cv.notify_all();
-        for h in handles {
-            assert!(h.join().unwrap().is_ok(), "drained request must be answered");
-        }
+        // An outstanding ticket under a wide-open cap: the requests would
+        // sit for 10s without the drain.
+        let batcher = &MicroBatcher::start(Arc::clone(&registry), &cfg(64, 10_000_000));
+        let _never_redeemed = batcher.announce();
+        std::thread::scope(|s| {
+            let handles: Vec<_> =
+                (0..4).map(|i| s.spawn(move || batcher.predict("m", vec![i as f32; 8]))).collect();
+            wait_for("all four to queue", Duration::from_secs(10), || batcher.queue_depth() == 4);
+            batcher.inner.state.lock().unwrap().shutdown = true;
+            batcher.inner.cv.notify_all();
+            for h in handles {
+                assert!(h.join().unwrap().is_ok(), "drained request must be answered");
+            }
+        });
     }
 }

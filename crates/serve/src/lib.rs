@@ -38,11 +38,17 @@
 //!   (`SystemConfig::serving.queue_limit`); overload is answered with
 //!   `503` + `Retry-After` instead of unbounded buffering, and slow
 //!   clients get `408` instead of pinning a handler thread.
+//! * **Work-conserving request path** — connections are persistent (one
+//!   per-connection loop, shared with the dist workers, in
+//!   `nautilus_util::http`), idle ones never starve a new connection of a
+//!   handler, and the batcher's door holds a partial batch only while an
+//!   announced request is still on its way (`max_delay_us` is the cap).
 //! * **Serving telemetry** — spans `serve.request`/`serve.batch`/
 //!   `serve.evict`/`serve.fault_in`, counters `serve.requests`/
-//!   `serve.shed`/`serve.batches`/`serve.evictions`/`serve.fault_ins`/
-//!   `serve.trunk_shared_records`, and log2-bucketed latency histograms
-//!   `serve.request_us`/`serve.batch_us` (also recorded per tenant and
+//!   `serve.connections`/`serve.shed`/`serve.batches`/`serve.evictions`/
+//!   `serve.fault_ins`/`serve.trunk_shared_records`/`serve.door{outcome}`,
+//!   and log2-bucketed histograms `serve.request_us`/`serve.batch_us`/
+//!   `serve.door_wait_us` (request latency also recorded per tenant and
 //!   endpoint as bounded-cardinality labeled families).
 //! * **Observability plane** — `GET /metrics` renders every counter,
 //!   gauge, and histogram in Prometheus text format; `GET /healthz`
@@ -64,7 +70,7 @@ pub mod http;
 pub mod registry;
 pub mod server;
 
-pub use batcher::{MicroBatcher, PredictError, PredictOutput};
+pub use batcher::{MicroBatcher, PredictError, PredictOutput, Ticket};
 pub use deltastore::{DeltaStore, StoreError, StorePut};
 pub use http::{Request, Response};
 pub use registry::{

@@ -4,20 +4,27 @@
 //! Threading model (all `std`):
 //!
 //! * one **accept thread** owns the `TcpListener`. Accepted connections
-//!   go into a bounded queue; when the queue is full the accept thread
-//!   itself answers `503` + `Retry-After` (load shedding costs one small
-//!   write, never a handler slot);
-//! * `handler_threads` **handler threads** pop connections, read one
-//!   request each (with a read timeout), route it, and always write a
-//!   response before closing — no connection is dropped silently;
+//!   go into the bounded queue of the shared connection plane
+//!   ([`http::Connections`]); when the queue is full the accept thread
+//!   itself answers `503` + `Retry-After` and closes (load shedding costs
+//!   one small write, never a handler slot);
+//! * `handler_threads` **handler threads** pop connections and run the
+//!   plane's per-connection loop: requests are answered one after another
+//!   on the same socket until the client or an error ends it, and every
+//!   request that started arriving gets a response. Idle persistent
+//!   connections never hold a handler against a waiting one (the plane
+//!   wakes the longest-parked);
 //! * predictions flow through the shared [`MicroBatcher`], so concurrent
-//!   requests fuse into batched forwards.
+//!   requests fuse into batched forwards. A predict request announces
+//!   itself to the batcher before its body is decoded, which is what lets
+//!   the batcher dispatch at once when nobody else is on the way.
 //!
 //! Graceful drain ([`Server::shutdown`]): stop accepting, answer every
-//! queued connection, flush the batcher, join all threads.
+//! queued connection and request in flight, wake idle persistent
+//! connections, flush the batcher, join all threads.
 
 use crate::batcher::{MicroBatcher, PredictError};
-use crate::http::{self, Limits, ReadError, Request, Response};
+use crate::http::{self, Connections, Limits, Request, Response};
 use crate::registry::{ModelRegistry, RegistryError};
 use nautilus_core::config::{ObservabilityConfig, ServingConfig};
 use nautilus_util::json::Json;
@@ -25,7 +32,7 @@ use nautilus_util::{eventlog, telemetry};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,6 +40,7 @@ use std::time::{Duration, Instant};
 /// the telemetry layer is enabled).
 #[derive(Debug, Default)]
 struct ServerStats {
+    connections: AtomicU64,
     requests: AtomicU64,
     predictions: AtomicU64,
     shed: AtomicU64,
@@ -47,6 +55,9 @@ struct ServerStats {
 /// A point-in-time copy of the server's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
+    /// Connections a handler picked up (`requests / connections` is the
+    /// reuse a persistent connection bought).
+    pub connections: u64,
     /// Requests that reached a handler (all endpoints).
     pub requests: u64,
     /// Successful predictions.
@@ -62,6 +73,7 @@ pub struct ServerStatsSnapshot {
 impl ServerStats {
     fn snapshot(&self) -> ServerStatsSnapshot {
         ServerStatsSnapshot {
+            connections: self.connections.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             predictions: self.predictions.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -77,8 +89,7 @@ struct Shared {
     limits: Limits,
     request_timeout: Duration,
     queue_limit: usize,
-    queue: Mutex<VecDeque<TcpStream>>,
-    cv: Condvar,
+    conns: Connections,
     stop: AtomicBool,
     stats: ServerStats,
     obs: ObservabilityConfig,
@@ -140,8 +151,7 @@ impl Server {
             limits: Limits { max_head_bytes: 8 * 1024, max_body_bytes: cfg.max_body_bytes },
             request_timeout: Duration::from_millis(cfg.request_timeout_ms.max(1)),
             queue_limit: cfg.queue_limit.max(1),
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
+            conns: Connections::new(cfg.queue_limit),
             stop: AtomicBool::new(false),
             stats: ServerStats::default(),
             obs: obs.clone(),
@@ -193,6 +203,12 @@ impl Server {
         &self.shared.registry
     }
 
+    /// The micro-batcher predictions flow through ([`MicroBatcher::announce`]
+    /// here holds its door, which is how tests stall the request path).
+    pub fn batcher(&self) -> &MicroBatcher {
+        &self.shared.batcher
+    }
+
     /// Current counter values.
     pub fn stats(&self) -> ServerStatsSnapshot {
         self.shared.stats.snapshot()
@@ -212,8 +228,9 @@ impl Server {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        // Handlers drain the queue, then exit on (stop && empty).
-        self.shared.cv.notify_all();
+        // Handlers finish what is queued or in flight; idle persistent
+        // connections are woken rather than waited out.
+        self.shared.conns.drain();
         for h in self.handler_threads.drain(..) {
             let _ = h.join();
         }
@@ -242,18 +259,10 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        let mut q = shared.queue.lock().expect("server queue");
-        if q.len() >= shared.queue_limit {
-            drop(q);
-            shed(stream, shared);
-            continue;
+        match shared.conns.offer(stream) {
+            Ok(depth) => telemetry::SERVE_CONN_QUEUE_DEPTH.set(depth as i64),
+            Err(stream) => shed(stream, shared),
         }
-        q.push_back(stream);
-        if telemetry::metrics_enabled() {
-            telemetry::SERVE_CONN_QUEUE_DEPTH.set(q.len() as i64);
-        }
-        drop(q);
-        shared.cv.notify_one();
     }
 }
 
@@ -285,7 +294,7 @@ fn watchdog_loop(shared: &Shared) {
     while !shared.stop.load(Ordering::SeqCst) {
         std::thread::sleep(tick);
 
-        let conn_depth = shared.queue.lock().expect("server queue").len();
+        let conn_depth = shared.conns.depth();
         let batch_depth = shared.batcher.queue_depth();
         if telemetry::metrics_enabled() {
             telemetry::SERVE_CONN_QUEUE_DEPTH.set(conn_depth as i64);
@@ -357,52 +366,37 @@ fn shed(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let resp = Response::error(503, "server overloaded").with_header("Retry-After", "1");
-    finish(stream, &resp);
-}
-
-/// Sends the response and closes the connection without racing the
-/// client: unread request bytes left in the receive buffer at close time
-/// make the kernel RST the connection, which can destroy the response
-/// before the client reads it. So after sending we half-close and drain
-/// (bounded) until the client's own close acknowledges receipt.
-fn finish(stream: TcpStream, resp: &Response) {
-    crate::http::finish_connection(stream, resp);
+    http::finish_connection(&stream, resp);
 }
 
 fn handler_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut q = shared.queue.lock().expect("server queue");
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break s;
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = shared.cv.wait(q).expect("server queue wait");
-            }
-        };
-        handle_connection(stream, shared);
+    while let Some(stream) = shared.conns.next() {
+        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+        telemetry::SERVE_CONNECTIONS.add(1);
+        shared.conns.serve_connection(stream, &shared.limits, shared.request_timeout, shared);
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.request_timeout));
-    let _ = stream.set_write_timeout(Some(shared.request_timeout));
-    let response = match http::read_request(&mut stream, &shared.limits) {
-        Ok(req) => route(&req, shared),
-        Err(ReadError::Parse(e)) => Response::error(e.status(), "malformed request"),
-        Err(ReadError::Timeout) => Response::error(408, "request timed out"),
-        // Nothing arrived and the peer is gone; no response possible.
-        Err(ReadError::Disconnected) => return,
-    };
-    match response.status {
-        400..=499 => shared.stats.client_errors.fetch_add(1, Ordering::Relaxed),
-        500..=599 => shared.stats.server_errors.fetch_add(1, Ordering::Relaxed),
-        _ => 0,
-    };
-    finish(stream, &response);
+impl Shared {
+    fn count_error(&self, resp: Response) -> Response {
+        match resp.status {
+            400..=499 => self.stats.client_errors.fetch_add(1, Ordering::Relaxed),
+            500..=599 => self.stats.server_errors.fetch_add(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        resp
+    }
+}
+
+impl http::Handler for Shared {
+    fn handle(&self, req: &Request) -> Response {
+        self.count_error(route(req, self))
+    }
+
+    fn reject(&self, status: u16) -> Response {
+        let why = if status == 408 { "request timed out" } else { "malformed request" };
+        self.count_error(Response::error(status, why))
+    }
 }
 
 /// The tenant a request addresses: the path suffix (`/predict/<id>`,
@@ -520,7 +514,7 @@ fn health(shared: &Shared) -> Response {
     let registry_ok = s.resident_variants <= max_resident;
     let store_writable = shared.registry.store_writable();
     let store_ok = store_writable.unwrap_or(true);
-    let conn_depth = shared.queue.lock().expect("server queue").len();
+    let conn_depth = shared.conns.depth();
     let batch_depth = shared.batcher.queue_depth();
     let batcher_ok = conn_depth + batch_depth <= shared.queue_limit;
     let workers = nautilus_util::pool::num_threads();
@@ -622,6 +616,7 @@ fn stats(shared: &Shared) -> Response {
     Response::json(
         200,
         &Json::obj([
+            ("connections", Json::Int(s.connections as i128)),
             ("requests", Json::Int(s.requests as i128)),
             ("predictions", Json::Int(s.predictions as i128)),
             ("shed", Json::Int(s.shed as i128)),
@@ -679,6 +674,9 @@ fn model_meta(id: &str, shared: &Shared) -> Response {
 /// `{"model_id", "model_version", "batch_size", "trunk_batch",
 /// "outputs": [f32...]}`.
 fn predict(req: &Request, id: &str, shared: &Shared) -> Response {
+    // Announced before the body is decoded: the batcher holds its door for
+    // this request only while it is really on its way.
+    let ticket = shared.batcher.announce();
     let parsed: Result<Json, _> = nautilus_util::json::from_slice(&req.body);
     let Ok(body) = parsed else {
         return Response::error(400, "body is not valid JSON");
@@ -693,7 +691,7 @@ fn predict(req: &Request, id: &str, shared: &Shared) -> Response {
             None => return Response::error(422, "'inputs' must be numbers"),
         }
     }
-    match shared.batcher.predict(id, record) {
+    match shared.batcher.predict_announced(ticket, id, record) {
         Ok(out) => {
             shared.stats.predictions.fetch_add(1, Ordering::Relaxed);
             *shared

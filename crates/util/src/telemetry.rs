@@ -703,6 +703,9 @@ declare_histograms! {
     SERVE_REQUEST_US => "serve.request_us";
     /// Latency of one micro-batch forward (collect → forward → scatter), µs.
     SERVE_BATCH_US => "serve.batch_us";
+    /// Time a micro-batch's first record waited at the batcher's door
+    /// (first enqueue → dispatch), µs.
+    SERVE_DOOR_WAIT_US => "serve.door_wait_us";
 }
 
 /// Interns a dynamically named histogram, returning a `'static` handle
@@ -721,6 +724,9 @@ pub fn histogram(name: &str) -> &'static Histogram {
 declare_counters! {
     /// Prediction requests answered by the serving front-end.
     SERVE_REQUESTS => "serve.requests";
+    /// Connections picked up by a serving handler (`serve.requests /
+    /// serve.connections` is the reuse persistent connections buy).
+    SERVE_CONNECTIONS => "serve.connections";
     /// Requests shed with 503 (admission queue full / endpoint at cap).
     SERVE_SHED => "serve.shed";
     /// Micro-batches executed by the serving batcher.
@@ -1466,12 +1472,14 @@ mod tests {
         assert!(table.contains("serve.request_us"), "histogram row in table:\n{table}");
 
         // Gauges: set/add (negative deltas included), registration, table.
+        // (`add` on a test-private gauge: the pool's own gauges move
+        // under this test whenever a sibling test runs pool work.)
         SERVE_BATCH_QUEUE_DEPTH.set(4);
-        POOL_PARKED_WORKERS.add(2);
-        POOL_PARKED_WORKERS.add(-1);
         assert_eq!(SERVE_BATCH_QUEUE_DEPTH.get(), 4);
-        assert_eq!(POOL_PARKED_WORKERS.get(), 1);
         let dg = gauge("test.dynamic_gauge");
+        dg.add(2);
+        dg.add(-1);
+        assert_eq!(dg.get(), 1);
         dg.set(-7);
         assert!(std::ptr::eq(dg, gauge("test.dynamic_gauge")), "gauge interning is stable");
         assert!(summary_table().contains("serve.batch_queue_depth"));

@@ -52,7 +52,9 @@ fn solo_forward(g: &ModelGraph, record: &[f32]) -> Vec<f32> {
 // ---------------------------------------------------------------------
 // Property: the HTTP parser never panics and classifies any byte soup as
 // complete / incomplete / clean error — including requests split at
-// arbitrary read boundaries, corrupted bytes, and truncations.
+// arbitrary read boundaries, corrupted bytes, and truncations — and a
+// persistent connection fed several soups back to back answers exactly
+// the requests that are complete, in order, then stops.
 // ---------------------------------------------------------------------
 
 /// A raw byte buffer derived from a valid request by optional mangling.
@@ -75,8 +77,10 @@ impl Gen for RequestSoup {
             // Sometimes lie about (or corrupt) the length.
             format!("{}x", rng.gen_range(0u32..100))
         };
+        let extra = ["", "", "", "Connection: close\r\n", "Transfer-Encoding: chunked\r\n"]
+            [rng.gen_range(0usize..5)];
         let mut raw = format!(
-            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {declared}\r\n\r\n"
+            "{method} {path} HTTP/1.1\r\nHost: t\r\n{extra}Content-Length: {declared}\r\n\r\n"
         )
         .into_bytes();
         raw.extend_from_slice(&body);
@@ -114,9 +118,91 @@ impl Gen for RequestSoup {
     }
 }
 
+/// One to three soups back to back, as one connection would carry them.
+struct SoupStream;
+
+impl Gen for SoupStream {
+    type Value = Vec<u8>;
+
+    fn generate(&self, rng: &mut StdRng) -> Vec<u8> {
+        (0..rng.gen_range(1usize..4)).flat_map(|_| RequestSoup.generate(rng)).collect()
+    }
+
+    fn shrink(&self, v: &Vec<u8>) -> Vec<Vec<u8>> {
+        RequestSoup.shrink(v)
+    }
+}
+
+/// What a connection must answer to `stream` followed by EOF: `200` per
+/// complete request while the connection persists, then the status that
+/// ends it, if anything is owed one.
+fn owed_statuses(mut stream: &[u8], limits: &Limits) -> Vec<u16> {
+    let mut owed = Vec::new();
+    loop {
+        match parse_request(stream, limits) {
+            ParseOutcome::Complete(req, used) => {
+                owed.push(200);
+                if !req.keep_alive {
+                    return owed;
+                }
+                stream = &stream[used..];
+            }
+            ParseOutcome::Error(e) => {
+                owed.push(e.status());
+                return owed;
+            }
+            ParseOutcome::Incomplete => {
+                if !stream.is_empty() {
+                    owed.push(400); // EOF inside a request
+                }
+                return owed;
+            }
+        }
+    }
+}
+
+/// Status of each `Content-Length`-framed response in `raw`, in order.
+fn response_statuses(mut raw: &[u8]) -> Result<Vec<u16>, String> {
+    let mut statuses = Vec::new();
+    while !raw.is_empty() {
+        let (status, body) = http::parse_response(raw).map_err(|e| e.to_string())?;
+        let head = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("parsed above");
+        statuses.push(status);
+        raw = &raw[head + 4 + body.len()..];
+    }
+    Ok(statuses)
+}
+
 #[test]
 fn http_parser_is_total_over_byte_soup() {
     let limits = Limits { max_head_bytes: 256, max_body_bytes: 128 };
+
+    // Over a live connection: never more (or other) responses than the
+    // stream's complete requests are owed, whatever follows them.
+    let server = http::serve(
+        std::net::TcpListener::bind("127.0.0.1:0").unwrap(),
+        limits,
+        Duration::from_secs(5),
+        2,
+        Arc::new(|_: &http::Request| http::Response::text(200, "text/plain", "ok")),
+    )
+    .unwrap();
+    prop_check(0x5E27_0003, 200, &SoupStream, |stream| {
+        use std::io::{Read, Write};
+        let mut conn = std::net::TcpStream::connect(server.addr()).map_err(|e| e.to_string())?;
+        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        conn.write_all(stream).map_err(|e| e.to_string())?;
+        conn.shutdown(std::net::Shutdown::Write).map_err(|e| e.to_string())?;
+        let mut raw = Vec::new();
+        conn.read_to_end(&mut raw).map_err(|e| e.to_string())?;
+        let (got, want) = (response_statuses(&raw)?, owed_statuses(stream, &limits));
+        if got != want {
+            return Err(format!("answered {got:?}, owed {want:?}"));
+        }
+        Ok(())
+    });
+    server.stop();
+
     prop_check(0x5E27_0001, 300, &RequestSoup, |raw| {
         // Whole-buffer parse must classify without panicking (prop_check
         // converts panics into failures).
@@ -465,11 +551,12 @@ fn overload_sheds_cleanly_and_answers_every_connection() {
     const BURST: usize = 24;
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("default", model(77, 8, 2)).unwrap();
-    // One handler + a wide-open batching door make each prediction slow
-    // (~40ms), so a burst must pile up on the 2-slot accept queue.
+    // One handler, and a ticket held at the batcher's door: the first
+    // prediction stalls there for as long as the test says, so the burst
+    // behind it must pile up on the 2-slot accept queue.
     let cfg = ServingConfig {
         max_batch: 64,
-        max_delay_us: 40_000,
+        max_delay_us: 30_000_000,
         queue_limit: 2,
         handler_threads: 1,
         request_timeout_ms: 5_000,
@@ -478,6 +565,7 @@ fn overload_sheds_cleanly_and_answers_every_connection() {
     let server = Server::start(registry, &cfg, 0).unwrap();
     let addr = server.addr().to_string();
     let body = br#"{"inputs": [0, 1, 0, 1, 0, 1, 0, 1]}"#;
+    let stall = server.batcher().announce();
 
     let handles: Vec<_> = (0..BURST)
         .map(|_| {
@@ -488,6 +576,14 @@ fn overload_sheds_cleanly_and_answers_every_connection() {
             })
         })
         .collect();
+    // One connection holds the handler (at most), two wait in the queue;
+    // once the accept thread has turned away all the others, let the door go.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while (server.stats().shed as usize) < BURST - 3 {
+        assert!(std::time::Instant::now() < deadline, "burst never filled the queue");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(stall);
     let mut ok = 0usize;
     let mut shed = 0usize;
     for h in handles {
@@ -503,8 +599,9 @@ fn overload_sheds_cleanly_and_answers_every_connection() {
         }
     }
     assert_eq!(ok + shed, BURST, "every connection answered");
-    assert!(shed > 0, "burst of {BURST} over a 2-slot queue must shed");
-    assert!(ok > 0, "some requests must still succeed under overload");
+    // Two fit the queue; a third is served only if the handler took the
+    // first before the accept thread had turned the rest away.
+    assert!((2..=3).contains(&ok), "{ok} served from a 2-slot queue and one handler");
 
     let stats = server.shutdown();
     assert_eq!(stats.shed as usize, shed);
@@ -532,6 +629,106 @@ fn stalled_client_gets_request_timeout() {
     let (status, _) = http::parse_response(&raw).unwrap();
     assert_eq!(status, 408);
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Integration: persistent connections. One socket carries many requests,
+// each answered byte for byte as a one-shot exchange would be; framing
+// errors end the connection and count as client errors; going idle does
+// neither.
+// ---------------------------------------------------------------------
+
+#[test]
+fn persistent_connection_answers_like_one_shot_and_idles_out_silently() {
+    use std::io::{Read, Write};
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("default", model(21, 8, 3)).unwrap();
+    let cfg = ServingConfig { request_timeout_ms: 150, ..ServingConfig::default() };
+    let server = Server::start(registry, &cfg, 0).unwrap();
+    let addr = server.addr().to_string();
+    let body = br#"{"inputs": [1, 0.5, -1, 2, 0, 0.25, -0.5, 3]}"#;
+    let timeout = Duration::from_secs(5);
+
+    let one_shot = http::request(&addr, "POST", "/predict", Some(body), timeout).unwrap();
+    assert_eq!(one_shot.0, 200);
+    let mut client = http::Client::new(&addr, timeout);
+    for _ in 0..8 {
+        assert_eq!(client.request("POST", "/predict", Some(body)).unwrap(), one_shot);
+    }
+    let (_, raw) = client.request("GET", "/stats", None).unwrap();
+    let stats: nautilus_util::json::Json = nautilus_util::json::from_slice(&raw).unwrap();
+    assert_eq!(stats.get("connections").and_then(|v| v.as_u64()), Some(2));
+    assert_eq!(stats.get("requests").and_then(|v| v.as_u64()), Some(10));
+
+    // A chunked request is refused and the connection closed with it.
+    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(timeout)).unwrap();
+    conn.write_all(b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n")
+        .unwrap();
+    let mut raw = Vec::new();
+    conn.read_to_end(&mut raw).unwrap();
+    assert_eq!(response_statuses(&raw).unwrap(), [400]);
+    assert_eq!(server.stats().client_errors, 1);
+
+    // Idle past the timeout: closed without a byte, and not an error.
+    let mut idle = std::net::TcpStream::connect(server.addr()).unwrap();
+    idle.set_read_timeout(Some(timeout)).unwrap();
+    idle.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let mut raw = Vec::new();
+    idle.read_to_end(&mut raw).unwrap();
+    assert_eq!(response_statuses(&raw).unwrap(), [200], "nothing follows the one response");
+
+    drop((client, conn, idle));
+    let stats = server.shutdown();
+    assert_eq!((stats.client_errors, stats.server_errors, stats.shed), (1, 0, 0));
+    assert_eq!(stats.predictions, 9);
+}
+
+// ---------------------------------------------------------------------
+// Integration: idle persistent connections hold no handler against a new
+// connection, and do not hold up a drain.
+// ---------------------------------------------------------------------
+
+#[test]
+fn parked_handlers_yield_to_new_connections_and_to_shutdown() {
+    use nautilus_repro::core::config::ObservabilityConfig;
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("default", model(22, 8, 3)).unwrap();
+    let cfg = ServingConfig {
+        handler_threads: 2,
+        request_timeout_ms: 30_000,
+        ..ServingConfig::default()
+    };
+    let obs = ObservabilityConfig { watchdog_tick_ms: 10, ..ObservabilityConfig::default() };
+    let server = Server::start_with(registry, &cfg, &obs, 0).unwrap();
+    let addr = server.addr().to_string();
+    let body = br#"{"inputs": [1, 2, 3, 4, 5, 6, 7, 8]}"#;
+    let timeout = Duration::from_secs(30);
+
+    // Both handlers end up parked on a connection that has gone quiet.
+    let mut clients: Vec<http::Client> =
+        (0..2).map(|_| http::Client::new(&addr, timeout)).collect();
+    for c in &mut clients {
+        assert_eq!(c.request("POST", "/predict", Some(body)).unwrap().0, 200);
+    }
+
+    let t0 = std::time::Instant::now();
+    let (status, _) = http::request(&addr, "POST", "/predict", Some(body), timeout).unwrap();
+    assert_eq!(status, 200);
+    assert!(t0.elapsed() < Duration::from_millis(100), "starved for {:?}", t0.elapsed());
+
+    // The connection that was closed to make room costs its client one
+    // reconnect, not a failure.
+    for c in &mut clients {
+        assert_eq!(c.request("POST", "/predict", Some(body)).unwrap().0, 200);
+    }
+
+    // Idle persistent connections are still open here.
+    let t0 = std::time::Instant::now();
+    let stats = server.shutdown();
+    assert!(t0.elapsed() < Duration::from_millis(250), "drain took {:?}", t0.elapsed());
+    assert_eq!(stats.predictions, 5);
+    assert_eq!((stats.shed, stats.client_errors, stats.server_errors), (0, 0, 0));
 }
 
 // ---------------------------------------------------------------------
@@ -691,11 +888,12 @@ fn healthz_degrades_and_recovers_when_queue_slo_is_breached() {
     use nautilus_repro::core::config::ObservabilityConfig;
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("default", model(55, 8, 2)).unwrap();
-    // A wide-open batching door (400ms) with many handler threads piles
-    // concurrent predictions up inside the batcher queue.
+    // A ticket held at the batcher's door (under a cap the test never
+    // reaches) piles concurrent predictions up inside the batcher queue
+    // until the test lets go; spare handler threads keep /healthz served.
     let cfg = ServingConfig {
         max_batch: 64,
-        max_delay_us: 400_000,
+        max_delay_us: 60_000_000,
         handler_threads: 8,
         queue_limit: 64,
         request_timeout_ms: 10_000,
@@ -710,6 +908,7 @@ fn healthz_degrades_and_recovers_when_queue_slo_is_breached() {
     let server = Server::start_with(registry, &cfg, &obs, 0).unwrap();
     let addr = server.addr().to_string();
     let body = br#"{"inputs": [1, 2, 3, 4, 5, 6, 7, 8]}"#;
+    let stall = server.batcher().announce();
 
     let clients: Vec<_> = (0..6)
         .map(|_| {
@@ -728,8 +927,8 @@ fn healthz_degrades_and_recovers_when_queue_slo_is_breached() {
         })
         .collect();
 
-    // While the six predictions sit in the 400ms batching window, the
-    // watchdog must observe depth > 2 and flip health to degraded.
+    // While the six predictions sit behind the held door, the watchdog
+    // must observe depth > 2 and flip health to degraded.
     let mut saw_degraded = false;
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while std::time::Instant::now() < deadline {
@@ -755,6 +954,7 @@ fn healthz_degrades_and_recovers_when_queue_slo_is_breached() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(saw_degraded, "watchdog never flagged the queue SLO breach");
+    drop(stall);
     for c in clients {
         c.join().unwrap();
     }
