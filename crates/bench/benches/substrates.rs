@@ -523,6 +523,52 @@ fn bench_multitenant(c: &mut Criterion) {
     group.finish();
 }
 
+/// One transformer block alone, at the two shapes the end-to-end benchmark
+/// spends its time in: inference forward, training forward (caches kept)
+/// and backward. This is where a change to the block's non-GEMM half —
+/// bias broadcasts, the attention core, GELU — shows layer by layer.
+fn bench_block(c: &mut Criterion) {
+    use nautilus_dnn::graph::ParamInit;
+    use nautilus_dnn::layer::LayerKind;
+    use nautilus_dnn::ModelGraph;
+
+    let mut group = c.benchmark_group("block");
+    // (label, batch, seq, dim, heads, ff): an FTR-2 tiny training batch, and
+    // one request against the serving benchmark's adapter model.
+    for (label, b, s, dim, heads, ff) in
+        [("ftr2_8x12x32", 8usize, 12usize, 32usize, 4usize, 64usize), ("serve_1x16x48", 1, 16, 48, 4, 96)]
+    {
+        let mut rng = seeded_rng(14);
+        let mut g = ModelGraph::new();
+        let inp = g.add_input("x", [s, dim]);
+        let block = g
+            .add_layer(
+                "block",
+                LayerKind::TransformerBlock { dim, heads, ff_dim: ff },
+                &[inp],
+                false,
+                ParamInit::Seeded(&mut rng),
+            )
+            .unwrap();
+        g.add_output(block).unwrap();
+        let mut inputs = BatchInputs::new();
+        inputs.insert(inp, randn([b, s, dim], 1.0, &mut rng));
+        let dout = randn([b, s, dim], 1.0, &mut rng);
+
+        group.bench_function(format!("forward/{label}"), |bch| {
+            bch.iter(|| forward(&g, &inputs, false).unwrap())
+        });
+        group.bench_function(format!("forward_training/{label}"), |bch| {
+            bch.iter(|| forward(&g, &inputs, true).unwrap())
+        });
+        let fwd = forward(&g, &inputs, true).unwrap();
+        group.bench_function(format!("backward/{label}"), |bch| {
+            bch.iter(|| backward(&g, &fwd, HashMap::from([(block, dout.clone())])).unwrap())
+        });
+    }
+    group.finish();
+}
+
 fn bench_training_step(c: &mut Criterion) {
     let cfg = BertConfig::tiny(8, 40);
     let graph =
@@ -562,6 +608,7 @@ criterion_group!(
     bench_telemetry,
     bench_serve,
     bench_multitenant,
+    bench_block,
     bench_store,
     bench_prefetch,
     bench_pagecache_ablation,

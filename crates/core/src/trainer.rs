@@ -16,7 +16,7 @@ use crate::backend::Backend;
 use crate::fusion::TrainUnit;
 use crate::multimodel::MultiModelGraph;
 use crate::plan::{ExecutablePlan, PlanFeed};
-use crate::profiler::{profile_graph, total_ccomp_flops, total_fwd_flops};
+use crate::profiler::{profile_graph, total_fwd_flops};
 use crate::spec::CandidateModel;
 use nautilus_data::Dataset;
 use nautilus_dnn::checkpoint::checkpoint_bytes;
@@ -206,7 +206,6 @@ pub fn train_unit_retaining(
                 .sum::<usize>() as f64
         })
         .collect();
-    let _ = total_ccomp_flops(&profiles); // (kept: full-plan ccomp is fwd + extras)
 
     let mut results: Vec<MemberResult> = unit
         .members

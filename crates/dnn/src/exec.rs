@@ -12,10 +12,10 @@
 use crate::graph::{ModelGraph, NodeId};
 use crate::layer::{Activation, LayerKind};
 use nautilus_tensor::ops::{
-    add, add_assign, avg_pool2d_global, conv2d, conv2d_backward, gelu, gelu_backward,
-    layer_norm, layer_norm_backward, matmul, matmul_ta, matmul_tb, max_pool2d,
-    max_pool2d_backward, relu, relu_backward, scale, softmax_last, softmax_last_backward,
-    sum_rows, tanh_act, tanh_backward,
+    add, add_assign, attention_backward, attention_forward, avg_pool2d_global, conv2d,
+    conv2d_backward, gelu, gelu_backward, gelu_backward_cached, gelu_with_tanh, layer_norm,
+    layer_norm_backward, matmul, matmul_ta, matmul_tb, max_pool2d, max_pool2d_backward, relu,
+    relu_backward, sum_rows, tanh_act, tanh_backward, with_batch_invariant_dispatch, AttnDims,
 };
 use nautilus_tensor::{Shape, Tensor, TensorError};
 use nautilus_util::telemetry;
@@ -103,13 +103,15 @@ pub struct TransformerCache {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    /// `[batch * heads]` attention probability matrices, each `[S, S]`.
-    attn: Vec<Tensor>,
+    /// `[B, heads, S, S]` attention probability matrices.
+    attn: Tensor,
     ctx: Tensor,
     ln1_xhat: Tensor,
     ln1_inv_std: Vec<f32>,
     h1: Tensor,
     ff_pre: Tensor,
+    /// The tanh factor of `gelu(ff_pre)`, so backward does not recompute it.
+    ff_tanh: Tensor,
     ff_act: Tensor,
     ln2_xhat: Tensor,
     ln2_inv_std: Vec<f32>,
@@ -147,12 +149,13 @@ impl Cache {
                     + t(&tc.q)
                     + t(&tc.k)
                     + t(&tc.v)
-                    + tc.attn.iter().map(&t).sum::<usize>()
+                    + t(&tc.attn)
                     + t(&tc.ctx)
                     + t(&tc.ln1_xhat)
                     + tc.ln1_inv_std.len() * 4
                     + t(&tc.h1)
                     + t(&tc.ff_pre)
+                    + t(&tc.ff_tanh)
                     + t(&tc.ff_act)
                     + t(&tc.ln2_xhat)
                     + tc.ln2_inv_std.len() * 4
@@ -232,11 +235,12 @@ pub fn forward_with_overrides(
     let n = graph.len();
     let mut outputs: Vec<Option<Tensor>> = vec![None; n];
     let mut caches: Vec<Cache> = Vec::with_capacity(n);
-    let requires_grad = graph.requires_grad();
+    // Only training reads it: inference skips the graph walk.
+    let requires_grad = training.then(|| graph.requires_grad());
 
     for id in graph.ids() {
         let node = graph.node(id);
-        let keep_cache = training && requires_grad[id.index()];
+        let keep_cache = requires_grad.as_ref().is_some_and(|rg| rg[id.index()]);
         let parent_outputs: Vec<&Tensor> = node
             .inputs
             .iter()
@@ -276,7 +280,7 @@ pub fn forward_batch(
     batch: usize,
 ) -> Result<ForwardResult, ExecError> {
     let _sp = telemetry::span("dnn", "dnn.forward_batch");
-    nautilus_tensor::ops::with_batch_invariant_dispatch(batch, || forward(graph, inputs, false))
+    with_batch_invariant_dispatch(batch, || forward(graph, inputs, false))
 }
 
 /// One tenant's slice of a shared-trunk batch: `rows` consecutive records
@@ -334,7 +338,7 @@ pub fn forward_batch_shared_trunk(
     let mut binputs = BatchInputs::new();
     binputs.insert(input, stacked);
     let mut trunk_out: Vec<Option<Tensor>> = vec![None; n];
-    nautilus_tensor::ops::with_batch_invariant_dispatch(total, || -> Result<(), ExecError> {
+    with_batch_invariant_dispatch(total, || -> Result<(), ExecError> {
         for id in graph.ids() {
             if rg[id.index()] {
                 continue;
@@ -386,7 +390,7 @@ pub fn forward_batch_shared_trunk(
     for g in groups {
         let (a, b) = (row, row + g.rows);
         row = b;
-        let out = nautilus_tensor::ops::with_batch_invariant_dispatch(
+        let out = with_batch_invariant_dispatch(
             g.rows,
             || -> Result<Tensor, ExecError> {
                 let mut outs: Vec<Option<Tensor>> = vec![None; n];
@@ -542,12 +546,7 @@ pub(crate) fn run_forward(
             let mut e = vec![0.0f32; b * s * dim];
             for bi in 0..b {
                 for si in 0..s {
-                    let tid = ids.data()[bi * s + si] as usize;
-                    if tid >= *vocab {
-                        return Err(TensorError::Incompatible(format!(
-                            "token id {tid} out of vocab {vocab}"
-                        )));
-                    }
+                    let tid = token_id(ids.data()[bi * s + si], *vocab)?;
                     let dst = &mut e[(bi * s + si) * dim..(bi * s + si + 1) * dim];
                     let tokrow = &tok.data()[tid * dim..(tid + 1) * dim];
                     let posrow = &pos.data()[si * dim..(si + 1) * dim];
@@ -726,27 +725,16 @@ pub(crate) fn run_forward(
     }
 }
 
-/// Extracts head `h` of record `b` from `[B, S, D]` as `[S, dh]`.
-fn slice_head(x: &Tensor, b: usize, s: usize, d: usize, h: usize, dh: usize) -> Tensor {
-    let mut out = vec![0.0f32; s * dh];
-    let base = b * s * d + h * dh;
-    for si in 0..s {
-        out[si * dh..(si + 1) * dh]
-            .copy_from_slice(&x.data()[base + si * d..base + si * d + dh]);
-    }
-    Tensor::from_vec([s, dh], out).expect("head slice shape")
-}
-
-/// Adds `[S, dh]` into head `h` of record `b` of `[B, S, D]`.
-fn add_head(dst: &mut Tensor, src: &Tensor, b: usize, s: usize, d: usize, h: usize, dh: usize) {
-    let base = b * s * d + h * dh;
-    let dd = dst.data_mut();
-    for si in 0..s {
-        let drow = &mut dd[base + si * d..base + si * d + dh];
-        let srow = &src.data()[si * dh..(si + 1) * dh];
-        for (o, &v) in drow.iter_mut().zip(srow) {
-            *o += v;
-        }
+/// A token id as an index: ids arrive as floats (possibly from a request
+/// body), so anything but an exact integer in `0..vocab` is rejected rather
+/// than truncated or saturated into a valid row.
+fn token_id(raw: f32, vocab: usize) -> Result<usize, TensorError> {
+    // `as usize` saturates, so an integral float past `usize::MAX` still
+    // fails the range check.
+    if raw >= 0.0 && raw.fract() == 0.0 && (raw as usize) < vocab {
+        Ok(raw as usize)
+    } else {
+        Err(TensorError::Incompatible(format!("token id {raw} is not an integer in 0..{vocab}")))
     }
 }
 
@@ -758,8 +746,7 @@ fn transformer_forward(
     keep_cache: bool,
 ) -> Result<(Tensor, Cache), TensorError> {
     let (b, s) = (x.shape().dim(0), x.shape().dim(1));
-    let dh = dim / heads;
-    let scale_f = 1.0 / (dh as f32).sqrt();
+    let dims = AttnDims { seq: s, dim, heads };
     let (wq, bq, wk, bk, wv, bv, wo, bo) =
         (&p[0], &p[1], &p[2], &p[3], &p[4], &p[5], &p[6], &p[7]);
     let (ln1g, ln1b) = (&p[8], &p[9]);
@@ -774,47 +761,42 @@ fn transformer_forward(
     add_assign(&mut v, bv)?;
 
     // Attention cores are independent per record; fan records out over the
-    // pool. Each record's ctx block and attention matrices come back in
-    // record order, so assembly (and results) are identical to the
-    // sequential loop at any thread count. Each task's tensors span one
-    // record, so its dispatch-site work estimates are already per-record:
-    // pin the divisor to 1 so the kernel choice matches this record served
-    // alone even when the enclosing `forward_batch` scope installed a
-    // batch divisor.
-    let record_attn = |bi: usize| -> Result<(Tensor, Vec<Tensor>), TensorError> {
-        nautilus_tensor::ops::with_batch_invariant_dispatch(1, || {
-            let mut ctx_rec = Tensor::zeros([1, s, dim]);
-            let mut attn_rec = Vec::with_capacity(if keep_cache { heads } else { 0 });
-            for h in 0..heads {
-                let qh = slice_head(&q, bi, s, dim, h, dh);
-                let kh = slice_head(&k, bi, s, dim, h, dh);
-                let vh = slice_head(&v, bi, s, dim, h, dh);
-                let scores = scale(&matmul_tb(&qh, &kh)?, scale_f);
-                let attn = softmax_last(&scores);
-                let ctx_h = matmul(&attn, &vh)?;
-                add_head(&mut ctx_rec, &ctx_h, 0, s, dim, h, dh);
-                if keep_cache {
-                    attn_rec.push(attn);
-                }
-            }
-            Ok((ctx_rec, attn_rec))
-        })
-    };
-    let per_record: Vec<Result<(Tensor, Vec<Tensor>), TensorError>> = pool::join_all(
-        (0..b)
-            .map(|bi| {
-                let f = &record_attn;
-                Box::new(move || f(bi))
-                    as Box<dyn FnOnce() -> Result<(Tensor, Vec<Tensor>), TensorError> + Send + '_>
-            })
-            .collect(),
-    );
+    // pool, each task writing its own record of `ctx` (and of the kept
+    // probabilities), so results are identical to the sequential loop at
+    // any thread count. Each task spans one record, so its dispatch-site
+    // work estimate is already per-record: pin the divisor to 1 so the
+    // kernel choice matches this record served alone even when the
+    // enclosing `forward_batch` scope installed a batch divisor.
     let mut ctx = Tensor::zeros(x.shape().clone());
-    let mut attn_mats = Vec::with_capacity(if keep_cache { b * heads } else { 0 });
-    for (bi, result) in per_record.into_iter().enumerate() {
-        let (ctx_rec, attn_rec) = result?;
-        ctx.data_mut()[bi * s * dim..(bi + 1) * s * dim].copy_from_slice(ctx_rec.data());
-        attn_mats.extend(attn_rec);
+    // Kept probabilities and the GELU tanh factor exist only for backward:
+    // both stay empty in inference.
+    let mut attn = Tensor::zeros([if keep_cache { b } else { 0 }, heads, s, s]);
+    if s > 0 {
+        let rec = dims.record_len();
+        let (qd, kd, vd) = (q.data(), k.data(), v.data());
+        let mut kept = attn.data_mut().chunks_exact_mut(dims.probs_len());
+        pool::run_scope(
+            ctx.data_mut()
+                .chunks_exact_mut(rec)
+                .enumerate()
+                .map(|(bi, ctx_rec)| {
+                    let probs = kept.next();
+                    let r = bi * rec..(bi + 1) * rec;
+                    Box::new(move || {
+                        with_batch_invariant_dispatch(1, || {
+                            attention_forward(
+                                dims,
+                                &qd[r.clone()],
+                                &kd[r.clone()],
+                                &vd[r],
+                                ctx_rec,
+                                probs,
+                            )
+                        })
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
+        );
     }
     let mut ao = matmul(&ctx, wo)?;
     add_assign(&mut ao, bo)?;
@@ -822,7 +804,8 @@ fn transformer_forward(
     let (h1, ln1_xhat, ln1_inv_std) = layer_norm(&res1, ln1g, ln1b, 1e-5)?;
     let mut ff_pre = matmul(&h1, w1)?;
     add_assign(&mut ff_pre, b1)?;
-    let ff_act = gelu(&ff_pre);
+    let (ff_act, ff_tanh) =
+        if keep_cache { gelu_with_tanh(&ff_pre) } else { (gelu(&ff_pre), Tensor::zeros([0])) };
     let mut ff = matmul(&ff_act, w2)?;
     add_assign(&mut ff, b2)?;
     let res2 = add(&h1, &ff)?;
@@ -834,12 +817,13 @@ fn transformer_forward(
             q,
             k,
             v,
-            attn: attn_mats,
+            attn,
             ctx,
             ln1_xhat,
             ln1_inv_std,
             h1,
             ff_pre,
+            ff_tanh,
             ff_act,
             ln2_xhat,
             ln2_inv_std,
@@ -860,9 +844,8 @@ fn transformer_backward(
     trainable: bool,
     need_input_grad: bool,
 ) -> Result<BackwardOut, TensorError> {
-    let (b, s) = (tc.x.shape().dim(0), tc.x.shape().dim(1));
-    let dh = dim / heads;
-    let scale_f = 1.0 / (dh as f32).sqrt();
+    let s = tc.x.shape().dim(1);
+    let dims = AttnDims { seq: s, dim, heads };
     let (wq, wk, wv, wo) = (&p[0], &p[2], &p[4], &p[6]);
     let (ln1g, w1, w2, ln2g) = (&p[8], &p[10], &p[12], &p[14]);
 
@@ -873,7 +856,7 @@ fn transformer_backward(
     let dw2 = matmul_ta(&tc.ff_act, dff)?;
     let db2 = sum_rows(dff)?;
     let dff_act = matmul_tb_weight(dff, w2)?;
-    let dff_pre = gelu_backward(&tc.ff_pre, &dff_act)?;
+    let dff_pre = gelu_backward_cached(&tc.ff_pre, &tc.ff_tanh, &dff_act)?;
     let dw1 = matmul_ta(&tc.h1, &dff_pre)?;
     let db1 = sum_rows(&dff_pre)?;
     let mut dh1 = dres2.clone(); // residual path
@@ -885,54 +868,44 @@ fn transformer_backward(
     let dwo = matmul_ta(&tc.ctx, dao)?;
     let dbo = sum_rows(dao)?;
     let dctx = matmul_tb_weight(dao, wo)?;
-    // Attention cores, per record and head.
-    // Per-record attention gradients fan out over the pool; each record's
-    // dq/dk/dv blocks are assembled back in record order, bit-identical to
-    // the sequential loop. As in the forward pass, each task spans one
-    // record, so its dispatch estimates are already per-record — pin the
-    // divisor to 1 regardless of any scope on the spawning thread.
-    type RecGrads = (Tensor, Tensor, Tensor);
-    let record_grads = |bi: usize| -> Result<RecGrads, TensorError> {
-        nautilus_tensor::ops::with_batch_invariant_dispatch(1, || {
-            let mut dq_rec = Tensor::zeros([1, s, dim]);
-            let mut dk_rec = Tensor::zeros([1, s, dim]);
-            let mut dv_rec = Tensor::zeros([1, s, dim]);
-            for h in 0..heads {
-                let attn = &tc.attn[bi * heads + h];
-                let dctx_h = slice_head(&dctx, bi, s, dim, h, dh);
-                let qh = slice_head(&tc.q, bi, s, dim, h, dh);
-                let kh = slice_head(&tc.k, bi, s, dim, h, dh);
-                let vh = slice_head(&tc.v, bi, s, dim, h, dh);
-                let dattn = matmul_tb(&dctx_h, &vh)?;
-                let dvh = matmul_ta(attn, &dctx_h)?;
-                let dscores = softmax_last_backward(attn, &dattn)?;
-                let dqh = scale(&matmul(&dscores, &kh)?, scale_f);
-                let dkh = scale(&matmul_ta(&dscores, &qh)?, scale_f);
-                add_head(&mut dq_rec, &dqh, 0, s, dim, h, dh);
-                add_head(&mut dk_rec, &dkh, 0, s, dim, h, dh);
-                add_head(&mut dv_rec, &dvh, 0, s, dim, h, dh);
-            }
-            Ok((dq_rec, dk_rec, dv_rec))
-        })
-    };
-    let per_record: Vec<Result<RecGrads, TensorError>> = pool::join_all(
-        (0..b)
-            .map(|bi| {
-                let f = &record_grads;
-                Box::new(move || f(bi))
-                    as Box<dyn FnOnce() -> Result<RecGrads, TensorError> + Send + '_>
-            })
-            .collect(),
-    );
+    // Attention cores: per-record gradients fan out over the pool, each
+    // task writing its own record of dq/dk/dv — bit-identical to the
+    // sequential loop. As in the forward pass, each task spans one record,
+    // so its dispatch estimate is already per-record — pin the divisor to 1
+    // regardless of any scope on the spawning thread.
     let mut dq = Tensor::zeros(tc.q.shape().clone());
     let mut dk = Tensor::zeros(tc.k.shape().clone());
     let mut dv = Tensor::zeros(tc.v.shape().clone());
-    for (bi, result) in per_record.into_iter().enumerate() {
-        let (dq_rec, dk_rec, dv_rec) = result?;
-        let range = bi * s * dim..(bi + 1) * s * dim;
-        dq.data_mut()[range.clone()].copy_from_slice(dq_rec.data());
-        dk.data_mut()[range.clone()].copy_from_slice(dk_rec.data());
-        dv.data_mut()[range].copy_from_slice(dv_rec.data());
+    if s > 0 {
+        let (rec, plen) = (dims.record_len(), dims.probs_len());
+        let (qd, kd, vd) = (tc.q.data(), tc.k.data(), tc.v.data());
+        let (ad, dcd) = (tc.attn.data(), dctx.data());
+        pool::run_scope(
+            dq.data_mut()
+                .chunks_exact_mut(rec)
+                .zip(dk.data_mut().chunks_exact_mut(rec))
+                .zip(dv.data_mut().chunks_exact_mut(rec))
+                .enumerate()
+                .map(|(bi, ((dq_rec, dk_rec), dv_rec))| {
+                    let r = bi * rec..(bi + 1) * rec;
+                    Box::new(move || {
+                        with_batch_invariant_dispatch(1, || {
+                            attention_backward(
+                                dims,
+                                &qd[r.clone()],
+                                &kd[r.clone()],
+                                &vd[r.clone()],
+                                &ad[bi * plen..(bi + 1) * plen],
+                                &dcd[r],
+                                dq_rec,
+                                dk_rec,
+                                dv_rec,
+                            )
+                        })
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
+        );
     }
     // Input projections.
     let param_grads = if trainable {
@@ -994,6 +967,7 @@ fn run_backward(
                 let mut dpos = Tensor::zeros(p[1].shape().clone());
                 for bi in 0..b {
                     for si in 0..s {
+                        // Validated by the forward pass that built this cache.
                         let tid = ids.data()[bi * s + si] as usize;
                         let src = &de.data()[(bi * s + si) * dim..(bi * s + si + 1) * dim];
                         let trow = &mut dtok.data_mut()[tid * dim..(tid + 1) * dim];
@@ -1690,6 +1664,212 @@ mod tests {
         let mut inputs = BatchInputs::new();
         inputs.insert(inp, randn([2, 1, 4, 4], 1.0, &mut rng));
         grad_check(&mut g, &inputs, &[0, 1], 5e-2);
+    }
+
+    /// Extracts head `h` of record `b` from `[B, S, D]` as `[S, dh]`.
+    fn slice_head(x: &Tensor, b: usize, s: usize, d: usize, h: usize, dh: usize) -> Tensor {
+        let mut out = vec![0.0f32; s * dh];
+        let base = b * s * d + h * dh;
+        for si in 0..s {
+            out[si * dh..(si + 1) * dh]
+                .copy_from_slice(&x.data()[base + si * d..base + si * d + dh]);
+        }
+        Tensor::from_vec([s, dh], out).unwrap()
+    }
+
+    /// Adds `[S, dh]` into head `h` of record `b` of `[B, S, D]`.
+    fn add_head(dst: &mut Tensor, src: &Tensor, b: usize, s: usize, d: usize, h: usize, dh: usize) {
+        let base = b * s * d + h * dh;
+        for si in 0..s {
+            let drow = &mut dst.data_mut()[base + si * d..base + si * d + dh];
+            for (o, &v) in drow.iter_mut().zip(&src.data()[si * dh..(si + 1) * dh]) {
+                *o += v;
+            }
+        }
+    }
+
+    /// The transformer block as `transformer_forward`/`transformer_backward`
+    /// composed it before the in-place attention kernels and the cached
+    /// tanh: per-head copies through `matmul_tb → scale → softmax_last →
+    /// matmul`, `gelu_backward` recomputing its tanh. Returns the block
+    /// output, the input gradient and the 16 parameter gradients.
+    fn reference_block(
+        x: &Tensor,
+        p: &[Tensor],
+        dim: usize,
+        heads: usize,
+        dout: &Tensor,
+    ) -> (Tensor, Tensor, Vec<Tensor>) {
+        use nautilus_tensor::ops::{scale, softmax_last, softmax_last_backward};
+        let (b, s) = (x.shape().dim(0), x.shape().dim(1));
+        let dh = dim / heads;
+        let scale_f = 1.0 / (dh as f32).sqrt();
+        let proj = |x: &Tensor, w: &Tensor, bias: &Tensor| {
+            let mut y = matmul(x, w).unwrap();
+            add_assign(&mut y, bias).unwrap();
+            y
+        };
+        let (q, k, v) = (proj(x, &p[0], &p[1]), proj(x, &p[2], &p[3]), proj(x, &p[4], &p[5]));
+        let mut ctx = Tensor::zeros(x.shape().clone());
+        let mut attn_mats = Vec::new();
+        for bi in 0..b {
+            for h in 0..heads {
+                let qh = slice_head(&q, bi, s, dim, h, dh);
+                let kh = slice_head(&k, bi, s, dim, h, dh);
+                let vh = slice_head(&v, bi, s, dim, h, dh);
+                let attn = softmax_last(&scale(&matmul_tb(&qh, &kh).unwrap(), scale_f));
+                add_head(&mut ctx, &matmul(&attn, &vh).unwrap(), bi, s, dim, h, dh);
+                attn_mats.push(attn);
+            }
+        }
+        let res1 = add(x, &proj(&ctx, &p[6], &p[7])).unwrap();
+        let (h1, ln1_xhat, ln1_inv_std) = layer_norm(&res1, &p[8], &p[9], 1e-5).unwrap();
+        let ff_pre = proj(&h1, &p[10], &p[11]);
+        let ff_act = gelu(&ff_pre);
+        let res2 = add(&h1, &proj(&ff_act, &p[12], &p[13])).unwrap();
+        let (out, ln2_xhat, ln2_inv_std) = layer_norm(&res2, &p[14], &p[15], 1e-5).unwrap();
+
+        let (dres2, dg2, db2ln) = layer_norm_backward(&ln2_xhat, &ln2_inv_std, &p[14], dout).unwrap();
+        let dw2 = matmul_ta(&ff_act, &dres2).unwrap();
+        let db2 = sum_rows(&dres2).unwrap();
+        let dff_pre = gelu_backward(&ff_pre, &matmul_tb(&dres2, &p[12]).unwrap()).unwrap();
+        let dw1 = matmul_ta(&h1, &dff_pre).unwrap();
+        let db1 = sum_rows(&dff_pre).unwrap();
+        let mut dh1 = dres2.clone();
+        add_assign(&mut dh1, &matmul_tb(&dff_pre, &p[10]).unwrap()).unwrap();
+        let (dres1, dg1, db1ln) = layer_norm_backward(&ln1_xhat, &ln1_inv_std, &p[8], &dh1).unwrap();
+        let dwo = matmul_ta(&ctx, &dres1).unwrap();
+        let dbo = sum_rows(&dres1).unwrap();
+        let dctx = matmul_tb(&dres1, &p[6]).unwrap();
+        let mut dq = Tensor::zeros(q.shape().clone());
+        let mut dk = Tensor::zeros(q.shape().clone());
+        let mut dv = Tensor::zeros(q.shape().clone());
+        for bi in 0..b {
+            for h in 0..heads {
+                let attn = &attn_mats[bi * heads + h];
+                let dctx_h = slice_head(&dctx, bi, s, dim, h, dh);
+                let qh = slice_head(&q, bi, s, dim, h, dh);
+                let kh = slice_head(&k, bi, s, dim, h, dh);
+                let vh = slice_head(&v, bi, s, dim, h, dh);
+                let dattn = matmul_tb(&dctx_h, &vh).unwrap();
+                let dvh = matmul_ta(attn, &dctx_h).unwrap();
+                let dscores = softmax_last_backward(attn, &dattn).unwrap();
+                let dqh = scale(&matmul(&dscores, &kh).unwrap(), scale_f);
+                let dkh = scale(&matmul_ta(&dscores, &qh).unwrap(), scale_f);
+                add_head(&mut dq, &dqh, bi, s, dim, h, dh);
+                add_head(&mut dk, &dkh, bi, s, dim, h, dh);
+                add_head(&mut dv, &dvh, bi, s, dim, h, dh);
+            }
+        }
+        let mut dx = dres1.clone();
+        add_assign(&mut dx, &matmul_tb(&dq, &p[0]).unwrap()).unwrap();
+        add_assign(&mut dx, &matmul_tb(&dk, &p[2]).unwrap()).unwrap();
+        add_assign(&mut dx, &matmul_tb(&dv, &p[4]).unwrap()).unwrap();
+        let grads = vec![
+            matmul_ta(x, &dq).unwrap(),
+            sum_rows(&dq).unwrap(),
+            matmul_ta(x, &dk).unwrap(),
+            sum_rows(&dk).unwrap(),
+            matmul_ta(x, &dv).unwrap(),
+            sum_rows(&dv).unwrap(),
+            dwo,
+            dbo,
+            dg1,
+            db1ln,
+            dw1,
+            db1,
+            dw2,
+            db2,
+            dg2,
+            db2ln,
+        ];
+        (out, dx, grads)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        nautilus_util::prop::f32_bits(t.data())
+    }
+
+    /// `forward(training)` → `backward` of a block against the composition
+    /// it replaced: output, input gradient and every parameter gradient
+    /// bit for bit, over random shapes (the transformer grad-check graph's
+    /// among them) with heads ∈ {1, 2, 4}, salted operands, at pool widths
+    /// 1/2/8; the inference forward must agree with the training one.
+    #[test]
+    fn transformer_block_bitwise_vs_reference() {
+        use nautilus_util::prop::{bools, prop_check, u64s, usizes};
+        use nautilus_util::prop_assert_eq;
+        let check = |&(four_heads, dim, b, s, seed): &(bool, usize, usize, usize, u64)| {
+            let ff = 1 + (seed % 12) as usize;
+            let heads = if four_heads { 4 } else { 2 - dim % 2 };
+            let dim = if four_heads { 4 * dim } else { dim };
+            let mut salt = seed;
+            let mut mat = |shape: &[usize]| {
+                salt += 1;
+                let data = nautilus_util::prop::salted_f32s(salt, shape.iter().product());
+                Tensor::from_vec(shape.to_vec(), data).unwrap()
+            };
+            let mut p = Vec::new();
+            for _ in 0..4 {
+                p.extend([mat(&[dim, dim]), mat(&[dim])]);
+            }
+            p.extend([mat(&[dim]), mat(&[dim])]);
+            p.extend([mat(&[dim, ff]), mat(&[ff]), mat(&[ff, dim]), mat(&[dim])]);
+            p.extend([mat(&[dim]), mat(&[dim])]);
+            let (x, dout) = (mat(&[b, s, dim]), mat(&[b, s, dim]));
+            let (want_out, want_dx, want_grads) = reference_block(&x, &p, dim, heads, &dout);
+            for limit in [1usize, 2, 8] {
+                let (out, cache) = pool::with_parallelism_limit(limit, || {
+                    transformer_forward(&x, &p, dim, heads, true).unwrap()
+                });
+                prop_assert_eq!(bits(&out), bits(&want_out));
+                let (inference, _) = transformer_forward(&x, &p, dim, heads, false).unwrap();
+                prop_assert_eq!(bits(&inference), bits(&want_out));
+                let Cache::Transformer(tc) = cache else { return Err("no cache kept".into()) };
+                let back = pool::with_parallelism_limit(limit, || {
+                    transformer_backward(&tc, &p, dim, heads, &dout, true, true).unwrap()
+                });
+                prop_assert_eq!(bits(back.input_grads[0].as_ref().unwrap()), bits(&want_dx));
+                prop_assert_eq!(back.param_grads.len(), want_grads.len());
+                for (g, w) in back.param_grads.iter().zip(&want_grads) {
+                    prop_assert_eq!(bits(g), bits(w));
+                }
+            }
+            Ok(())
+        };
+        check(&(false, 8, 2, 5, 11)).unwrap();
+        let gen = (bools(), usizes(1..9), usizes(1..4), usizes(1..8), u64s(0..u64::MAX));
+        prop_check(0xB10C, 24, &gen, check);
+    }
+
+    /// Ids reach the embedding as floats, possibly straight from a request
+    /// body: anything but an exact integer inside the vocabulary is a typed
+    /// error, never a truncated or saturated lookup.
+    #[test]
+    fn embedding_rejects_ids_that_are_not_vocab_indices() {
+        let mut rng = seeded_rng(3);
+        let mut g = ModelGraph::new();
+        let inp = g.add_input("tokens", [3]);
+        let emb = g
+            .add_layer(
+                "emb",
+                LayerKind::Embedding { vocab: 11, dim: 4, max_len: 4 },
+                &[inp],
+                true,
+                ParamInit::Seeded(&mut rng),
+            )
+            .unwrap();
+        g.add_output(emb).unwrap();
+        let run = |ids: [f32; 3]| {
+            let mut inputs = BatchInputs::new();
+            inputs.insert(inp, Tensor::from_vec([1, 3], ids.to_vec()).unwrap());
+            forward(&g, &inputs, false)
+        };
+        assert!(run([0.0, 10.0, -0.0]).is_ok());
+        for bad in [-5.0, 2.7, 11.0, 1e30, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let err = run([1.0, bad, 3.0]).expect_err("id must be rejected");
+            assert!(err.message.contains("token id"), "{bad}: {err}");
+        }
     }
 
     /// `forward_batch` over a stacked batch must reproduce per-record

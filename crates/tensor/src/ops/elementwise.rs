@@ -27,32 +27,42 @@ fn suffix_broadcast_len(a: &Tensor, b: &Tensor) -> Result<usize, TensorError> {
     Ok(bn)
 }
 
+/// One pass of `f(a[i], b[i mod bn])`: `a` is walked in `bn`-long chunks
+/// zipped against `b`, so the broadcast costs no per-element division.
+fn zip_broadcast(
+    a: &Tensor,
+    b: &Tensor,
+    f: impl Fn(f32, f32) -> f32,
+) -> Result<Tensor, TensorError> {
+    let bn = suffix_broadcast_len(a, b)?;
+    let bd = b.data();
+    let mut out = Vec::with_capacity(a.len());
+    for chunk in a.data().chunks_exact(bn) {
+        out.extend(chunk.iter().zip(bd).map(|(&x, &y)| f(x, y)));
+    }
+    Tensor::from_vec(a.shape().clone(), out)
+}
+
 /// `a + b`, where `b`'s shape must equal `a`'s or be a suffix of it.
 pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let mut out = a.clone();
-    add_assign(&mut out, b)?;
-    Ok(out)
+    zip_broadcast(a, b, |x, y| x + y)
 }
 
 /// `a += b` with suffix broadcasting.
 pub fn add_assign(a: &mut Tensor, b: &Tensor) -> Result<(), TensorError> {
     let bn = suffix_broadcast_len(a, b)?;
     let bd = b.data();
-    for (i, x) in a.data_mut().iter_mut().enumerate() {
-        *x += bd[i % bn];
+    for chunk in a.data_mut().chunks_exact_mut(bn) {
+        for (x, &y) in chunk.iter_mut().zip(bd) {
+            *x += y;
+        }
     }
     Ok(())
 }
 
 /// `a - b` with suffix broadcasting.
 pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let bn = suffix_broadcast_len(a, b)?;
-    let bd = b.data();
-    let mut out = a.clone();
-    for (i, x) in out.data_mut().iter_mut().enumerate() {
-        *x -= bd[i % bn];
-    }
-    Ok(out)
+    zip_broadcast(a, b, |x, y| x - y)
 }
 
 /// Elementwise product (no broadcasting; shapes must match).
@@ -82,6 +92,54 @@ pub fn axpy(alpha: f32, x: &Tensor, y: &mut Tensor) -> Result<(), TensorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
+    use nautilus_util::prop::{prop_check, u64s, usizes};
+    use nautilus_util::prop_assert_eq;
+
+    /// The loop `add`/`add_assign`/`sub` ran before they walked chunks: one
+    /// integer modulo per element.
+    fn modulo_reference(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+        let (bd, bn) = (b.data(), b.len());
+        a.data().iter().enumerate().map(|(i, &x)| f(x, bd[i % bn])).collect()
+    }
+
+    /// Every suffix of a random rank-1..=3 shape (the whole shape, the last
+    /// axis alone, the rank-0 scalar, and extents of 1 included), salted
+    /// operands: bit-identical to the modulo loop.
+    #[test]
+    fn broadcasts_bitwise_vs_reference() {
+        let gen = (usizes(1..4), usizes(1..7), usizes(1..7), usizes(1..7), u64s(0..u64::MAX));
+        prop_check(0xB0AD, 96, &gen, |&(rank, d0, d1, d2, seed)| {
+            let dims = [d0, d1, d2][..rank].to_vec();
+            let n: usize = dims.iter().product();
+            let a = Tensor::from_vec(dims.clone(), salted(seed, n)).unwrap();
+            for keep in 0..=rank {
+                let bdims = dims[rank - keep..].to_vec();
+                let bn: usize = bdims.iter().product();
+                let b = Tensor::from_vec(bdims, salted(seed ^ 0x5A17, bn)).unwrap();
+                let want_add = bits(&modulo_reference(&a, &b, |x, y| x + y));
+                prop_assert_eq!(bits(add(&a, &b).unwrap().data()), want_add);
+                let mut acc = a.clone();
+                add_assign(&mut acc, &b).unwrap();
+                prop_assert_eq!(bits(acc.data()), want_add);
+                let want_sub = bits(&modulo_reference(&a, &b, |x, y| x - y));
+                prop_assert_eq!(bits(sub(&a, &b).unwrap().data()), want_sub);
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn non_suffix_and_zero_length_operands_are_typed_errors() {
+        let a = Tensor::zeros([2, 3]);
+        let mut acc = a.clone();
+        for b in [Tensor::zeros([2]), Tensor::zeros([6]), Tensor::zeros([0]), Tensor::zeros([0, 3])] {
+            assert!(matches!(add(&a, &b), Err(TensorError::Incompatible(_))));
+            assert!(matches!(sub(&a, &b), Err(TensorError::Incompatible(_))));
+            assert!(matches!(add_assign(&mut acc, &b), Err(TensorError::Incompatible(_))));
+        }
+        assert_eq!(acc, a, "a rejected operand must leave the accumulator untouched");
+    }
 
     #[test]
     fn add_same_shape() {

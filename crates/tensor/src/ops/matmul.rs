@@ -115,15 +115,23 @@ fn matmul_ta_rows(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n
     }
 }
 
+/// `C[m,k] = A · Bᵀ` where `b` is stored `(k, n)` and `out` arrives zeroed:
+/// transposes `b` once into scratch, then runs the saxpy form. Every output
+/// element is the ascending-`p` chain `0 + a[i,0]·b[j,0] + a[i,1]·b[j,1] + …`
+/// of a plain dot product — hence no zero-skip, which would drop terms from
+/// that chain — but the inner loop runs across outputs and vectorizes.
 fn matmul_tb_rows(ad: &[f32], bd: &[f32], out: &mut [f32], n: usize, k: usize) {
+    let mut bt = scratch::take(n * k);
+    for (j, brow) in bd.chunks_exact(n).enumerate() {
+        for (p, &bv) in brow.iter().enumerate() {
+            bt[p * k + j] = bv;
+        }
+    }
     for (arow, orow) in ad.chunks_exact(n).zip(out.chunks_exact_mut(k)) {
-        for (p, o) in orow.iter_mut().enumerate() {
-            let brow = &bd[p * n..(p + 1) * n];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
+        for (&av, btrow) in arow.iter().zip(bt.chunks_exact(k)) {
+            for (o, &bv) in orow.iter_mut().zip(btrow) {
+                *o += av * bv;
             }
-            *o = acc;
         }
     }
 }
@@ -286,6 +294,40 @@ mod tests {
 
     fn t(shape: &[usize], v: &[f32]) -> Tensor {
         Tensor::from_vec(shape.to_vec(), v.to_vec()).unwrap()
+    }
+
+    /// The dot-product form `matmul_tb_rows` replaced: one serial chain per
+    /// output element.
+    fn matmul_tb_rows_dot(ad: &[f32], bd: &[f32], out: &mut [f32], n: usize, k: usize) {
+        for (arow, orow) in ad.chunks_exact(n).zip(out.chunks_exact_mut(k)) {
+            for (p, o) in orow.iter_mut().enumerate() {
+                let brow = &bd[p * n..(p + 1) * n];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                    acc += av * bv;
+                }
+                *o = acc;
+            }
+        }
+    }
+
+    /// Transpose-once saxpy vs the dot form over random shapes and salted
+    /// operands.
+    #[test]
+    fn matmul_tb_rows_bitwise_vs_reference() {
+        use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
+        use nautilus_util::prop::{prop_check, u64s, usizes};
+        use nautilus_util::prop_assert_eq;
+        let gen = (usizes(1..40), usizes(1..40), usizes(1..40), u64s(0..u64::MAX));
+        prop_check(0x7B07, 96, &gen, |&(m, n, k, seed)| {
+            let (ad, bd) = (salted(seed, m * n), salted(seed ^ 0xB, k * n));
+            let mut want = vec![0.0f32; m * k];
+            matmul_tb_rows_dot(&ad, &bd, &mut want, n, k);
+            let mut got = vec![0.0f32; m * k];
+            matmul_tb_rows(&ad, &bd, &mut got, n, k);
+            prop_assert_eq!(bits(&got), bits(&want));
+            Ok(())
+        });
     }
 
     #[test]

@@ -29,25 +29,51 @@ pub fn gelu(a: &Tensor) -> Tensor {
     a.map(gelu_scalar)
 }
 
-fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+
+/// The tanh factor of the approximation: `tanh(C·(x + 0.044715·x³))`.
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044_715 * x * x * x)).tanh()
 }
 
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let u = C * (x + 0.044_715 * x * x * x);
-    let t = u.tanh();
-    let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
+fn gelu_scalar(x: f32) -> f32 {
+    0.5 * x * (1.0 + gelu_tanh(x))
+}
+
+/// [`gelu`] that also returns its tanh factor `t` (same shape), so a
+/// training forward pays the `tanh` once: [`gelu_backward_cached`] reads
+/// `t` back instead of recomputing it.
+pub fn gelu_with_tanh(a: &Tensor) -> (Tensor, Tensor) {
+    let t = a.map(gelu_tanh);
+    let mut out = a.clone();
+    for (o, &tv) in out.data_mut().iter_mut().zip(t.data()) {
+        *o = 0.5 * *o * (1.0 + tv);
+    }
+    (out, t)
+}
+
+/// `d gelu / dx` from the input `x` and its tanh factor `t`.
+fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
+    let du = GELU_C * (1.0 + 3.0 * 0.044_715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
 /// Gradient of [`gelu`] with respect to its input.
 pub fn gelu_backward(input: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
+    gelu_backward_cached(input, &input.map(gelu_tanh), grad)
+}
+
+/// [`gelu_backward`] given the tanh factor cached by [`gelu_with_tanh`].
+pub fn gelu_backward_cached(
+    input: &Tensor,
+    tanh: &Tensor,
+    grad: &Tensor,
+) -> Result<Tensor, TensorError> {
     input.shape().expect_eq(grad.shape())?;
+    input.shape().expect_eq(tanh.shape())?;
     let mut out = grad.clone();
-    for (g, &x) in out.data_mut().iter_mut().zip(input.data()) {
-        *g *= gelu_grad_scalar(x);
+    for ((g, &x), &t) in out.data_mut().iter_mut().zip(input.data()).zip(tanh.data()) {
+        *g *= gelu_grad_from_tanh(x, t);
     }
     Ok(out)
 }
@@ -67,44 +93,53 @@ pub fn tanh_backward(output: &Tensor, grad: &Tensor) -> Result<Tensor, TensorErr
     Ok(out)
 }
 
+/// Softmax of one row, in place — the row body shared by [`softmax_last`]
+/// and the fused attention kernel ([`super::attention`]).
+pub(crate) fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+    let mut sum = 0.0f32;
+    for o in row.iter_mut() {
+        *o = (*o - max).exp();
+        sum += *o;
+    }
+    let inv = 1.0 / sum;
+    for o in row.iter_mut() {
+        *o *= inv;
+    }
+}
+
 /// Numerically stable softmax over the innermost axis.
 pub fn softmax_last(a: &Tensor) -> Tensor {
-    let (rows, cols, data) = a.as_matrix();
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        let row = &data[r * cols..(r + 1) * cols];
-        let orow = &mut out[r * cols..(r + 1) * cols];
-        let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-        let mut sum = 0.0f32;
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = (x - max).exp();
-            sum += *o;
-        }
-        let inv = 1.0 / sum;
-        for o in orow.iter_mut() {
-            *o *= inv;
-        }
+    let mut out = a.clone();
+    let cols = a.shape().last_dim();
+    if cols > 0 {
+        out.data_mut().chunks_exact_mut(cols).for_each(softmax_row);
     }
-    Tensor::from_vec(a.shape().clone(), out).expect("softmax preserves shape")
+    out
+}
+
+/// Softmax gradient of one row, in place: `g` holds the upstream gradient
+/// on entry and `y ⊙ (g − ⟨g, y⟩)` on return. Shared by
+/// [`softmax_last_backward`] and the fused attention kernel.
+pub(crate) fn softmax_backward_row(y: &[f32], g: &mut [f32]) {
+    let dot: f32 = y.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
+    for (gv, &yv) in g.iter_mut().zip(y) {
+        *gv = yv * (*gv - dot);
+    }
 }
 
 /// Gradient of [`softmax_last`] given the softmax *output* `y` and upstream
 /// gradient: `dx = y ⊙ (dy − ⟨dy, y⟩)` per row.
 pub fn softmax_last_backward(output: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
     output.shape().expect_eq(grad.shape())?;
-    let (rows, cols, y) = output.as_matrix();
-    let g = grad.data();
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        let yr = &y[r * cols..(r + 1) * cols];
-        let gr = &g[r * cols..(r + 1) * cols];
-        let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-        let orow = &mut out[r * cols..(r + 1) * cols];
-        for ((o, &yv), &gv) in orow.iter_mut().zip(yr).zip(gr) {
-            *o = yv * (gv - dot);
+    let mut out = grad.clone();
+    let cols = output.shape().last_dim();
+    if cols > 0 {
+        for (yr, gr) in output.data().chunks_exact(cols).zip(out.data_mut().chunks_exact_mut(cols)) {
+            softmax_backward_row(yr, gr);
         }
     }
-    Tensor::from_vec(output.shape().clone(), out)
+    Ok(out)
 }
 
 /// Layer normalization over the innermost axis with scale `gamma` and shift
@@ -271,6 +306,70 @@ mod tests {
                 (num - ana).abs() <= tol * (1.0 + num.abs().max(ana.abs())),
                 "elem {i}: numeric {num} vs analytic {ana}"
             );
+        }
+    }
+
+    /// `gelu_backward` as it was before the tanh factor could be cached:
+    /// one formula recomputing `tanh` per element.
+    fn gelu_grad_recomputing(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6;
+        let u = C * (x + 0.044_715 * x * x * x);
+        let t = u.tanh();
+        let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    }
+
+    #[test]
+    fn gelu_paths_bitwise_vs_reference() {
+        use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
+        for seed in 0..8u64 {
+            let x = Tensor::from_vec([7, 9], salted(seed, 63)).unwrap().map(|v| v * 3.0);
+            let g = Tensor::from_vec([7, 9], salted(seed ^ 0x6E, 63)).unwrap();
+            let want: Vec<f32> =
+                g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * gelu_grad_recomputing(xv)).collect();
+            assert_eq!(bits(gelu_backward(&x, &g).unwrap().data()), bits(&want));
+            let (act, t) = gelu_with_tanh(&x);
+            assert_eq!(bits(act.data()), bits(gelu(&x).data()));
+            assert_eq!(bits(gelu_backward_cached(&x, &t, &g).unwrap().data()), bits(&want));
+        }
+        let (x, g) = (Tensor::zeros([2, 3]), Tensor::zeros([2, 3]));
+        assert!(gelu_backward_cached(&x, &Tensor::zeros([3]), &g).is_err());
+    }
+
+    /// The in-place row bodies vs the out-of-place loops they were lifted
+    /// from, including rows that saturate (exact zeros in the output).
+    #[test]
+    fn softmax_rows_bitwise_vs_reference() {
+        use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
+        for seed in 0..8u64 {
+            let (rows, cols) = (5usize, 1 + seed as usize * 3);
+            let spread = if seed % 2 == 0 { 1.0 } else { 80.0 };
+            let x = Tensor::from_vec([rows, cols], salted(seed, rows * cols)).unwrap().map(|v| v * spread);
+            let mut want = vec![0.0f32; rows * cols];
+            for (row, orow) in x.data().chunks_exact(cols).zip(want.chunks_exact_mut(cols)) {
+                let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                let mut sum = 0.0f32;
+                for (o, &v) in orow.iter_mut().zip(row) {
+                    *o = (v - max).exp();
+                    sum += *o;
+                }
+                let inv = 1.0 / sum;
+                orow.iter_mut().for_each(|o| *o *= inv);
+            }
+            let y = softmax_last(&x);
+            assert_eq!(bits(y.data()), bits(&want));
+
+            let g = Tensor::from_vec([rows, cols], salted(seed ^ 0x50F7, rows * cols)).unwrap();
+            let mut dwant = vec![0.0f32; rows * cols];
+            for ((yr, gr), orow) in
+                y.data().chunks_exact(cols).zip(g.data().chunks_exact(cols)).zip(dwant.chunks_exact_mut(cols))
+            {
+                let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
+                for ((o, &yv), &gv) in orow.iter_mut().zip(yr).zip(gr) {
+                    *o = yv * (gv - dot);
+                }
+            }
+            assert_eq!(bits(softmax_last_backward(&y, &g).unwrap().data()), bits(&dwant));
         }
     }
 

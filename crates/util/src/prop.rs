@@ -380,6 +380,33 @@ impl<G: Gen, T: Clone + std::fmt::Debug, F: Fn(G::Value) -> T> Gen for Map<G, T,
     }
 }
 
+// ---------------------------------------------------------------------------
+// Bitwise differential helpers
+// ---------------------------------------------------------------------------
+
+/// `n` values in ±2 salted with the encodings a rewritten float kernel is
+/// most likely to treat differently from the code it replaces: `0.0`,
+/// `-0.0` and denormals. Seeded, so a property can take the seed as its
+/// (shrinkable) input and rebuild the data.
+pub fn salted_f32s(seed: u64, n: usize) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| match rng.gen_range(0u32..12) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1e-40,
+            3 => -f32::MIN_POSITIVE / 2.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
+/// Bit patterns of `x`, so a comparison tells `-0.0` from `0.0` (and one
+/// NaN from another) where `==` on floats would not.
+pub fn f32_bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 macro_rules! impl_gen_tuple {
     ($(($($g:ident : $idx:tt),+);)*) => {$(
         impl<$($g: Gen),+> Gen for ($($g,)+) {

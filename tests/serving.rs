@@ -685,6 +685,62 @@ fn persistent_connection_answers_like_one_shot_and_idles_out_silently() {
 }
 
 // ---------------------------------------------------------------------
+// Integration: token ids cross the trust boundary as JSON numbers. An id
+// that is negative, fractional or outside the vocabulary is refused —
+// never truncated or saturated into some other token's prediction.
+// ---------------------------------------------------------------------
+
+#[test]
+fn predict_refuses_ids_that_are_not_vocab_indices() {
+    let mut rng = seeded_rng(33);
+    let mut g = ModelGraph::new();
+    let inp = g.add_input("tokens", [4]);
+    let emb = g
+        .add_layer(
+            "emb",
+            LayerKind::Embedding { vocab: 16, dim: 8, max_len: 4 },
+            &[inp],
+            true,
+            ParamInit::Seeded(&mut rng),
+        )
+        .unwrap();
+    let o = g
+        .add_layer(
+            "head",
+            LayerKind::Dense { in_dim: 8, out_dim: 3, act: Activation::None },
+            &[emb],
+            false,
+            ParamInit::Seeded(&mut rng),
+        )
+        .unwrap();
+    g.add_output(o).unwrap();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("default", g.clone()).unwrap();
+    let server = Server::start(registry, &ServingConfig::default(), 0).unwrap();
+    let addr = server.addr().to_string();
+    let timeout = Duration::from_secs(5);
+
+    for body in [&br#"{"inputs": [-5, 2.7, 3, 1]}"#[..], br#"{"inputs": [0, 2, 3, 16]}"#] {
+        let (status, raw) = http::request(&addr, "POST", "/predict", Some(body), timeout).unwrap();
+        assert!(!(200..300).contains(&status), "answered {status} to {}", String::from_utf8_lossy(body));
+        assert!(!String::from_utf8_lossy(&raw).contains("outputs"), "a prediction was returned");
+    }
+    let (status, raw) =
+        http::request(&addr, "POST", "/predict", Some(br#"{"inputs": [0, 2, 3, 1]}"#), timeout).unwrap();
+    assert_eq!(status, 200);
+    let json: nautilus_util::json::Json = nautilus_util::json::from_slice(&raw).unwrap();
+    let got: Vec<f32> = json
+        .get("outputs")
+        .and_then(|v| v.as_arr())
+        .unwrap()
+        .iter()
+        .map(|v| v.as_f64().unwrap() as f32)
+        .collect();
+    assert_eq!(got, solo_forward(&g, &[0.0, 2.0, 3.0, 1.0]));
+    assert_eq!(server.shutdown().predictions, 1);
+}
+
+// ---------------------------------------------------------------------
 // Integration: idle persistent connections hold no handler against a new
 // connection, and do not hold up a drain.
 // ---------------------------------------------------------------------
