@@ -217,6 +217,39 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_conv_batch(c: &mut Criterion) {
+    // The convolutions of a MiniResNet fine-tuning step (3x3, pad 1), at the
+    // trainer's mini-batch sizes and pool width 1: few output positions per
+    // image (256 down to 4), so what is measured is how well the lowering
+    // fills GEMM tiles across the batch. Informational; the end-to-end
+    // number is the benchmark's `ftu_nautilus`.
+    use nautilus_tensor::ops::conv2d_backward;
+    use nautilus_util::pool;
+    let mut rng = seeded_rng(18);
+    let mut group = c.benchmark_group("conv_batch");
+    for (ci, co, hw, stride) in
+        [(8usize, 8usize, 16usize, 1usize), (16, 16, 8, 1), (24, 24, 4, 1), (24, 32, 4, 2), (32, 32, 2, 1)]
+    {
+        for b in [4usize, 8] {
+            let s2 = if stride == 2 { "s2" } else { "" };
+            let label = format!("{ci}to{co}_{hw}x{hw}{s2}/b{b}");
+            let img = randn([b, ci, hw, hw], 1.0, &mut rng);
+            let w = randn([co, ci, 3, 3], 0.1, &mut rng);
+            let bias = randn([co], 0.1, &mut rng);
+            let dout = conv2d(&img, &w, &bias, stride, 1).unwrap();
+            group.bench_function(format!("forward/{label}"), |bch| {
+                bch.iter(|| pool::with_parallelism_limit(1, || conv2d(&img, &w, &bias, stride, 1).unwrap()))
+            });
+            group.bench_function(format!("backward/{label}"), |bch| {
+                bch.iter(|| {
+                    pool::with_parallelism_limit(1, || conv2d_backward(&img, &w, &dout, stride, 1).unwrap())
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_telemetry(c: &mut Criterion) {
     // Disabled-path overhead gate: a span around a small kernel must cost
     // no more than the untraced kernel (one relaxed atomic load), and the
@@ -604,6 +637,7 @@ criterion_group!(
     bench_gemm_fma,
     bench_int8,
     bench_conv,
+    bench_conv_batch,
     bench_pool,
     bench_telemetry,
     bench_serve,

@@ -13,9 +13,10 @@ use crate::graph::{ModelGraph, NodeId};
 use crate::layer::{Activation, LayerKind};
 use nautilus_tensor::ops::{
     add, add_assign, attention_backward, attention_forward, avg_pool2d_global, conv2d,
-    conv2d_backward, gelu, gelu_backward, gelu_backward_cached, gelu_with_tanh, layer_norm,
-    layer_norm_backward, matmul, matmul_ta, matmul_tb, max_pool2d, max_pool2d_backward, relu,
-    relu_backward, sum_rows, tanh_act, tanh_backward, with_batch_invariant_dispatch, AttnDims,
+    conv2d_backward, conv2d_backward_ex, gelu, gelu_backward, gelu_backward_cached,
+    gelu_with_tanh, layer_norm, layer_norm_backward, matmul, matmul_ta, matmul_tb, max_pool2d,
+    max_pool2d_backward, relu, relu_backward, sum_rows, tanh_act, tanh_backward,
+    with_batch_invariant_dispatch, AttnDims,
 };
 use nautilus_tensor::{Shape, Tensor, TensorError};
 use nautilus_util::telemetry;
@@ -1080,9 +1081,9 @@ fn run_backward(
         }
         (LayerKind::Conv2d { stride, pad, act, .. }, Cache::Conv { input, pre }) => {
             let dpre = act_backward(*act, pre, grad)?;
-            let (dx, dw, db) = conv2d_backward(input, &p[0], &dpre, *stride, *pad)?;
+            let (dx, dw, db) =
+                conv2d_backward_ex(input, &p[0], &dpre, *stride, *pad, needs_input_grads[0])?;
             let param_grads = if trainable { vec![dw, db] } else { no_params };
-            let dx = if needs_input_grads[0] { Some(dx) } else { None };
             Ok(BackwardOut { input_grads: vec![dx], param_grads })
         }
         (LayerKind::ResidualBlock { in_ch, out_ch, stride }, Cache::ResBlock(rc)) => {
@@ -1090,14 +1091,16 @@ fn run_backward(
             // Main path: conv2 then conv1.
             let (da1, dw2, db2) = conv2d_backward(&rc.a1, &p[2], &dsum, 1, 1)?;
             let dpre1 = relu_backward(&rc.pre1, &da1)?;
-            let (dx_main, dw1, db1) = conv2d_backward(&rc.x, &p[0], &dpre1, *stride, 1)?;
+            let need_dx = needs_input_grads[0];
+            let (dx_main, dw1, db1) =
+                conv2d_backward_ex(&rc.x, &p[0], &dpre1, *stride, 1, need_dx)?;
             // Skip path.
             let has_proj = *in_ch != *out_ch || *stride != 1;
             let (dx_skip, proj_grads) = if has_proj {
-                let (dx, dwp, dbp) = conv2d_backward(&rc.x, &p[4], &dsum, *stride, 0)?;
+                let (dx, dwp, dbp) = conv2d_backward_ex(&rc.x, &p[4], &dsum, *stride, 0, need_dx)?;
                 (dx, Some((dwp, dbp)))
             } else {
-                (dsum.clone(), None)
+                (need_dx.then(|| dsum.clone()), None)
             };
             let param_grads = if trainable {
                 let mut g = vec![dw1, db1, dw2, db2];
@@ -1109,10 +1112,9 @@ fn run_backward(
             } else {
                 no_params
             };
-            let dx = if needs_input_grads[0] {
-                Some(add(&dx_main, &dx_skip)?)
-            } else {
-                None
+            let dx = match (dx_main, dx_skip) {
+                (Some(main), Some(skip)) => Some(add(&main, &skip)?),
+                _ => None,
             };
             Ok(BackwardOut { input_grads: vec![dx], param_grads })
         }
@@ -1664,6 +1666,46 @@ mod tests {
         let mut inputs = BatchInputs::new();
         inputs.insert(inp, randn([2, 1, 4, 4], 1.0, &mut rng));
         grad_check(&mut g, &inputs, &[0, 1], 5e-2);
+    }
+
+    /// Freezing everything below a conv layer makes its input gradient dead
+    /// (`needs_input_grads[0]` false): the layer must then skip `dX` and
+    /// still return the parameter gradients of the full backward, bit for bit.
+    #[test]
+    fn conv_layers_keep_param_grads_without_input_grads() {
+        let kinds = [
+            LayerKind::Conv2d { in_ch: 4, out_ch: 6, k: 3, stride: 2, pad: 1, act: Activation::Relu },
+            LayerKind::ResidualBlock { in_ch: 4, out_ch: 8, stride: 2 },
+            LayerKind::ResidualBlock { in_ch: 4, out_ch: 4, stride: 1 },
+        ];
+        for kind in kinds {
+            let mut rng = seeded_rng(41);
+            let mut g = ModelGraph::new();
+            let inp = g.add_input("img", [2, 6, 6]);
+            let below = g
+                .add_layer(
+                    "below",
+                    LayerKind::Conv2d { in_ch: 2, out_ch: 4, k: 3, stride: 1, pad: 1, act: Activation::Relu },
+                    &[inp],
+                    false,
+                    ParamInit::Seeded(&mut rng),
+                )
+                .unwrap();
+            let layer = g.add_layer("layer", kind.clone(), &[below], false, ParamInit::Seeded(&mut rng)).unwrap();
+            g.add_output(layer).unwrap();
+            let mut inputs = BatchInputs::new();
+            inputs.insert(inp, randn([3, 2, 6, 6], 1.0, &mut rng));
+            let param_grads = |g: &ModelGraph| {
+                let fwd = forward(g, &inputs, true).unwrap();
+                let dout = randn(fwd.output(layer).shape().clone(), 1.0, &mut seeded_rng(43));
+                let grads = backward(g, &fwd, HashMap::from([(layer, dout)])).unwrap();
+                assert_eq!(grads.params.contains_key(&below), g.node(below).trainable());
+                grads.params[&layer].iter().map(|t| nautilus_util::prop::f32_bits(t.data())).collect::<Vec<_>>()
+            };
+            let with_dx = param_grads(&g);
+            g.node_mut(below).frozen = true;
+            assert_eq!(param_grads(&g), with_dx, "{kind:?}");
+        }
     }
 
     /// Extracts head `h` of record `b` from `[B, S, D]` as `[S, dh]`.

@@ -173,6 +173,16 @@ fn err(msg: impl Into<String>) -> LayerError {
     LayerError(msg.into())
 }
 
+/// Output extents `(oh, ow)` of a `k`×`k` conv/pool window over a
+/// `[c, h, w]` shape; a zero stride or a window larger than the padded
+/// input is a configuration error.
+fn window_out(s: &Shape, k: usize, stride: usize, pad: usize) -> Result<(usize, usize), LayerError> {
+    let extent = |axis: usize| {
+        conv_out_dim(s.dim(axis), k, stride, pad).map_err(|e| err(e.to_string()))
+    };
+    Ok((extent(1)?, extent(2)?))
+}
+
 impl LayerKind {
     /// Short type name for diagnostics and store keys.
     pub fn type_name(&self) -> &'static str {
@@ -474,33 +484,24 @@ impl LayerKind {
                 if s.rank() != 3 || s.dim(0) != *in_ch {
                     return Err(err(format!("conv2d(in={in_ch}) got {s}")));
                 }
-                Ok(Shape::new([
-                    *out_ch,
-                    conv_out_dim(s.dim(1), *k, *stride, *pad),
-                    conv_out_dim(s.dim(2), *k, *stride, *pad),
-                ]))
+                let (oh, ow) = window_out(s, *k, *stride, *pad)?;
+                Ok(Shape::new([*out_ch, oh, ow]))
             }
             LayerKind::ResidualBlock { in_ch, out_ch, stride } => {
                 let s = &inputs[0];
                 if s.rank() != 3 || s.dim(0) != *in_ch {
                     return Err(err(format!("resblock(in={in_ch}) got {s}")));
                 }
-                Ok(Shape::new([
-                    *out_ch,
-                    conv_out_dim(s.dim(1), 3, *stride, 1),
-                    conv_out_dim(s.dim(2), 3, *stride, 1),
-                ]))
+                let (oh, ow) = window_out(s, 3, *stride, 1)?;
+                Ok(Shape::new([*out_ch, oh, ow]))
             }
             LayerKind::MaxPool2d { k, stride } => {
                 let s = &inputs[0];
                 if s.rank() != 3 {
                     return Err(err(format!("maxpool expects [c, h, w], got {s}")));
                 }
-                Ok(Shape::new([
-                    s.dim(0),
-                    conv_out_dim(s.dim(1), *k, *stride, 0),
-                    conv_out_dim(s.dim(2), *k, *stride, 0),
-                ]))
+                let (oh, ow) = window_out(s, *k, *stride, 0)?;
+                Ok(Shape::new([s.dim(0), oh, ow]))
             }
             LayerKind::GlobalAvgPool => {
                 let s = &inputs[0];
@@ -538,6 +539,10 @@ impl LayerKind {
             Activation::Relu => n,
             Activation::Gelu => 12 * n,
             Activation::Tanh => 8 * n,
+        };
+        // A window `output_shape` rejects does no work.
+        let out_positions = |s: &Shape, k: usize, stride: usize, pad: usize| {
+            window_out(s, k, stride, pad).map_or((0, 0), |(oh, ow)| (oh as u64, ow as u64))
         };
         match self {
             LayerKind::Input { .. } => 0,
@@ -577,16 +582,14 @@ impl LayerKind {
             LayerKind::MeanPoolSeq => inputs[0].num_elements() as u64,
             LayerKind::Conv2d { in_ch, out_ch, k, stride, pad, act } => {
                 let s = &inputs[0];
-                let oh = conv_out_dim(s.dim(1), *k, *stride, *pad) as u64;
-                let ow = conv_out_dim(s.dim(2), *k, *stride, *pad) as u64;
+                let (oh, ow) = out_positions(s, *k, *stride, *pad);
                 let base =
                     2 * (*k * *k * *in_ch) as u64 * (*out_ch as u64) * oh * ow;
                 base + act_cost(*out_ch as u64 * oh * ow, act)
             }
             LayerKind::ResidualBlock { in_ch, out_ch, stride } => {
                 let s = &inputs[0];
-                let oh = conv_out_dim(s.dim(1), 3, *stride, 1) as u64;
-                let ow = conv_out_dim(s.dim(2), 3, *stride, 1) as u64;
+                let (oh, ow) = out_positions(s, 3, *stride, 1);
                 let c1 = 2 * (9 * *in_ch) as u64 * *out_ch as u64 * oh * ow;
                 let c2 = 2 * (9 * *out_ch) as u64 * *out_ch as u64 * oh * ow;
                 let proj = if in_ch != out_ch || *stride != 1 {
@@ -598,8 +601,7 @@ impl LayerKind {
             }
             LayerKind::MaxPool2d { k, stride } => {
                 let s = &inputs[0];
-                let oh = conv_out_dim(s.dim(1), *k, *stride, 0) as u64;
-                let ow = conv_out_dim(s.dim(2), *k, *stride, 0) as u64;
+                let (oh, ow) = out_positions(s, *k, *stride, 0);
                 s.dim(0) as u64 * oh * ow * (*k * *k) as u64
             }
             LayerKind::GlobalAvgPool => inputs[0].num_elements() as u64,
@@ -668,6 +670,27 @@ mod tests {
         assert_eq!(out, Shape::new([10, 4]));
         assert_eq!(k.forward_flops(&[Shape::new([10, 8])]), 2 * 10 * 8 * 4 + 40);
         assert!(k.output_shape(&[Shape::new([10, 7])]).is_err());
+    }
+
+    #[test]
+    fn windows_without_output_geometry_are_layer_errors() {
+        use crate::graph::{GraphError, ModelGraph, ParamInit};
+        let img = Shape::new([2, 4, 4]);
+        let bad = [
+            LayerKind::Conv2d { in_ch: 2, out_ch: 3, k: 3, stride: 0, pad: 1, act: Activation::None },
+            LayerKind::Conv2d { in_ch: 2, out_ch: 3, k: 7, stride: 1, pad: 1, act: Activation::None },
+            LayerKind::ResidualBlock { in_ch: 2, out_ch: 2, stride: 0 },
+            LayerKind::MaxPool2d { k: 5, stride: 1 },
+            LayerKind::MaxPool2d { k: 2, stride: 0 },
+        ];
+        for kind in bad {
+            assert!(kind.output_shape(std::slice::from_ref(&img)).is_err(), "{kind:?}");
+            kind.forward_flops(std::slice::from_ref(&img)); // must not divide by zero either
+            let mut g = ModelGraph::new();
+            let inp = g.add_input("img", [2, 4, 4]);
+            let got = g.add_layer("bad", kind.clone(), &[inp], false, ParamInit::Seeded(&mut seeded_rng(1)));
+            assert!(matches!(got, Err(GraphError::Layer(_))), "{kind:?}: {got:?}");
+        }
     }
 
     #[test]

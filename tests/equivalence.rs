@@ -70,11 +70,21 @@ fn ftu_nautilus_matches_current_practice() {
     assert!(opt_flops < base_flops, "{opt_flops:.2e} vs {base_flops:.2e}");
 }
 
-/// Like [`run`] but returns the exported best trained model.
-fn run_export(strategy: Strategy, tag: &str) -> (usize, nautilus_repro::dnn::ModelGraph) {
-    let spec = WorkloadSpec { kind: WorkloadKind::Ftr2, scale: Scale::Tiny };
+/// Like [`run`] over one cycle, but over the first `models` candidates
+/// whose name starts with `prefix`, returning the exported best trained
+/// model.
+fn run_export(
+    kind: WorkloadKind,
+    prefix: &str,
+    models: usize,
+    strategy: Strategy,
+    tag: &str,
+) -> (usize, nautilus_repro::dnn::ModelGraph) {
+    let spec = WorkloadSpec { kind, scale: Scale::Tiny };
     let mut candidates = spec.candidates().expect("workload builds");
-    candidates.truncate(3);
+    candidates.retain(|c| c.name.starts_with(prefix));
+    candidates.truncate(models);
+    assert_eq!(candidates.len(), models, "candidates named {prefix}*");
     let mut session = ModelSelection::new(
         candidates,
         SystemConfig::tiny(),
@@ -83,7 +93,10 @@ fn run_export(strategy: Strategy, tag: &str) -> (usize, nautilus_repro::dnn::Mod
         workdir(&format!("{tag}-{}", strategy.label().replace('/', "_"))),
     )
     .expect("session initializes");
-    let pool = spec.ner_config().generate(30);
+    let pool = match kind {
+        WorkloadKind::Ftu => spec.image_config().generate(30),
+        _ => spec.ner_config().generate(30),
+    };
     let (train, valid) = pool.split_at(24);
     session.fit(CycleInput::Real { train, valid }).expect("cycle runs");
     session.export_best().expect("trained model exports")
@@ -94,17 +107,27 @@ fn export_best_is_bit_identical_across_strategies() {
     // The fused/materialized plan trains step-for-step identically to solo
     // training, so the *exported parameters* — mapped from the plan graph
     // back onto the candidate topology — must match Current Practice's
-    // bit for bit, layer by layer.
-    let (ci_base, base) = run_export(Strategy::CurrentPractice, "exp");
-    let (ci_opt, opt) = run_export(Strategy::Nautilus, "exp");
-    assert_eq!(ci_base, ci_opt, "same best candidate");
-    assert_eq!(base.len(), opt.len());
-    for idx in 0..base.len() {
-        let id = nautilus_repro::dnn::NodeId(idx);
-        let (a, b) = (base.node(id), opt.node(id));
-        assert_eq!(a.params.len(), b.params.len(), "node {}", a.name);
-        for (pa, pb) in a.params.iter().zip(&b.params) {
-            assert_eq!(pa.data(), pb.data(), "params differ at node {}", a.name);
+    // bit for bit, layer by layer. On FTU (convolutions) that rests on the
+    // materialized layers being ones whose kernel choice does not change
+    // between a whole-cycle forward and a mini-batch one — see DESIGN.md
+    // "Batch invariance"; single-candidate sessions at both batch sizes.
+    let sessions = [
+        (WorkloadKind::Ftr2, "", 3, "exp"),
+        (WorkloadKind::Ftu, "FTU/tune12-b4-", 1, "exp-ftu-b4"),
+        (WorkloadKind::Ftu, "FTU/tune12-b8-", 1, "exp-ftu-b8"),
+    ];
+    for (kind, prefix, models, tag) in sessions {
+        let (ci_base, base) = run_export(kind, prefix, models, Strategy::CurrentPractice, tag);
+        let (ci_opt, opt) = run_export(kind, prefix, models, Strategy::Nautilus, tag);
+        assert_eq!(ci_base, ci_opt, "{tag}: same best candidate");
+        assert_eq!(base.len(), opt.len());
+        for idx in 0..base.len() {
+            let id = nautilus_repro::dnn::NodeId(idx);
+            let (a, b) = (base.node(id), opt.node(id));
+            assert_eq!(a.params.len(), b.params.len(), "{tag}: node {}", a.name);
+            for (pa, pb) in a.params.iter().zip(&b.params) {
+                assert_eq!(pa.data(), pb.data(), "{tag}: params differ at node {}", a.name);
+            }
         }
     }
 }
