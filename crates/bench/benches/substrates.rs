@@ -190,15 +190,16 @@ fn bench_int8(c: &mut Criterion) {
         b.iter(|| forward_batch(&g, &stacked, BATCH).unwrap())
     });
     group.bench_function("int8_forward/8", |b| {
-        b.iter(|| forward_batch_quantized(&g, &stacked, BATCH, head, &quant, None).unwrap())
+        b.iter(|| forward_batch_quantized(&g, &stacked, head, &quant, None).unwrap())
     });
     group.finish();
 }
 
 fn bench_conv(c: &mut Criterion) {
-    // Direct scatter loops vs the im2col + packed-GEMM lowering, recorded
-    // for the verify report (informational; the hard gate lives on `gemm`).
-    use nautilus_tensor::ops::conv::{conv2d_direct, conv2d_im2col};
+    // The sequential direct reference loops vs the im2col + packed-GEMM
+    // lowering `conv2d` runs, recorded for the verify report
+    // (informational; the hard gate lives on `gemm`).
+    use nautilus_tensor::ops::conv::{conv2d, conv2d_direct};
     let mut rng = seeded_rng(17);
     let mut group = c.benchmark_group("conv");
     group.sample_size(15);
@@ -211,7 +212,7 @@ fn bench_conv(c: &mut Criterion) {
             bch.iter(|| conv2d_direct(&img, &w, &bias, 1, 1).unwrap())
         });
         group.bench_function(format!("im2col/{label}"), |bch| {
-            bch.iter(|| conv2d_im2col(&img, &w, &bias, 1, 1).unwrap())
+            bch.iter(|| conv2d(&img, &w, &bias, 1, 1).unwrap())
         });
     }
     group.finish();

@@ -183,7 +183,7 @@ pub struct ServingConfig {
     /// fault-in source). `None` disables eviction.
     pub delta_store_dir: Option<String>,
     /// Tenant id answered by the un-suffixed endpoints (`/predict`,
-    /// `/model`) and by the deprecated single-slot registry calls.
+    /// `/model`).
     pub default_tenant: String,
     /// Row-quantize published variants to int8 by default: dense-layer
     /// weights get per-channel symmetric scales at publish time and the

@@ -15,8 +15,7 @@ use nautilus_tensor::ops::{
     add, add_assign, attention_backward, attention_forward, avg_pool2d_global, conv2d,
     conv2d_backward, conv2d_backward_ex, gelu, gelu_backward, gelu_backward_cached,
     gelu_with_tanh, layer_norm, layer_norm_backward, matmul, matmul_ta, matmul_tb, max_pool2d,
-    max_pool2d_backward, relu, relu_backward, sum_rows, tanh_act, tanh_backward,
-    with_batch_invariant_dispatch, AttnDims,
+    max_pool2d_backward, relu, relu_backward, sum_rows, tanh_act, tanh_backward, AttnDims,
 };
 use nautilus_tensor::{Shape, Tensor, TensorError};
 use nautilus_util::telemetry;
@@ -263,25 +262,23 @@ pub fn forward_with_overrides(
 }
 
 /// Inference forward over a stacked batch of `batch` records: one graph
-/// walk, no backward caches, and kernel dispatch pinned to *per-record*
-/// work via [`nautilus_tensor::ops::with_batch_invariant_dispatch`].
+/// walk, no backward caches — [`forward`] without training state, under its
+/// own span.
 ///
-/// The pinning is what makes micro-batched serving deterministic: the
-/// naive-vs-blocked kernel thresholds compare total multiply-adds, which
-/// scale with the leading batch axis, and the two kernel families differ
-/// in rounding. Dividing the work estimate by `batch` makes every kernel
-/// choice a function of one record's shape only, so each record's rows in
-/// the stacked output are bit-identical to running that record alone
-/// (`forward` with a batch of 1). All graph ops are record-separable
-/// (dense/conv rows, per-record attention fan-out, per-row norms), so no
-/// other batch-size dependence exists.
+/// Each record's rows in the stacked output are bit-identical to running
+/// that record alone, by construction: every graph op is record-separable
+/// (dense/conv rows, per-record attention, per-row norms) and every product
+/// element is the same float chain whichever kernel serves it and however
+/// many records ride along (the summation contract of
+/// [`nautilus_tensor::ops::matmul`]). `batch` therefore changes no result;
+/// it is kept for callers that state the stacking they did.
 pub fn forward_batch(
     graph: &ModelGraph,
     inputs: &BatchInputs,
-    batch: usize,
+    _batch: usize,
 ) -> Result<ForwardResult, ExecError> {
     let _sp = telemetry::span("dnn", "dnn.forward_batch");
-    with_batch_invariant_dispatch(batch, || forward(graph, inputs, false))
+    forward(graph, inputs, false)
 }
 
 /// One tenant's slice of a shared-trunk batch: `rows` consecutive records
@@ -300,13 +297,10 @@ pub struct TrunkGroup<'a> {
 /// its own parameter overrides — the serving dual of the paper's FUSE
 /// optimization.
 ///
-/// Bit-identity with solo serving is preserved by the same dispatch
-/// pinning as [`forward_batch`]: the trunk pass divides kernel work
-/// estimates by the union batch and each suffix pass by its group's rows,
-/// so every kernel choice is a function of one record's shape only, and
-/// all graph ops are record-separable. Each returned tensor is therefore
-/// bit-identical to running that group's records alone through the full
-/// variant graph.
+/// Bit-identity with solo serving holds as for [`forward_batch`]: all graph
+/// ops are record-separable and no kernel choice changes a bit, so each
+/// returned tensor is bit-identical to running that group's records alone
+/// through the full variant graph.
 ///
 /// `stacked` must hold `sum(rows)` records of `input`'s per-record shape;
 /// returns one stacked output tensor (of node `output`) per group, in
@@ -339,25 +333,22 @@ pub fn forward_batch_shared_trunk(
     let mut binputs = BatchInputs::new();
     binputs.insert(input, stacked);
     let mut trunk_out: Vec<Option<Tensor>> = vec![None; n];
-    with_batch_invariant_dispatch(total, || -> Result<(), ExecError> {
-        for id in graph.ids() {
-            if rg[id.index()] {
-                continue;
-            }
-            let node = graph.node(id);
-            // A trunk node's parents are all trunk: requires_grad is
-            // monotone along edges, so !rg[child] implies !rg[parent].
-            let parents: Vec<&Tensor> = node
-                .inputs
-                .iter()
-                .map(|p| trunk_out[p.index()].as_ref().expect("trunk parents are trunk"))
-                .collect();
-            let (out, _) = run_forward(node, &node.params, &parents, &binputs, id, false)
-                .map_err(|e| exec_err(&node.name, e))?;
-            trunk_out[id.index()] = Some(out);
+    for id in graph.ids() {
+        if rg[id.index()] {
+            continue;
         }
-        Ok(())
-    })?;
+        let node = graph.node(id);
+        // A trunk node's parents are all trunk: requires_grad is
+        // monotone along edges, so !rg[child] implies !rg[parent].
+        let parents: Vec<&Tensor> = node
+            .inputs
+            .iter()
+            .map(|p| trunk_out[p.index()].as_ref().expect("trunk parents are trunk"))
+            .collect();
+        let (out, _) = run_forward(node, &node.params, &parents, &binputs, id, false)
+            .map_err(|e| exec_err(&node.name, e))?;
+        trunk_out[id.index()] = Some(out);
+    }
 
     // Fully frozen graph: no per-tenant suffix, just split the rows.
     if !rg[output.index()] {
@@ -391,38 +382,31 @@ pub fn forward_batch_shared_trunk(
     for g in groups {
         let (a, b) = (row, row + g.rows);
         row = b;
-        let out = with_batch_invariant_dispatch(
-            g.rows,
-            || -> Result<Tensor, ExecError> {
-                let mut outs: Vec<Option<Tensor>> = vec![None; n];
-                for (i, need) in needed.iter().enumerate() {
-                    if *need {
-                        outs[i] =
-                            Some(slice_rows(trunk_out[i].as_ref().expect("boundary is trunk"), a, b));
-                    }
-                }
-                for id in graph.ids() {
-                    if !rg[id.index()] {
-                        continue;
-                    }
-                    let node = graph.node(id);
-                    let parents: Vec<&Tensor> = node
-                        .inputs
-                        .iter()
-                        .map(|p| outs[p.index()].as_ref().expect("suffix parents available"))
-                        .collect();
-                    let params: &[Tensor] = g
-                        .overrides
-                        .and_then(|o| o.get(&id))
-                        .map_or(&node.params[..], |v| &v[..]);
-                    let (out, _) = run_forward(node, params, &parents, &empty, id, false)
-                        .map_err(|e| exec_err(&node.name, e))?;
-                    outs[id.index()] = Some(out);
-                }
-                Ok(outs[output.index()].take().expect("output computed in suffix"))
-            },
-        )?;
-        results.push(out);
+        let mut outs: Vec<Option<Tensor>> = vec![None; n];
+        for (i, need) in needed.iter().enumerate() {
+            if *need {
+                outs[i] = Some(slice_rows(trunk_out[i].as_ref().expect("boundary is trunk"), a, b));
+            }
+        }
+        for id in graph.ids() {
+            if !rg[id.index()] {
+                continue;
+            }
+            let node = graph.node(id);
+            let parents: Vec<&Tensor> = node
+                .inputs
+                .iter()
+                .map(|p| outs[p.index()].as_ref().expect("suffix parents available"))
+                .collect();
+            let params: &[Tensor] = g
+                .overrides
+                .and_then(|o| o.get(&id))
+                .map_or(&node.params[..], |v| &v[..]);
+            let (out, _) = run_forward(node, params, &parents, &empty, id, false)
+                .map_err(|e| exec_err(&node.name, e))?;
+            outs[id.index()] = Some(out);
+        }
+        results.push(outs[output.index()].take().expect("output computed in suffix"));
     }
     Ok(results)
 }
@@ -764,10 +748,7 @@ fn transformer_forward(
     // Attention cores are independent per record; fan records out over the
     // pool, each task writing its own record of `ctx` (and of the kept
     // probabilities), so results are identical to the sequential loop at
-    // any thread count. Each task spans one record, so its dispatch-site
-    // work estimate is already per-record: pin the divisor to 1 so the
-    // kernel choice matches this record served alone even when the
-    // enclosing `forward_batch` scope installed a batch divisor.
+    // any thread count.
     let mut ctx = Tensor::zeros(x.shape().clone());
     // Kept probabilities and the GELU tanh factor exist only for backward:
     // both stay empty in inference.
@@ -784,16 +765,7 @@ fn transformer_forward(
                     let probs = kept.next();
                     let r = bi * rec..(bi + 1) * rec;
                     Box::new(move || {
-                        with_batch_invariant_dispatch(1, || {
-                            attention_forward(
-                                dims,
-                                &qd[r.clone()],
-                                &kd[r.clone()],
-                                &vd[r],
-                                ctx_rec,
-                                probs,
-                            )
-                        })
+                        attention_forward(dims, &qd[r.clone()], &kd[r.clone()], &vd[r], ctx_rec, probs)
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect(),
@@ -871,9 +843,7 @@ fn transformer_backward(
     let dctx = matmul_tb_weight(dao, wo)?;
     // Attention cores: per-record gradients fan out over the pool, each
     // task writing its own record of dq/dk/dv — bit-identical to the
-    // sequential loop. As in the forward pass, each task spans one record,
-    // so its dispatch estimate is already per-record — pin the divisor to 1
-    // regardless of any scope on the spawning thread.
+    // sequential loop.
     let mut dq = Tensor::zeros(tc.q.shape().clone());
     let mut dk = Tensor::zeros(tc.k.shape().clone());
     let mut dv = Tensor::zeros(tc.v.shape().clone());
@@ -890,19 +860,17 @@ fn transformer_backward(
                 .map(|(bi, ((dq_rec, dk_rec), dv_rec))| {
                     let r = bi * rec..(bi + 1) * rec;
                     Box::new(move || {
-                        with_batch_invariant_dispatch(1, || {
-                            attention_backward(
-                                dims,
-                                &qd[r.clone()],
-                                &kd[r.clone()],
-                                &vd[r.clone()],
-                                &ad[bi * plen..(bi + 1) * plen],
-                                &dcd[r],
-                                dq_rec,
-                                dk_rec,
-                                dv_rec,
-                            )
-                        })
+                        attention_backward(
+                            dims,
+                            &qd[r.clone()],
+                            &kd[r.clone()],
+                            &vd[r.clone()],
+                            &ad[bi * plen..(bi + 1) * plen],
+                            &dcd[r],
+                            dq_rec,
+                            dk_rec,
+                            dv_rec,
+                        )
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect(),
@@ -1914,10 +1882,95 @@ mod tests {
         }
     }
 
+    /// Batch invariance per `LayerKind`, forward **and** backward: the
+    /// first k ∈ {1, 4} records of a batch of n ∈ {8, 24} carry the bits of
+    /// a batch of k — outputs and input gradients — through plain
+    /// `run_forward` / `run_backward`, with no scope around either. The dense,
+    /// adapter and transformer shapes put one record at 2^14 multiply-adds
+    /// per product, so a batch of 4 stays below `GEMM_THRESHOLD` (naive
+    /// loops on the safe kernel) and a batch of 8 is at it (blocked
+    /// engine); the conv shapes are the MiniResNet projections whose
+    /// whole-batch work used to pick direct loops at 4 images and the
+    /// lowering at 24.
+    #[test]
+    fn layer_batch_prefix_bitwise_vs_reference() {
+        use nautilus_tensor::ops::matmul::GEMM_THRESHOLD;
+        use nautilus_util::prop::salted_f32s;
+        assert!(4 * (4 * 64 * 64) < GEMM_THRESHOLD && 8 * (4 * 64 * 64) >= GEMM_THRESHOLD, "sizing");
+
+        let check = |kind: LayerKind, records: &[&[usize]]| {
+            let ctx = format!("{kind:?}");
+            let ids = matches!(kind, LayerKind::Embedding { .. });
+            let mut rng = seeded_rng(0xD1);
+            let mut g = ModelGraph::new();
+            let ins: Vec<NodeId> =
+                records.iter().enumerate().map(|(i, r)| g.add_input(format!("in{i}"), r.to_vec())).collect();
+            let node = g.add_layer("layer", kind, &ins, false, ParamInit::Seeded(&mut rng)).unwrap();
+            for n in [8usize, 24] {
+                let full: Vec<Tensor> = records
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| {
+                        let shape: Vec<usize> = std::iter::once(n).chain(r.iter().copied()).collect();
+                        let len = shape.iter().product();
+                        let data = if ids {
+                            (0..len).map(|j| ((j * 7 + n) % 11) as f32).collect()
+                        } else {
+                            salted_f32s(0xD2 + i as u64, len)
+                        };
+                        Tensor::from_vec(shape, data).unwrap()
+                    })
+                    .collect();
+                let run = |k: usize, dout: Option<&Tensor>| {
+                    let xs: Vec<Tensor> = full.iter().map(|t| slice_rows(t, 0, k)).collect();
+                    let parents: Vec<&Tensor> = xs.iter().collect();
+                    let layer = g.node(node);
+                    let (out, cache) =
+                        run_forward(layer, &layer.params, &parents, &BatchInputs::new(), node, true).unwrap();
+                    let dout = match dout {
+                        Some(d) => slice_rows(d, 0, k),
+                        None => Tensor::from_vec(out.shape().clone(), salted_f32s(0xD3, out.len())).unwrap(),
+                    };
+                    let back =
+                        run_backward(layer, &cache, &parents, &out, &dout, &vec![true; xs.len()]).unwrap();
+                    (out, dout, back.input_grads)
+                };
+                let (out_n, dout_n, dx_n) = run(n, None);
+                for k in [1usize, 4] {
+                    let (out_k, _, dx_k) = run(k, Some(&dout_n));
+                    assert_eq!(bits(&out_k), bits(&slice_rows(&out_n, 0, k)), "{ctx}: forward, {k} of {n}");
+                    for (gk, gn) in dx_k.iter().zip(&dx_n) {
+                        assert_eq!(gk.is_some(), gn.is_some(), "{ctx}");
+                        if let (Some(gk), Some(gn)) = (gk, gn) {
+                            assert_eq!(bits(gk), bits(&slice_rows(gn, 0, k)), "{ctx}: dX, {k} of {n}");
+                        }
+                    }
+                }
+            }
+        };
+
+        let act = Activation::Gelu;
+        check(LayerKind::Embedding { vocab: 11, dim: 8, max_len: 4 }, &[&[4]]);
+        check(LayerKind::TransformerBlock { dim: 64, heads: 4, ff_dim: 64 }, &[&[4, 64]]);
+        check(LayerKind::Dense { in_dim: 64, out_dim: 64, act }, &[&[4, 64]]);
+        check(LayerKind::Adapter { dim: 64, bottleneck: 64 }, &[&[4, 64]]);
+        check(LayerKind::Add, &[&[4, 8], &[4, 8]]);
+        check(LayerKind::ConcatLast, &[&[4, 8], &[4, 3]]);
+        check(LayerKind::MeanPoolSeq, &[&[4, 8]]);
+        check(LayerKind::Conv2d { in_ch: 8, out_ch: 16, k: 1, stride: 2, pad: 0, act }, &[&[8, 16, 16]]);
+        check(LayerKind::Conv2d { in_ch: 24, out_ch: 32, k: 3, stride: 2, pad: 1, act }, &[&[24, 4, 4]]);
+        check(LayerKind::ResidualBlock { in_ch: 16, out_ch: 24, stride: 2 }, &[&[16, 8, 8]]);
+        check(LayerKind::MaxPool2d { k: 2, stride: 2 }, &[&[3, 4, 4]]);
+        check(LayerKind::GlobalAvgPool, &[&[3, 4, 4]]);
+        check(LayerKind::Flatten, &[&[3, 4, 4]]);
+        check(LayerKind::SliceSeq { index: 2 }, &[&[4, 8]]);
+        check(LayerKind::ZerosLike { shape: vec![5] }, &[&[4, 8]]);
+    }
+
     /// `forward_batch` over a stacked batch must reproduce per-record
     /// `forward` bit for bit — including when the *stacked* matmul work
-    /// crosses `GEMM_THRESHOLD` while the per-record work does not (the
-    /// case where an unpinned dispatch would flip kernels).
+    /// crosses `GEMM_THRESHOLD` while the per-record work does not, so the
+    /// batch runs the blocked engine and each record alone the naive loops.
     #[test]
     fn forward_batch_bit_identical_to_per_record_forward() {
         use nautilus_tensor::ops::matmul::GEMM_THRESHOLD;
@@ -1975,8 +2028,8 @@ mod tests {
 
     /// A shared-trunk batch over several variants of one base must be
     /// bit-identical to running each variant's records alone through its
-    /// full graph: the trunk runs once at the union batch's divisor, each
-    /// suffix at its group's, so kernel choices stay per-record.
+    /// full graph: the trunk runs once over the union batch, each suffix
+    /// over its group's rows.
     #[test]
     fn shared_trunk_forward_bit_identical_to_solo_variants() {
         use crate::delta::{extract_delta, strip_trainable};
@@ -2082,15 +2135,12 @@ mod tests {
     }
 
     /// The transformer fans per-record attention tasks out over the shared
-    /// pool, so `forward_batch` bit-identity must hold even though those
-    /// tasks execute on different threads than the one holding the
-    /// batch-invariant dispatch scope. Sized so each record's attention
-    /// context matmul straddles `GEMM_THRESHOLD` — per-record work at or
-    /// above the threshold, work/batch below it — and so its shared dim
-    /// exceeds one GEMM `KC` panel, where the blocked and naive kernels
-    /// genuinely round differently. A divisor that leaks (or fails to
-    /// propagate) across pool threads flips the kernel for whichever
-    /// records land on the wrong thread and changes their bits.
+    /// pool, so `forward_batch` bit-identity must hold whichever thread runs
+    /// a record. Sized so each record's attention context matmul straddles
+    /// `GEMM_THRESHOLD` — per-record work at or above the threshold,
+    /// work/batch below it — and so its shared dim exceeds one GEMM `KC`
+    /// panel, where the naive loops would round differently from the
+    /// blocked engine: such a product runs the engine on both sides.
     #[test]
     fn forward_batch_transformer_attention_straddles_gemm_threshold() {
         use nautilus_tensor::ops::gemm::KC;
@@ -2099,7 +2149,7 @@ mod tests {
         let ctx_work = seq * seq * (dim / heads);
         assert!(ctx_work >= GEMM_THRESHOLD, "per-record attention work must cross");
         assert!(ctx_work / batch < GEMM_THRESHOLD, "work/batch must stay below");
-        assert!(seq > KC, "shared dim must exceed one KC panel so kernels differ");
+        assert!(seq > KC, "shared dim must exceed one KC panel");
 
         let mut rng = seeded_rng(23);
         let mut g = ModelGraph::new();

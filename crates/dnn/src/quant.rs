@@ -18,15 +18,15 @@
 //!
 //! Accuracy contract: dynamic per-row activation scales plus per-channel
 //! weight scales bound the logit delta tightly enough that top-1
-//! decisions survive (gated by `tests/serving.rs`); the int8 path is
-//! batch-invariant by construction since every input row quantizes
-//! against its own scale.
+//! decisions survive (gated by `tests/serving.rs`). A record's outputs do
+//! not depend on its batch-mates: every input row quantizes against its
+//! own scale and accumulates in exact integers, and the residual f32 nodes
+//! obey the summation contract of [`nautilus_tensor::ops::matmul`].
 
 use crate::exec::{apply_act, exec_err, run_forward, BatchInputs, ExecError, ParamOverrides};
 use crate::graph::{ModelGraph, NodeId};
 use crate::layer::LayerKind;
 use nautilus_tensor::ops::qgemm::{qgemm_dyn, quantize_rows, QuantizedMatrix};
-use nautilus_tensor::ops::with_batch_invariant_dispatch;
 use nautilus_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -160,19 +160,18 @@ impl QuantizedModel {
     }
 }
 
-/// Inference forward over a stacked batch of `batch` records where dense
-/// nodes present in `quant` run the int8 row-quantized kernel and every
-/// other node runs its ordinary f32 path (with `overrides` resolution,
-/// exactly like [`crate::exec::forward_with_overrides`]).
+/// Inference forward over a stacked batch where dense nodes present in
+/// `quant` run the int8 row-quantized kernel and every other node runs its
+/// ordinary f32 path (with `overrides` resolution, exactly like
+/// [`crate::exec::forward_with_overrides`]).
 ///
-/// Kernel dispatch for the residual f32 nodes is pinned to per-record
-/// work via [`with_batch_invariant_dispatch`]; the int8 nodes are
-/// batch-invariant by construction (per-row activation scales, exact
-/// integer accumulation). Returns the output tensor of node `output`.
+/// Each record's rows are what serving it alone would give: the int8 nodes
+/// use per-row activation scales and exact integer accumulation, the f32
+/// nodes are batch-invariant by the summation contract. Returns the output
+/// tensor of node `output`.
 pub fn forward_batch_quantized(
     graph: &ModelGraph,
     inputs: &BatchInputs,
-    batch: usize,
     output: NodeId,
     quant: &QuantizedModel,
     overrides: Option<&ParamOverrides>,
@@ -182,32 +181,30 @@ pub fn forward_batch_quantized(
     if output.index() >= n {
         return Err(exec_err("graph", "output node out of range"));
     }
-    with_batch_invariant_dispatch(batch, || -> Result<Tensor, ExecError> {
-        let mut outputs: Vec<Option<Tensor>> = vec![None; n];
-        for id in graph.ids() {
-            let node = graph.node(id);
-            let parents: Vec<&Tensor> = node
-                .inputs
-                .iter()
-                .map(|p| outputs[p.index()].as_ref().expect("topological order"))
-                .collect();
-            let out = if let Some(q) = quant.layers.get(&id) {
-                q.forward(parents[0]).map_err(|mut e| {
-                    e.node = node.name.clone();
-                    e
-                })?
-            } else {
-                let params: &[Tensor] = overrides
-                    .and_then(|o| o.get(&id))
-                    .map_or(&node.params[..], |v| &v[..]);
-                let (out, _) = run_forward(node, params, &parents, inputs, id, false)
-                    .map_err(|e| exec_err(&node.name, e))?;
-                out
-            };
-            outputs[id.index()] = Some(out);
-        }
-        Ok(outputs[output.index()].take().expect("output computed"))
-    })
+    let mut outputs: Vec<Option<Tensor>> = vec![None; n];
+    for id in graph.ids() {
+        let node = graph.node(id);
+        let parents: Vec<&Tensor> = node
+            .inputs
+            .iter()
+            .map(|p| outputs[p.index()].as_ref().expect("topological order"))
+            .collect();
+        let out = if let Some(q) = quant.layers.get(&id) {
+            q.forward(parents[0]).map_err(|mut e| {
+                e.node = node.name.clone();
+                e
+            })?
+        } else {
+            let params: &[Tensor] = overrides
+                .and_then(|o| o.get(&id))
+                .map_or(&node.params[..], |v| &v[..]);
+            let (out, _) = run_forward(node, params, &parents, inputs, id, false)
+                .map_err(|e| exec_err(&node.name, e))?;
+            out
+        };
+        outputs[id.index()] = Some(out);
+    }
+    Ok(outputs[output.index()].take().expect("output computed"))
 }
 
 #[cfg(test)]
@@ -273,7 +270,7 @@ mod tests {
         let qm = QuantizedModel::from_graph(&g, None);
         assert_eq!(qm.layers.len(), 2);
         assert!(qm.bytes() > 0);
-        let q_out = forward_batch_quantized(&g, &inputs, 6, y, &qm, None).unwrap();
+        let q_out = forward_batch_quantized(&g, &inputs, y, &qm, None).unwrap();
         assert_eq!(q_out.shape(), f32_out.shape());
         for (i, (&a, &b)) in q_out.data().iter().zip(f32_out.data()).enumerate() {
             assert!((a - b).abs() <= 0.05 * b.abs() + 0.6, "[{i}] int8 {a} vs f32 {b}");
@@ -295,7 +292,7 @@ mod tests {
         let new_b = randn([10], 0.2, &mut rng);
         let mut ov: ParamOverrides = HashMap::new();
         ov.insert(y, Arc::new(vec![new_w.clone(), new_b.clone()]));
-        let out = forward_batch_quantized(&g, &inputs, 2, y, &qm, Some(&ov)).unwrap();
+        let out = forward_batch_quantized(&g, &inputs, y, &qm, Some(&ov)).unwrap();
         // Reference: same quantized trunk, head applied by hand.
         let trunk_id = *qm.layers.keys().next().unwrap();
         let trunk = qm.layers[&trunk_id].forward(inputs.get(x).unwrap()).unwrap();
@@ -314,7 +311,7 @@ mod tests {
         let qm = QuantizedModel::from_graph(&g, None);
         let mut inputs = BatchInputs::new();
         inputs.insert(x, batch.clone());
-        let stacked = forward_batch_quantized(&g, &inputs, 5, y, &qm, None).unwrap();
+        let stacked = forward_batch_quantized(&g, &inputs, y, &qm, None).unwrap();
         let per = stacked.len() / 5;
         for r in 0..5 {
             let solo_in = Tensor::from_vec(
@@ -324,7 +321,7 @@ mod tests {
             .unwrap();
             let mut si = BatchInputs::new();
             si.insert(x, solo_in);
-            let solo = forward_batch_quantized(&g, &si, 1, y, &qm, None).unwrap();
+            let solo = forward_batch_quantized(&g, &si, y, &qm, None).unwrap();
             assert_eq!(
                 &stacked.data()[r * per..(r + 1) * per],
                 solo.data(),

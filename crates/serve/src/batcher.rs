@@ -214,13 +214,6 @@ impl MicroBatcher {
         self.inner.state.lock().expect("batcher lock").queue.len()
     }
 
-    /// Submits one record for the registry's default tenant.
-    #[deprecated(note = "use the tenant-keyed `predict(id, record)`")]
-    pub fn predict_default(&self, record: Vec<f32>) -> Result<PredictOutput, PredictError> {
-        let id = self.inner.registry.default_id().as_str().to_string();
-        self.predict(&id, record)
-    }
-
     /// Drains the queue (answering everything still enqueued) and joins
     /// the worker thread.
     pub fn shutdown(&mut self) {
@@ -332,14 +325,7 @@ fn run_quant_group(artifact: &Arc<ModelArtifact>, group: Vec<Pending>) {
             .map_err(|e| PredictError::Exec(e.to_string()))?;
         let mut bi = BatchInputs::new();
         bi.insert(artifact.input, stacked);
-        forward_batch_quantized(
-            &artifact.base.graph,
-            &bi,
-            k,
-            artifact.output,
-            quant,
-            Some(&artifact.overrides),
-        )
+        forward_batch_quantized(&artifact.base.graph, &bi, artifact.output, quant, Some(&artifact.overrides))
         .map_err(|e| PredictError::Exec(e.to_string()))
     })();
     match result {

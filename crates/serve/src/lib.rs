@@ -27,10 +27,11 @@
 //!   a base run **one** trunk forward over the union batch
 //!   ([`nautilus_dnn::exec::forward_batch_shared_trunk`]) with per-tenant
 //!   suffix passes — the serving dual of the paper's FUSE optimization.
-//!   Results stay **bit-identical** to solo single-model execution (the
-//!   kernel-dispatch pinning in
-//!   `nautilus_tensor::ops::with_batch_invariant_dispatch` guarantees the
-//!   same kernels run regardless of batch composition).
+//!   Results stay **bit-identical** to solo single-model execution by
+//!   construction: every graph op is record-separable and every product
+//!   element is the same float chain whichever kernel serves it (the
+//!   summation contract of `nautilus_tensor::ops::matmul`), so batch
+//!   composition cannot change a bit.
 //! * **Tenant routing** — `POST /predict/<id>` (or `X-Model-Id` header),
 //!   `GET /model/<id>`, `GET /models`; `/stats` reports per-tenant
 //!   prediction counts and the registry's logical-vs-stored dedup ratio.
@@ -66,13 +67,11 @@
 
 pub mod batcher;
 pub mod deltastore;
-pub mod http;
 pub mod registry;
 pub mod server;
 
 pub use batcher::{MicroBatcher, PredictError, PredictOutput, Ticket};
 pub use deltastore::{DeltaStore, StoreError, StorePut};
-pub use http::{Request, Response};
 pub use registry::{
     BaseModel, ModelArtifact, ModelId, ModelRegistry, ModelSummary, PublishOptions, RegistryError,
     RegistryStats,

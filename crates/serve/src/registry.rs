@@ -766,33 +766,6 @@ impl ModelRegistry {
         st.bytes_stored = stored_bases + inner.pool.stored_bytes as u64;
         st
     }
-
-    /// Publishes `graph` for the default tenant.
-    #[deprecated(note = "use the tenant-keyed `publish(id, graph)`")]
-    pub fn publish_single(&self, graph: ModelGraph) -> Result<u64, RegistryError> {
-        let id = self.default_id.clone();
-        self.publish(id.as_str(), graph)
-    }
-
-    /// Loads a checkpoint and publishes it for the default tenant.
-    #[deprecated(note = "use the tenant-keyed `publish_from_checkpoint(id, path)`")]
-    pub fn publish_single_from_checkpoint(&self, path: &Path) -> Result<u64, RegistryError> {
-        let id = self.default_id.clone();
-        self.publish_from_checkpoint(id.as_str(), path)
-    }
-
-    /// The default tenant's artifact, if published (single-slot view).
-    #[deprecated(note = "use the tenant-keyed `get(id)`")]
-    pub fn current(&self) -> Option<Arc<ModelArtifact>> {
-        self.get(self.default_id.clone().as_str()).ok()
-    }
-
-    /// The default tenant's version; 0 when nothing is published.
-    #[deprecated(note = "use `get(id)` / `list()`")]
-    pub fn version(&self) -> u64 {
-        #[allow(deprecated)]
-        self.current().map_or(0, |a| a.version)
-    }
 }
 
 #[cfg(test)]
@@ -940,20 +913,6 @@ mod tests {
         let reg = ModelRegistry::new();
         reg.publish("a", variant_graph(1)).unwrap();
         assert!(matches!(reg.evict("a"), Err(RegistryError::NoStore)));
-    }
-
-    #[test]
-    fn deprecated_single_slot_wrappers_track_default_tenant() {
-        #[allow(deprecated)]
-        {
-            let reg = ModelRegistry::new();
-            assert_eq!(reg.version(), 0);
-            assert!(reg.current().is_none());
-            let v = reg.publish_single(variant_graph(1)).unwrap();
-            assert_eq!(v, 1);
-            assert_eq!(reg.version(), 1);
-            assert_eq!(reg.current().unwrap().id.as_str(), "default");
-        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! connections, flush the batcher, join all threads.
 
 use crate::batcher::{MicroBatcher, PredictError};
-use crate::http::{self, Connections, Limits, Request, Response};
 use crate::registry::{ModelRegistry, RegistryError};
 use nautilus_core::config::{ObservabilityConfig, ServingConfig};
+use nautilus_util::http::{self, Connections, Limits, Request, Response};
 use nautilus_util::json::Json;
 use nautilus_util::{eventlog, telemetry};
 use std::collections::VecDeque;

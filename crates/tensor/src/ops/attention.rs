@@ -10,22 +10,22 @@
 //!
 //! **Bit-identity with that composition is the contract**: per output
 //! element the same float operations run in the same order. The five
-//! products of a head all have `s·dh·s` multiply-adds, so one comparison of
-//! [`effective_work`] against the resolved kernel's threshold picks, for
-//! all of them, what `matmul_ex` would have picked for each: the blocked
-//! engine over strided [`MatRef`] views (packing reads the same values it
-//! read from the copies), or the naive loops — saxpy *with* the `a == 0`
-//! skip where the composition ran `matmul`/`matmul_ta`, *without* it where
-//! it ran `matmul_tb`. Softmax and its gradient are the row bodies of
-//! [`crate::ops::nn`]. The composition survives as the `#[cfg(test)]`
-//! reference below.
+//! products of a head all have `s·dh·s` multiply-adds and shared dimension
+//! `s` or `dh`, so one [`runs_blocked`] decision picks, for all of them, what
+//! `matmul_ex` would have picked for each: the naive loops — saxpy *with*
+//! the `a == 0` skip where the composition ran `matmul`/`matmul_ta`,
+//! *without* it where it ran `matmul_tb` — or the blocked engine over
+//! strided [`MatRef`] views (packing reads the same values it read from the
+//! copies). Under the summation contract (see [`crate::ops::matmul`]) the
+//! naive arm runs only where it is the engine's float expression, so which
+//! one serves a head never changes a bit. Softmax and its gradient are the
+//! row bodies of [`crate::ops::nn`]. The composition survives as the
+//! `#[cfg(test)]` reference below.
 //!
-//! One call covers one record; callers fan records out over the pool with
-//! the dispatch divisor pinned to 1 (see [`crate::ops::dispatch`]).
+//! One call covers one record; callers fan records out over the pool.
 
-use crate::ops::dispatch::effective_work;
 use crate::ops::gemm::{self, KernelKind, MatRef};
-use crate::ops::matmul::count_dispatch;
+use crate::ops::matmul::{count_dispatch, runs_blocked};
 use crate::ops::nn::{softmax_backward_row, softmax_row};
 use nautilus_util::scratch;
 
@@ -70,8 +70,8 @@ impl AttnDims {
     /// Counts `products` routing decisions per head, as `matmul_ex` would.
     fn route(&self, products: usize) -> Option<KernelKind> {
         let kernel = gemm::resolved_kernel();
-        let work = self.seq * self.head_dim() * self.seq;
-        let blocked = (effective_work(work) >= gemm::dispatch_threshold(kernel)).then_some(kernel);
+        let (s, dh) = (self.seq, self.head_dim());
+        let blocked = runs_blocked(kernel, s * dh * s, s.max(dh)).then_some(kernel);
         for _ in 0..products * self.heads {
             count_dispatch(blocked.map_or("naive", KernelKind::as_str));
         }
@@ -179,6 +179,20 @@ pub fn attention_forward(
     ctx: &mut [f32],
     probs: Option<&mut [f32]>,
 ) {
+    forward_on(dims.route(2), dims, q, k, v, ctx, probs);
+}
+
+/// [`attention_forward`] on a given arm: `Some(kernel)` the blocked engine,
+/// `None` the naive loops.
+fn forward_on(
+    blocked: Option<KernelKind>,
+    dims: AttnDims,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    ctx: &mut [f32],
+    probs: Option<&mut [f32]>,
+) {
     let (s, dim) = (dims.seq, dims.dim);
     let (dh, scale) = (dims.head_dim(), dims.score_scale());
     for x in [q, k, v, &*ctx] {
@@ -196,7 +210,6 @@ pub fn attention_forward(
     if s == 0 {
         return;
     }
-    let blocked = dims.route(2);
     let mut tmp = scratch::take(s * dh);
     for (h, attn) in probs.chunks_exact_mut(s * s).enumerate() {
         let off = h * dh;
@@ -242,6 +255,23 @@ pub fn attention_backward(
     dk: &mut [f32],
     dv: &mut [f32],
 ) {
+    backward_on(dims.route(4), dims, q, k, v, probs, dctx, dq, dk, dv);
+}
+
+/// [`attention_backward`] on a given arm (see [`forward_on`]).
+#[allow(clippy::too_many_arguments)]
+fn backward_on(
+    blocked: Option<KernelKind>,
+    dims: AttnDims,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    probs: &[f32],
+    dctx: &[f32],
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
     let (s, dim) = (dims.seq, dims.dim);
     let (dh, scale) = (dims.head_dim(), dims.score_scale());
     for x in [q, k, v, dctx, &*dq, &*dk, &*dv] {
@@ -251,7 +281,6 @@ pub fn attention_backward(
     if s == 0 {
         return;
     }
-    let blocked = dims.route(4);
     let mut dscores = scratch::take(s * s);
     let mut tmp = scratch::take(s * dh);
     for (h, attn) in probs.chunks_exact(s * s).enumerate() {
@@ -291,7 +320,7 @@ pub fn attention_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::matmul::gemm_threshold;
+    use crate::ops::matmul::GEMM_THRESHOLD;
     use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
     use crate::ops::{matmul, matmul_ta, matmul_tb, scale, softmax_last, softmax_last_backward};
     use crate::Tensor;
@@ -396,20 +425,66 @@ mod tests {
         });
     }
 
-    /// `s·dh·s` one step below and at the live threshold (whichever kernel
-    /// `NAUTILUS_GEMM_KERNEL` resolved), so both the naive and the blocked
-    /// arm are compared, at every pool width.
+    /// `s·dh·s` one step below and at the safe kernel's work threshold, so
+    /// both arms are compared with the composition at every pool width.
+    /// Under FMA there is no naive arm and both sizes run the engine.
     #[test]
     fn threshold_straddle_bitwise_vs_reference() {
         let dh = 8usize;
-        let at = (1..).find(|s| s * dh * s >= gemm_threshold()).unwrap();
+        let at = (1..).find(|s| s * dh * s >= GEMM_THRESHOLD).unwrap();
+        let safe = gemm::resolved_kernel() == KernelKind::Safe;
         for (heads, seq) in [(1, at - 1), (1, at), (4, at - 1), (4, at)] {
             let d = AttnDims { seq, dim: heads * dh, heads };
-            assert_eq!(d.route(0).is_some(), seq == at, "straddle sizing");
+            assert_eq!(d.route(0).is_none(), safe && seq < at, "straddle sizing");
             for limit in [1usize, 2, 8] {
                 with_parallelism_limit(limit, || check(d, 0x5EED + seq as u64, 1.0))
                     .unwrap_or_else(|e| panic!("heads {heads} seq {seq} limit {limit}: {e}"));
             }
+        }
+    }
+
+    /// The summation contract for attention: with `seq` and `dh` inside one
+    /// `KC` block the naive arm and the safe engine arm leave the same bits
+    /// in every output, forward and backward — so which of them `route`
+    /// picks is a performance choice. `route` itself admits the naive arm
+    /// only there, and never under FMA.
+    #[test]
+    fn naive_arm_equals_engine_arm_bitwise_vs_reference() {
+        let arms_agree = |heads: usize, dh: usize, seq: usize, saturate: bool, seed: u64| {
+            let d = AttnDims { seq, dim: heads * dh, heads };
+            let n = d.record_len();
+            let spread = if saturate { 64.0 } else { 1.0 };
+            let q: Vec<f32> = salted(seed, n).iter().map(|x| x * spread).collect();
+            let (k, v, dctx) = (salted(seed ^ 1, n), salted(seed ^ 2, n), salted(seed ^ 3, n));
+            let run = |arm: Option<KernelKind>| {
+                let mut ctx = vec![0.0f32; n];
+                let mut probs = vec![0.0f32; d.probs_len()];
+                forward_on(arm, d, &q, &k, &v, &mut ctx, Some(&mut probs));
+                let mut grads = [(); 3].map(|_| vec![0.0f32; n]);
+                let [dq, dk, dv] = &mut grads;
+                backward_on(arm, d, &q, &k, &v, &probs, &dctx, dq, dk, dv);
+                let [dq, dk, dv] = grads;
+                [ctx, probs, dq, dk, dv].map(|x| bits(&x))
+            };
+            prop_assert_eq!(run(None), run(Some(KernelKind::Safe)));
+            Ok(())
+        };
+        let gen = (bools(), usizes(1..41), usizes(1..41), bools(), u64s(0..u64::MAX));
+        prop_check(0xA77F, 32, &gen, |&(four_heads, dh, seq, saturate, seed)| {
+            arms_agree(if four_heads { 4 } else { 1 }, dh, seq, saturate, seed)
+        });
+        // The last shared dimensions the naive arm is admitted at.
+        for (heads, dh, seq) in [(1, 8, gemm::KC - 1), (4, 3, gemm::KC), (1, gemm::KC, 9)] {
+            arms_agree(heads, dh, seq, seq % 2 == 0, 0xA77F).unwrap_or_else(|e: String| panic!("{e}"));
+        }
+
+        let (kernel, blk) = gemm::kernel_info();
+        for (seq, dh) in [(1, 1), (12, 8), (blk.kc, 8), (blk.kc + 1, 1), (8, blk.kc + 1), (400, 64)] {
+            let d = AttnDims { seq, dim: dh, heads: 1 };
+            let naive = kernel == KernelKind::Safe
+                && seq * dh * seq < GEMM_THRESHOLD
+                && seq.max(dh) <= blk.kc;
+            assert_eq!(d.route(0).is_none(), naive, "{kernel:?} seq {seq} dh {dh}");
         }
     }
 

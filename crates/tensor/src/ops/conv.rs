@@ -1,36 +1,36 @@
 //! 2-D convolution and pooling kernels (NCHW layout).
 //!
 //! Inputs are `[batch, channels, height, width]`; convolution weights are
-//! `[out_c, in_c, kh, kw]`. Two physical execution strategies back
-//! [`conv2d`] / [`conv2d_backward`]:
+//! `[out_c, in_c, kh, kw]`. [`conv2d`] / [`conv2d_backward`] have one
+//! execution strategy, at every size: **batch-folded im2col + packed
+//! GEMM**. The receptive fields of a *group* of `g` images are unrolled
+//! side by side into one column panel `(c_in·kh·kw) × (g·oh·ow)`, so the
+//! batch rides in the GEMM's N dimension: forward is one product
+//! `W · panel` per group (weights packed once per group, register tiles
+//! full even when `oh·ow` is 4), restored to NCHW with the bias add in the
+//! same pass; backward recovers `dX` as col2im of one `Wᵀ · dY` product per
+//! group (skipped with its col2im when the caller needs no `dX`) and
+//! accumulates each image's `dY_n · col_nᵀ` onto `dW` in image order. `g`
+//! is whatever keeps a panel within [`PANEL_BUDGET`] floats, so scratch
+//! stays a few hundred KiB per thread however large the batch; all of it
+//! comes from the scratch arena. im2col copy traffic is *not* counted as
+//! FLOPs.
 //!
-//! * **Batch-folded im2col + packed GEMM** at and above
-//!   [`IM2COL_THRESHOLD`] multiply-adds. The receptive fields of a *group*
-//!   of `g` images are unrolled side by side into one column panel
-//!   `(c_in·kh·kw) × (g·oh·ow)`, so the batch rides in the GEMM's N
-//!   dimension: forward is one product `W · panel` per group (weights
-//!   packed once per group, register tiles full even when `oh·ow` is 4),
-//!   restored to NCHW with the bias add in the same pass; backward
-//!   recovers `dX` as col2im of one `Wᵀ · dY` product per group (skipped
-//!   with its col2im when the caller needs no `dX`) and accumulates each
-//!   image's `dY_n · col_nᵀ` onto `dW` in image order. `g` is whatever
-//!   keeps a panel within [`PANEL_BUDGET`] floats, so scratch stays a few
-//!   hundred KiB per thread however large the batch; all of it comes from
-//!   the scratch arena. Folding moves no bits: every output element is
-//!   the same k-ascending chain per `KC` block it would be with one GEMM
-//!   per image (a GEMM column never sees its neighbours), which the
-//!   `bitwise_vs_reference` tests hold against that per-image lowering.
-//!   Bias is added after the GEMM, so rounding may differ from the direct
-//!   loops (validated within tolerance by `gemm_properties`); im2col copy
-//!   traffic is *not* counted as FLOPs.
-//! * **Direct loops** below the threshold ([`conv2d_direct`]), where the
-//!   column-matrix build would dominate: tiny shapes keep the trivially
-//!   auditable nested loops.
+//! Every output element is therefore the engine's chain — `k`-ascending
+//! from `+0.0` in `kc`-sized partials, **bias added last** — and a GEMM
+//! column never sees its neighbours, so an image's bits do not depend on
+//! its batch-mates, the group size, or the thread width: the first `k`
+//! images of a batch of `n` are the batch of `k`. The `bitwise_vs_reference`
+//! tests hold the fold against the per-image lowering it replaced.
 //!
-//! Work fans out over the shared pool only at or above [`PAR_THRESHOLD`]
-//! FLOPs — per `(image, out-channel)` plane, per image, or per group, all
-//! caller-chosen boundaries — and `dW`/`db` always merge in image order, so
-//! results are bit-identical at any thread width within a strategy.
+//! Groups fan out over the shared pool only at or above [`PAR_THRESHOLD`]
+//! FLOPs, on caller-chosen boundaries, and `dW`/`db` always merge in image
+//! order.
+//!
+//! The direct nested loops ([`conv2d_direct`], [`conv2d_backward_direct`])
+//! are the sequential, trivially auditable *reference* the lowering is
+//! validated against within tolerance (`gemm_properties`, the `conv/direct`
+//! bench); no runtime path calls them.
 
 use crate::ops::gemm::{self, MatRef};
 use crate::{Tensor, TensorError};
@@ -39,11 +39,6 @@ use nautilus_util::{pool, scratch};
 /// At and above this many FLOPs, conv kernels fan out over the shared
 /// thread pool (same rationale as the matmul threshold).
 const PAR_THRESHOLD: usize = 1 << 22;
-
-/// Multiply-add count at and above which convolutions lower to im2col +
-/// packed GEMM; below it the direct loops win (mirrors
-/// [`crate::ops::matmul::GEMM_THRESHOLD`]).
-pub const IM2COL_THRESHOLD: usize = 1 << 17;
 
 /// Floats one column panel may hold (256 KiB). Bounds the lowering's
 /// scratch — the panel, its gradient twin and the `c_out`-row GEMM output —
@@ -135,8 +130,8 @@ impl ConvGeom {
         self.c_out * self.len()
     }
 
-    /// Multiply-add count: one per (output element × weight tap). Used for
-    /// kernel dispatch; matches the dnn-layer FLOP estimate of `2 * macs`.
+    /// Multiply-add count: one per (output element × weight tap); the
+    /// dnn-layer FLOP estimate is `2 * macs`.
     fn macs(&self) -> usize {
         self.b * self.image_out() * self.ckk()
     }
@@ -195,27 +190,8 @@ impl ConvGeom {
     }
 }
 
-/// 2-D convolution with stride and symmetric zero padding.
-///
-/// `weight` is `[out_c, in_c, kh, kw]`; `bias` is `[out_c]`. Dispatches to
-/// [`conv2d_im2col`] at and above [`IM2COL_THRESHOLD`] multiply-adds and to
-/// [`conv2d_direct`] below it.
-pub fn conv2d(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> Result<Tensor, TensorError> {
-    let macs = ConvGeom::new(input, weight, stride, pad)?.macs();
-    if crate::ops::dispatch::effective_work(macs) >= IM2COL_THRESHOLD {
-        conv2d_im2col(input, weight, bias, stride, pad)
-    } else {
-        conv2d_direct(input, weight, bias, stride, pad)
-    }
-}
-
-/// Direct (non-im2col) convolution: nested loops, used for tiny shapes.
+/// Direct (non-im2col) convolution: the sequential nested-loop reference
+/// for [`conv2d`] (bias first, one plain chain per output element).
 #[allow(clippy::needless_range_loop)]
 pub fn conv2d_direct(
     input: &Tensor,
@@ -231,56 +207,33 @@ pub fn conv2d_direct(
     let wt = weight.data();
     let bs = bias.data();
     let mut out = vec![0.0f32; b * c_out * oh * ow];
-
-    // Each (n, co) output plane is an independent, exclusively-owned region,
-    // so plane-partitioned parallel execution is bit-identical to the
-    // sequential loop. `planes` are chunked so the pool gets roughly one
-    // task per thread.
-    let plane = oh * ow;
-    let total_planes = b * c_out;
-    let tasks = if 2 * cg.macs() < PAR_THRESHOLD {
-        1
-    } else {
-        pool::num_threads().min(total_planes.max(1))
-    };
-    let planes_per = total_planes.div_ceil(tasks);
-    let compute_planes = |plane0: usize, ochunk: &mut [f32]| {
-        for (pi, oplane) in ochunk.chunks_exact_mut(plane).enumerate() {
-            let gi = plane0 + pi;
-            let n = gi / c_out;
-            let co = gi % c_out;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bs[co];
-                    for ci in 0..c_in {
-                        let ibase = ((n * c_in) + ci) * h * w;
-                        let wbase = ((co * c_in) + ci) * kh * kw;
-                        for ky in 0..kh {
-                            let iy = (oy * stride + ky) as isize - pad as isize;
-                            if iy < 0 || iy >= h as isize {
+    for (gi, oplane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let n = gi / c_out;
+        let co = gi % c_out;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = bs[co];
+                for ci in 0..c_in {
+                    let ibase = ((n * c_in) + ci) * h * w;
+                    let wbase = ((co * c_in) + ci) * kh * kw;
+                    for ky in 0..kh {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..kw {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix < 0 || ix >= w as isize {
                                 continue;
                             }
-                            for kx in 0..kw {
-                                let ix = (ox * stride + kx) as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                acc += x[ibase + iy as usize * w + ix as usize]
-                                    * wt[wbase + ky * kw + kx];
-                            }
+                            acc += x[ibase + iy as usize * w + ix as usize]
+                                * wt[wbase + ky * kw + kx];
                         }
                     }
-                    oplane[oy * ow + ox] = acc;
                 }
+                oplane[oy * ow + ox] = acc;
             }
         }
-    };
-    if tasks <= 1 {
-        compute_planes(0, &mut out);
-    } else {
-        pool::scope_chunks(&mut out, planes_per * plane, |ci, ochunk| {
-            compute_planes(ci * planes_per, ochunk);
-        });
     }
     Tensor::from_vec([b, c_out, oh, ow], out)
 }
@@ -333,15 +286,16 @@ fn column_panel(x: &[f32], n0: usize, gn: usize, offsets: &[usize], cg: ConvGeom
     col
 }
 
-/// Convolution lowered to batch-folded im2col + packed GEMM: per group of
-/// images (see the module docs) one product
-/// `W(c_out × c_in·kh·kw) · panel(c_in·kh·kw × g·oh·ow)`, copied back to
-/// NCHW with the bias added on the way.
+/// 2-D convolution with stride and symmetric zero padding, lowered to
+/// batch-folded im2col + packed GEMM: per group of images (see the module
+/// docs) one product `W(c_out × c_in·kh·kw) · panel(c_in·kh·kw × g·oh·ow)`,
+/// copied back to NCHW with the bias added on the way.
 ///
-/// Groups partition across the shared pool at or above [`PAR_THRESHOLD`]
-/// FLOPs (a single-image batch lets the GEMM itself parallelize instead).
-/// Results are bit-identical at any thread width and group size.
-pub fn conv2d_im2col(
+/// `weight` is `[out_c, in_c, kh, kw]`; `bias` is `[out_c]`. Groups
+/// partition across the shared pool at or above [`PAR_THRESHOLD`] FLOPs (a
+/// single-image batch lets the GEMM itself parallelize instead). Results
+/// are bit-identical at any thread width, group size and batch size.
+pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
@@ -396,11 +350,10 @@ pub fn conv2d_im2col(
 /// Backward pass of [`conv2d`].
 ///
 /// Returns `(d_input, d_weight, d_bias)` for the upstream gradient `grad`
-/// shaped like the convolution output. At and above [`IM2COL_THRESHOLD`]
-/// multiply-adds the gradients come from the batch-folded lowering
-/// (`dX = col2im(Wᵀ · dY)` per group, `dW += dY_n · col_nᵀ` per image);
-/// below it the direct scatter loops run. `dW`/`db` accumulate in image
-/// order either way, so results are bit-identical at any thread width.
+/// shaped like the convolution output, from the batch-folded lowering
+/// (`dX = col2im(Wᵀ · dY)` per group, `dW += dY_n · col_nᵀ` per image).
+/// `dW`/`db` accumulate in image order, so results are bit-identical at
+/// any thread width.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
@@ -408,11 +361,11 @@ pub fn conv2d_backward(
     stride: usize,
     pad: usize,
 ) -> Result<(Tensor, Tensor, Tensor), TensorError> {
-    with_dx(conv2d_backward_impl(input, weight, grad, stride, pad, true, None))
+    with_dx(conv2d_backward_ex(input, weight, grad, stride, pad, true))
 }
 
-/// [`conv2d_backward`] forced onto the direct scatter-loop strategy,
-/// regardless of problem size. Exposed for differential tests and benches.
+/// The direct scatter loops: the sequential reference for
+/// [`conv2d_backward`], for differential tests and benches.
 pub fn conv2d_backward_direct(
     input: &Tensor,
     weight: &Tensor,
@@ -420,27 +373,14 @@ pub fn conv2d_backward_direct(
     stride: usize,
     pad: usize,
 ) -> Result<(Tensor, Tensor, Tensor), TensorError> {
-    with_dx(conv2d_backward_impl(input, weight, grad, stride, pad, true, Some(false)))
-}
-
-/// [`conv2d_backward`] forced onto the im2col + GEMM strategy, regardless
-/// of problem size. Exposed for differential tests and benches.
-pub fn conv2d_backward_im2col(
-    input: &Tensor,
-    weight: &Tensor,
-    grad: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> Result<(Tensor, Tensor, Tensor), TensorError> {
-    with_dx(conv2d_backward_impl(input, weight, grad, stride, pad, true, Some(true)))
+    with_dx(backward_with(backward_direct, input, weight, grad, stride, pad, true))
 }
 
 /// [`conv2d_backward`] for a caller that may not need the input gradient
 /// (the lowest trainable layer of a fine-tuned network): with
 /// `need_dx == false` the `d_input` slot is `None` and the work behind it
-/// — the lowering's `Wᵀ · dY` product and col2im, the direct loops'
-/// scatter — is not done. `d_weight` / `d_bias` are bitwise what
-/// [`conv2d_backward`] returns.
+/// — the `Wᵀ · dY` product and col2im — is not done. `d_weight` / `d_bias`
+/// are bitwise what [`conv2d_backward`] returns.
 pub fn conv2d_backward_ex(
     input: &Tensor,
     weight: &Tensor,
@@ -449,7 +389,7 @@ pub fn conv2d_backward_ex(
     pad: usize,
     need_dx: bool,
 ) -> Result<(Option<Tensor>, Tensor, Tensor), TensorError> {
-    conv2d_backward_impl(input, weight, grad, stride, pad, need_dx, None)
+    backward_with(backward_lowered, input, weight, grad, stride, pad, need_dx)
 }
 
 fn with_dx(
@@ -465,39 +405,39 @@ fn add_into(acc: &mut [f32], part: &[f32]) {
     }
 }
 
-/// Runs `f(unit, that unit's chunk of dx)` for `units` consecutive units
-/// — on the pool when `fan_out`, inline otherwise — and returns the
-/// results in unit order.
+/// Runs `f(unit, that unit's chunk of dx)` for `units` consecutive units on
+/// the pool and returns the results in unit order.
 fn map_units<R: Send>(
     units: usize,
     dx: Option<&mut [f32]>,
     chunk: usize,
-    fan_out: bool,
     f: impl Fn(usize, Option<&mut [f32]>) -> R + Sync,
 ) -> Vec<R> {
     let mut chunks = dx.map(|d| d.chunks_mut(chunk.max(1)));
-    let mut next_chunk = || chunks.as_mut().and_then(Iterator::next);
-    if !fan_out {
-        return (0..units).map(|u| f(u, next_chunk())).collect();
-    }
     let f = &f;
     let tasks: Vec<Box<dyn FnOnce() -> R + Send + '_>> = (0..units)
         .map(|u| {
-            let dx_u = next_chunk();
+            let dx_u = chunks.as_mut().and_then(Iterator::next);
             Box::new(move || f(u, dx_u)) as Box<dyn FnOnce() -> R + Send + '_>
         })
         .collect();
     pool::join_all(tasks)
 }
 
-fn conv2d_backward_impl(
+/// The gradient kernels' shared signature: geometry, `x`, `w`, `dY`, then
+/// the zeroed `dX` (when wanted), `dW` and `db` to accumulate into.
+type BackwardKernel =
+    fn(ConvGeom, &[f32], &[f32], &[f32], Option<&mut [f32]>, &mut [f32], &mut [f32]);
+
+/// Validates one backward call and runs `kernel` over zeroed gradients.
+fn backward_with(
+    kernel: BackwardKernel,
     input: &Tensor,
     weight: &Tensor,
     grad: &Tensor,
     stride: usize,
     pad: usize,
     need_dx: bool,
-    force_im2col: Option<bool>,
 ) -> Result<(Option<Tensor>, Tensor, Tensor), TensorError> {
     let cg = ConvGeom::new(input, weight, stride, pad)?;
     let want = [cg.b, cg.c_out, cg.oh, cg.ow];
@@ -512,11 +452,7 @@ fn conv2d_backward_impl(
     let mut dw = vec![0.0f32; wt.len()];
     let mut db = vec![0.0f32; cg.c_out];
     if cg.macs() > 0 {
-        if force_im2col.unwrap_or(cg.macs() >= IM2COL_THRESHOLD) {
-            backward_lowered(cg, x, wt, g, dx.as_deref_mut(), &mut dw, &mut db);
-        } else {
-            backward_direct(cg, x, wt, g, dx.as_deref_mut(), &mut dw, &mut db);
-        }
+        kernel(cg, x, wt, g, dx.as_deref_mut(), &mut dw, &mut db);
     }
     Ok((
         dx.map(|dx| Tensor::from_vec(input.shape().clone(), dx)).transpose()?,
@@ -525,10 +461,8 @@ fn conv2d_backward_impl(
     ))
 }
 
-/// Direct strategy: image `n` owns its dx slice exclusively and
-/// accumulates local dw/db copies, merged afterwards in image order.
-/// Sequential and pooled execution share this structure, so they are
-/// bit-identical at any thread count.
+/// Direct reference: image by image, each scattering into its own dx
+/// slice and into local dw/db copies merged in image order.
 #[allow(clippy::needless_range_loop)]
 fn backward_direct(
     cg: ConvGeom,
@@ -580,7 +514,9 @@ fn backward_direct(
         }
         (dw_n, db_n)
     };
-    for (dw_n, db_n) in map_units(cg.b, dx, cg.image_in(), cg.fans_out(), image_grads) {
+    let mut dx_images = dx.map(|d| d.chunks_mut(cg.image_in()));
+    for n in 0..cg.b {
+        let (dw_n, db_n) = image_grads(n, dx_images.as_mut().and_then(Iterator::next));
         add_into(dw, &dw_n);
         add_into(db, &db_n);
     }
@@ -673,7 +609,7 @@ fn backward_lowered(
         }
         return;
     }
-    let slotted = map_units(groups, dx, gsz * cg.image_in(), true, |gi, dx_group| {
+    let slotted = map_units(groups, dx, gsz * cg.image_in(), |gi, dx_group| {
         let gn = gsz.min(cg.b - gi * gsz);
         let (mut dws, mut dbs) = (vec![0.0f32; gn * wlen], vec![0.0f32; gn * c_out]);
         run_group(gi, dx_group, &mut dws, &mut dbs, true);
@@ -810,7 +746,7 @@ mod tests {
         let w = Tensor::ones([2, 3, 1, 1]);
         for shape in [[2usize, 3, 0, 4], [2, 3, 4, 0]] {
             let x = Tensor::zeros(shape);
-            assert!(matches!(conv2d_im2col(&x, &w, &Tensor::zeros([2]), 1, 1), Err(TensorError::Incompatible(_))));
+            assert!(matches!(conv2d(&x, &w, &Tensor::zeros([2]), 1, 1), Err(TensorError::Incompatible(_))));
         }
         let none = Tensor::zeros([2, 0, 4, 4]);
         assert!(conv2d(&none, &Tensor::ones([2, 0, 1, 1]), &Tensor::zeros([2]), 1, 0).is_err());
@@ -822,9 +758,9 @@ mod tests {
         let g = Tensor::ones([2, 5, 4, 4]);
         for wc_in in [2usize, 4] {
             let w = Tensor::ones([5, wc_in, 3, 3]);
-            for force in [Some(false), Some(true), None] {
-                let got = conv2d_backward_impl(&x, &w, &g, 1, 1, true, force);
-                assert!(matches!(got, Err(TensorError::Incompatible(_))), "in-channels {wc_in}, {force:?}");
+            for backward in [conv2d_backward, conv2d_backward_direct] {
+                let got = backward(&x, &w, &g, 1, 1);
+                assert!(matches!(got, Err(TensorError::Incompatible(_))), "in-channels {wc_in}");
             }
         }
     }
@@ -836,9 +772,9 @@ mod tests {
         // Output of stride 2 / pad 1 is 4×4; these are other convolutions'.
         for shape in [[2usize, 5, 8, 8], [2, 5, 4, 3], [1, 5, 4, 4], [2, 4, 4, 4]] {
             let g = Tensor::ones(shape);
-            for force in [Some(false), Some(true)] {
-                let got = conv2d_backward_impl(&x, &w, &g, 2, 1, true, force);
-                assert!(matches!(got, Err(TensorError::Incompatible(_))), "{shape:?}, {force:?}");
+            for backward in [conv2d_backward, conv2d_backward_direct] {
+                let got = backward(&x, &w, &g, 2, 1);
+                assert!(matches!(got, Err(TensorError::Incompatible(_))), "{shape:?}");
             }
         }
         assert!(conv2d_backward(&x, &w, &Tensor::ones([2, 5, 4, 4]), 2, 1).is_ok());
@@ -1080,16 +1016,15 @@ mod tests {
     fn check(c: Case) {
         let (x, w, bias, dy) = c.operands();
         let want = reference_forward(&x, &w, &bias, c.stride, c.pad);
-        let got = conv2d_im2col(&x, &w, &bias, c.stride, c.pad).unwrap();
+        let got = conv2d(&x, &w, &bias, c.stride, c.pad).unwrap();
         assert_eq!(bits(got.data()), bits(want.data()), "forward {c:?}");
 
         let [want_dx, want_dw, want_db] = reference_backward(&x, &w, &dy, c.stride, c.pad);
-        let (dx, dw, db) = conv2d_backward_im2col(&x, &w, &dy, c.stride, c.pad).unwrap();
+        let (dx, dw, db) = conv2d_backward(&x, &w, &dy, c.stride, c.pad).unwrap();
         assert_eq!(bits(dx.data()), bits(&want_dx), "dX {c:?}");
         assert_eq!(bits(dw.data()), bits(&want_dw), "dW {c:?}");
         assert_eq!(bits(db.data()), bits(&want_db), "db {c:?}");
-        let (none, dw, db) =
-            conv2d_backward_impl(&x, &w, &dy, c.stride, c.pad, false, Some(true)).unwrap();
+        let (none, dw, db) = conv2d_backward_ex(&x, &w, &dy, c.stride, c.pad, false).unwrap();
         assert!(none.is_none());
         assert_eq!(bits(dw.data()), bits(&want_dw), "dW without dX {c:?}");
         assert_eq!(bits(db.data()), bits(&want_db), "db without dX {c:?}");
@@ -1170,34 +1105,48 @@ mod tests {
         }
     }
 
-    /// Through the GEMM lowering an image's bits do not depend on its
-    /// batch-mates: the first `k` images of a batch of `n` are the batch
-    /// of `k`. (Not true of [`conv2d`] as a whole, whose direct-vs-GEMM
-    /// choice is made on whole-batch work — see DESIGN.md.)
+    /// An image's bits do not depend on its batch-mates: the first `k`
+    /// images of a batch of `n` are the batch of `k`, forward and `dX`,
+    /// through the public entry points. The three fixed cases are the
+    /// MiniResNet projection shapes whose whole-batch work crossed the old
+    /// direct-vs-lowered threshold between a batch of 4 and one of 24.
     #[test]
     fn lowered_batch_prefix_bitwise_vs_reference() {
         use nautilus_util::prop::{prop_check, usizes};
-        let gen = (usizes(1..33), usizes(1..33), usizes(1..9), usizes(0..8));
-        prop_check(0xBA7C4, 24, &gen, |&(c_in, c_out, hw, variant)| {
-            let (k, stride, pad) = [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)][variant % 4];
-            let bias = variant >= 4;
+        let prefix_holds = |c_in: usize, c_out: usize, hw: usize, k: usize, stride: usize, pad: usize, bias: bool| {
             for n in [8usize, 24] {
-                let big = Case { b: n, c_in, c_out, hw, k, stride, pad, bias };
-                let (x, w, bias, _) = big.operands();
-                let full = conv2d_im2col(&x, &w, &bias, stride, pad).map_err(|e| e.to_string())?;
-                let image_out = full.len() / n;
+                let (x, w, bias, dy) = Case { b: n, c_in, c_out, hw, k, stride, pad, bias }.operands();
+                let full = conv2d(&x, &w, &bias, stride, pad).map_err(|e| e.to_string())?;
+                let (full_dx, ..) = conv2d_backward(&x, &w, &dy, stride, pad).map_err(|e| e.to_string())?;
+                let (image_in, image_out) = (x.len() / n, full.len() / n);
                 for prefix in [1usize, 4] {
-                    let head = x.data()[..prefix * c_in * hw * hw].to_vec();
-                    let head = Tensor::from_vec([prefix, c_in, hw, hw], head).unwrap();
-                    let alone =
-                        conv2d_im2col(&head, &w, &bias, stride, pad).map_err(|e| e.to_string())?;
+                    let head = |t: &Tensor, per: usize| {
+                        let mut dims = t.shape().0.clone();
+                        dims[0] = prefix;
+                        Tensor::from_vec(dims, t.data()[..prefix * per].to_vec()).unwrap()
+                    };
+                    let (hx, hdy) = (head(&x, image_in), head(&dy, image_out));
+                    let alone = conv2d(&hx, &w, &bias, stride, pad).map_err(|e| e.to_string())?;
                     nautilus_util::prop_assert_eq!(
                         bits(alone.data()),
                         bits(&full.data()[..prefix * image_out])
                     );
+                    let (dx, ..) = conv2d_backward(&hx, &w, &hdy, stride, pad).map_err(|e| e.to_string())?;
+                    nautilus_util::prop_assert_eq!(
+                        bits(dx.data()),
+                        bits(&full_dx.data()[..prefix * image_in])
+                    );
                 }
             }
             Ok(())
+        };
+        for (c_in, c_out, hw, k, pad) in [(8, 16, 16, 1, 0), (24, 32, 4, 3, 1), (16, 24, 8, 1, 0)] {
+            prefix_holds(c_in, c_out, hw, k, 2, pad, true).unwrap_or_else(|e: String| panic!("{e}"));
+        }
+        let gen = (usizes(1..33), usizes(1..33), usizes(1..9), usizes(0..8));
+        prop_check(0xBA7C4, 24, &gen, |&(c_in, c_out, hw, variant)| {
+            let (k, stride, pad) = [(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)][variant % 4];
+            prefix_holds(c_in, c_out, hw, k, stride, pad, variant >= 4)
         });
     }
 

@@ -265,15 +265,17 @@ pub fn kernel_info() -> (KernelKind, Blocking) {
     (kind, blocking_for(kind))
 }
 
-/// Work threshold (in multiply-adds, `m·k·n`) above which the blocked
-/// engine beats the naive row kernel for the given microkernel. The FMA
-/// kernel amortizes packing sooner (its compute loop is ~2× denser), so
-/// its crossover sits one octave below the safe kernel's. Both values are
-/// validated against the kernel table by the `gemm_fma` bench gate.
+/// Work threshold (in multiply-adds, `m·k·n`) at and above which a product
+/// always runs the blocked engine. Below it the safe kernel may take the
+/// naive row loops, which — for a shared dimension within one `kc` block —
+/// are the same float expression per element, so the crossover is a pure
+/// performance choice. The FMA kernel has no naive arm: a multiply followed
+/// by an add rounds twice and can never equal the fused engine, so its
+/// threshold is 0 and every product runs the engine.
 pub fn dispatch_threshold(kind: KernelKind) -> usize {
     match kind {
         KernelKind::Safe => 1 << 17,
-        KernelKind::Fma => 1 << 16,
+        KernelKind::Fma => 0,
     }
 }
 
@@ -549,10 +551,8 @@ fn gemm_task_safe(
         }
         jc += blk.nc;
     }
-    if telemetry::enabled() {
-        telemetry::GEMM_PACK_BYTES.add(pack_bytes);
-        telemetry::GEMM_MICROKERNEL_CALLS.add(mk_calls);
-    }
+    telemetry::GEMM_PACK_BYTES.add(pack_bytes);
+    telemetry::GEMM_MICROKERNEL_CALLS.add(mk_calls);
 }
 
 /// The FMA kernel's loop nest: the same MC/KC/NC structure as
@@ -627,10 +627,8 @@ fn gemm_task_fma(
         }
         jc += blk.nc;
     }
-    if telemetry::enabled() {
-        telemetry::GEMM_PACK_BYTES.add(pack_bytes);
-        telemetry::GEMM_MICROKERNEL_CALLS.add(mk_calls);
-    }
+    telemetry::GEMM_PACK_BYTES.add(pack_bytes);
+    telemetry::GEMM_MICROKERNEL_CALLS.add(mk_calls);
 }
 
 /// Degrades an explicit FMA request to Safe when the host can't run it, so

@@ -7,37 +7,46 @@
 //!
 //! [`matmul_ex`] is the single entry point owning transpose dispatch,
 //! kernel selection, and FLOP accounting; [`matmul`]/[`matmul_ta`]/
-//! [`matmul_tb`] are thin wrappers over it. Two physical kernels back it:
+//! [`matmul_tb`] are thin wrappers over it.
 //!
-//! * **Blocked packed GEMM** ([`crate::ops::gemm`]) for products with at
-//!   least [`GEMM_THRESHOLD`] multiply-adds: a cache-blocked loop nest over
-//!   packed panels with an 8×8 register microkernel. Transposes are folded
-//!   into the packing step, so all four [`MatmulSpec`] combinations take
-//!   the same fast path. Large products fan out over the shared
-//!   [`nautilus_util::pool`] with bit-identical results at any thread
-//!   width; rounding may differ from the naive kernels (each output
-//!   element still sums `k` ascending, but in KC-sized register-resident
-//!   partials).
-//! * **Naive sequential loops** below the threshold, where packing
-//!   overhead would dominate: `i-k-j` saxpy for the plain case and
-//!   specialized loops for the transposed cases.
+//! **The summation contract.** On a given microkernel every product element
+//! is the `k`-ascending chain from `+0.0`, in `kc`-sized partials added in
+//! block order. Two physical kernels back [`matmul_ex`] and both satisfy it:
+//!
+//! * **Blocked packed GEMM** ([`crate::ops::gemm`]): a cache-blocked loop
+//!   nest over packed panels with a register microkernel. Transposes are
+//!   folded into the packing step, so all four [`MatmulSpec`] combinations
+//!   take the same path. Large products fan out over the shared
+//!   [`nautilus_util::pool`] with bit-identical results at any thread width.
+//! * **Naive sequential loops** (`i-k-j` saxpy and its transposed forms),
+//!   which skip the packing traffic. They run only where they are the *same
+//!   float expression* as the engine ([`runs_blocked`]): below the kernel's
+//!   work threshold **and** with the shared dimension inside one `kc` block
+//!   — a single partial, and `0.0 + chain` is the chain because a chain
+//!   started at `+0.0` never ends at `-0.0`. The `a == 0` skips drop `±0`
+//!   addends from such a chain, which is bit-neutral for finite operands.
+//!   The FMA kernel's threshold is 0: a separate multiply and add can never
+//!   equal a fused one, so under it every product runs the engine.
+//!
+//! Which kernel serves a product therefore never changes a bit of it: a
+//! record's rows are the same alone or stacked into a batch, and the
+//! threshold is a pure performance choice.
 //!
 //! Output buffers come from the thread-local [`nautilus_util::scratch`]
 //! arena, so the training loop's matmuls stop hitting the allocator once
 //! the arena is warm.
 
-use crate::ops::dispatch::effective_work;
-use crate::ops::gemm::{self, MatRef};
+use crate::ops::gemm::{self, KernelKind, MatRef};
 use crate::{Tensor, TensorError};
 use nautilus_util::{scratch, telemetry};
 
-/// Multiply-add count at and above which [`matmul_ex`] lowers to the
-/// blocked packed GEMM engine *when running the safe kernel*; below it the
-/// naive loops win because the packing traffic is not amortized. The live
-/// crossover is [`gemm_threshold`], which consults the resolved kernel —
-/// the FMA microkernel amortizes packing one octave sooner. This constant
-/// is kept as the documented safe-kernel value (and for callers sizing
-/// test workloads against the safe default).
+/// Multiply-add count at and above which [`matmul_ex`] always runs the
+/// blocked packed GEMM engine *on the safe kernel*; below it the naive
+/// loops win (where [`runs_blocked`] admits them) because the packing traffic
+/// is not amortized. The live crossover is [`gemm_threshold`], which
+/// consults the resolved kernel — 0 under FMA. This constant is kept as the
+/// documented safe-kernel value (and for callers sizing test workloads
+/// against the safe default).
 pub const GEMM_THRESHOLD: usize = 1 << 17;
 
 /// The multiply-add crossover the next [`matmul_ex`] call dispatches with:
@@ -46,6 +55,15 @@ pub const GEMM_THRESHOLD: usize = 1 << 17;
 /// unit test so the constant and the table cannot drift apart).
 pub fn gemm_threshold() -> usize {
     gemm::dispatch_threshold(gemm::resolved_kernel())
+}
+
+/// Whether a product of `work` multiply-adds over shared dimension `k` runs
+/// the blocked engine under `kernel`. The naive loops serve the rest: small
+/// enough that packing would dominate **and** `k` within one `kc` block,
+/// where naive and blocked are the same float expression (see the module
+/// docs).
+pub(crate) fn runs_blocked(kernel: KernelKind, work: usize, k: usize) -> bool {
+    work >= gemm::dispatch_threshold(kernel) || k > gemm::blocking_for(kernel).kc
 }
 
 /// Counts one kernel-dispatch decision in the labeled `gemm.kernel{path=}`
@@ -136,17 +154,29 @@ fn matmul_tb_rows(ad: &[f32], bd: &[f32], out: &mut [f32], n: usize, k: usize) {
     }
 }
 
+/// `C[m,n] = Aᵀ · Bᵀ` for `a` stored `(k, m)` and `b` stored `(n, k)`:
+/// `Cᵀ = B · A` with the plain kernel, then transposed into `out`.
+fn matmul_tt_rows(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    let mut c = vec![0.0f32; n * m];
+    matmul_rows(bd, ad, &mut c, k, m);
+    for (r, crow) in c.chunks_exact(m).enumerate() {
+        for (cix, &v) in crow.iter().enumerate() {
+            out[cix * n + r] = v;
+        }
+    }
+}
+
 /// General matrix multiplication: `C = op(A) · op(B)` where `op` optionally
 /// transposes per [`MatmulSpec`].
 ///
 /// `a` is flattened as `(outer, last)` via [`Tensor::as_matrix`]. The
 /// result keeps `a`'s outer axes (plain / `transpose_b`) or is the 2-D
-/// `(k, n)` gradient shape (`transpose_a`). Products past
-/// [`GEMM_THRESHOLD`] run on the blocked packed GEMM engine (parallel when
-/// large, bit-identical at any thread width).
+/// `(k, n)` gradient shape (`transpose_a`). Small products with a short
+/// shared dimension run the naive loops, everything else the blocked packed
+/// GEMM engine (parallel when large) — with the same bits either way and
+/// at any thread width.
 pub fn matmul_ex(a: &Tensor, b: &Tensor, spec: MatmulSpec) -> Result<Tensor, TensorError> {
     let kernel = gemm::resolved_kernel();
-    let threshold = gemm::dispatch_threshold(kernel);
     match (spec.transpose_a, spec.transpose_b) {
         (false, false) => {
             let (m, k, ad) = a.as_matrix();
@@ -158,7 +188,7 @@ pub fn matmul_ex(a: &Tensor, b: &Tensor, spec: MatmulSpec) -> Result<Tensor, Ten
                 )));
             }
             let mut out = scratch::take_vec(m * n);
-            if effective_work(m * k * n) >= threshold {
+            if runs_blocked(kernel, m * k * n, k) {
                 count_dispatch(kernel.as_str());
                 gemm::gemm_with(kernel, m, k, n, MatRef::row_major(ad, k), MatRef::row_major(bd, n), &mut out);
             } else {
@@ -177,7 +207,8 @@ pub fn matmul_ex(a: &Tensor, b: &Tensor, spec: MatmulSpec) -> Result<Tensor, Ten
                 )));
             }
             let mut out = scratch::take_vec(k * n);
-            if effective_work(m * k * n) >= threshold {
+            // The shared dimension of `aᵀ · b` is `m`, the stored row count.
+            if runs_blocked(kernel, m * k * n, m) {
                 count_dispatch(kernel.as_str());
                 // Effective A' = aᵀ: (k, m) view over the (m, k) buffer.
                 gemm::gemm_with(kernel, k, m, n, MatRef::transposed(ad, k), MatRef::row_major(bd, n), &mut out);
@@ -197,7 +228,8 @@ pub fn matmul_ex(a: &Tensor, b: &Tensor, spec: MatmulSpec) -> Result<Tensor, Ten
                 )));
             }
             let mut out = scratch::take_vec(m * k);
-            if effective_work(m * k * n) >= threshold {
+            // Here the shared dimension is `n`, the operands' common width.
+            if runs_blocked(kernel, m * k * n, n) {
                 count_dispatch(kernel.as_str());
                 // Effective B' = bᵀ: (n, k) buffer read as (n → k, cols).
                 gemm::gemm_with(kernel, m, n, k, MatRef::row_major(ad, n), MatRef::transposed(bd, n), &mut out);
@@ -218,7 +250,7 @@ pub fn matmul_ex(a: &Tensor, b: &Tensor, spec: MatmulSpec) -> Result<Tensor, Ten
             }
             let (m, k, n) = (ak, am, bm);
             let mut out = scratch::take_vec(m * n);
-            if effective_work(m * k * n) >= threshold {
+            if runs_blocked(kernel, m * k * n, k) {
                 count_dispatch(kernel.as_str());
                 gemm::gemm_with(
                     kernel,
@@ -231,14 +263,7 @@ pub fn matmul_ex(a: &Tensor, b: &Tensor, spec: MatmulSpec) -> Result<Tensor, Ten
                 );
             } else {
                 count_dispatch("naive");
-                // Cᵀ = B · A: compute with the plain kernel, then transpose.
-                let mut c = vec![0.0f32; n * m];
-                matmul_rows(bd, ad, &mut c, bn, ak);
-                for r in 0..n {
-                    for cix in 0..m {
-                        out[cix * n + r] = c[r * m + cix];
-                    }
-                }
+                matmul_tt_rows(ad, bd, &mut out, m, k, n);
             }
             Tensor::from_vec([m, n], out)
         }
@@ -330,6 +355,65 @@ mod tests {
         });
     }
 
+    /// The summation contract, both halves. (1) Within one `KC` block the
+    /// naive row loops are the safe engine's float expression, for all
+    /// four transpose forms. (2) Past one `kc` block — and, under FMA, at
+    /// every `k` — `matmul_ex` is served by the resolved kernel's engine
+    /// however small the product.
+    #[test]
+    fn naive_equals_blocked_bitwise_vs_reference() {
+        use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
+        use nautilus_util::prop::{prop_check, u64s, usizes};
+        use nautilus_util::{prop_assert, prop_assert_eq};
+        const FORMS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+        // The engine's views of `op(A)` = (m, k) and `op(B)` = (k, n) as stored.
+        fn views<'a>(ta: bool, tb: bool, x: &'a [f32], y: &'a [f32], (m, k, n): (usize, usize, usize)) -> (MatRef<'a>, MatRef<'a>) {
+            (
+                if ta { MatRef::transposed(x, m) } else { MatRef::row_major(x, k) },
+                if tb { MatRef::transposed(y, k) } else { MatRef::row_major(y, n) },
+            )
+        }
+        let gen = (usizes(1..41), usizes(1..41), usizes(0..4), u64s(0..u64::MAX));
+        prop_check(0x5C_0417, 48, &gen, |&(m, n, ki, seed)| {
+            let k = [1, 7, gemm::KC - 1, gemm::KC][ki];
+            let (x, y) = (salted(seed, m * k), salted(seed ^ 0xB, k * n));
+            for (ta, tb) in FORMS {
+                let mut naive = vec![0.0f32; m * n];
+                match (ta, tb) {
+                    (false, false) => matmul_rows(&x, &y, &mut naive, k, n),
+                    (true, false) => matmul_ta_rows(&x, &y, &mut naive, k, m, n),
+                    (false, true) => matmul_tb_rows(&x, &y, &mut naive, k, n),
+                    (true, true) => matmul_tt_rows(&x, &y, &mut naive, m, k, n),
+                }
+                let (ar, br) = views(ta, tb, &x, &y, (m, k, n));
+                let mut blocked = vec![0.0f32; m * n];
+                gemm::gemm_with(KernelKind::Safe, m, k, n, ar, br, &mut blocked);
+                prop_assert_eq!(bits(&naive), bits(&blocked));
+            }
+            Ok(())
+        });
+
+        let (kernel, blk) = gemm::kernel_info();
+        let gen = (usizes(1..16), usizes(1..16), usizes(0..4), u64s(0..u64::MAX));
+        prop_check(0x5C_0418, 32, &gen, |&(m, n, ki, seed)| {
+            let k = [1, 7, blk.kc + 2, 2 * blk.kc + 1][ki];
+            let work = m * k * n;
+            prop_assert!(kernel != KernelKind::Safe || work < GEMM_THRESHOLD, "sizing: below the work threshold");
+            prop_assert_eq!(runs_blocked(kernel, work, k), kernel == KernelKind::Fma || k > blk.kc);
+            let (x, y) = (salted(seed, m * k), salted(seed ^ 0xB, k * n));
+            for (ta, tb) in FORMS {
+                let a = Tensor::from_vec(if ta { [k, m] } else { [m, k] }, x.clone()).unwrap();
+                let b = Tensor::from_vec(if tb { [n, k] } else { [k, n] }, y.clone()).unwrap();
+                let got = matmul_ex(&a, &b, MatmulSpec { transpose_a: ta, transpose_b: tb }).unwrap();
+                let (ar, br) = views(ta, tb, &x, &y, (m, k, n));
+                let mut want = vec![0.0f32; m * n];
+                gemm::gemm_with(kernel, m, k, n, ar, br, &mut want);
+                prop_assert_eq!(bits(got.data()), bits(&want));
+            }
+            Ok(())
+        });
+    }
+
     #[test]
     fn matmul_2x2_hand_checked() {
         let a = t(&[2, 2], &[1.0, 2.0, 3.0, 4.0]);
@@ -381,13 +465,13 @@ mod tests {
     }
 
     /// The documented safe-kernel constant and the live dispatch table
-    /// must agree, and the FMA crossover must sit below it (denser compute
-    /// amortizes packing sooner) — so `gemm_threshold()` never silently
-    /// drifts from what callers sized their workloads against.
+    /// must agree — so `gemm_threshold()` never silently drifts from what
+    /// callers sized their workloads against — and the FMA kernel must have
+    /// no naive arm at all.
     #[test]
     fn threshold_table_matches_legacy_constant_for_safe() {
         assert_eq!(gemm::dispatch_threshold(gemm::KernelKind::Safe), GEMM_THRESHOLD);
-        assert!(gemm::dispatch_threshold(gemm::KernelKind::Fma) < GEMM_THRESHOLD);
+        assert_eq!(gemm::dispatch_threshold(gemm::KernelKind::Fma), 0);
         let live = gemm_threshold();
         let (kind, _) = gemm::kernel_info();
         assert_eq!(live, gemm::dispatch_threshold(kind));
@@ -416,7 +500,7 @@ mod tests {
 
     /// The blocked dispatch (all four transpose combos, sizes past
     /// `GEMM_THRESHOLD`) must match the naive reference within relative
-    /// tolerance — the kernels may legitimately differ in rounding.
+    /// tolerance — under the FMA kernel the two differ in rounding.
     #[test]
     fn blocked_dispatch_matches_naive_reference() {
         use crate::init::{randn, seeded_rng};
@@ -448,36 +532,6 @@ mod tests {
                     "combo ({ta},{tb})[{i}]: blocked {x} vs naive {y}"
                 );
             }
-        }
-    }
-
-    /// With the batch-invariant divisor installed, a stacked batch whose
-    /// *total* work crosses `GEMM_THRESHOLD` (but whose per-record work
-    /// does not) keeps the naive kernel — so every record's rows are
-    /// bit-identical to multiplying that record alone.
-    #[test]
-    fn batch_invariant_dispatch_pins_kernel_choice() {
-        use crate::init::{randn, seeded_rng};
-        use crate::ops::with_batch_invariant_dispatch;
-        let mut rng = seeded_rng(11);
-        let (recs, rows, k, n) = (16usize, 8usize, 64usize, 64usize);
-        assert!(recs * rows * k * n >= GEMM_THRESHOLD, "stacked work must cross");
-        assert!(rows * k * n < GEMM_THRESHOLD, "per-record work must not");
-        let b = randn([k, n], 1.0, &mut rng);
-        let records: Vec<Tensor> = (0..recs).map(|_| randn([rows, k], 1.0, &mut rng)).collect();
-        let mut stacked = Vec::new();
-        for r in &records {
-            stacked.extend_from_slice(r.data());
-        }
-        let stacked = Tensor::from_vec([recs, rows, k], stacked).unwrap();
-        let pinned = with_batch_invariant_dispatch(recs, || matmul(&stacked, &b).unwrap());
-        for (i, r) in records.iter().enumerate() {
-            let solo = matmul(r, &b).unwrap();
-            assert_eq!(
-                &pinned.data()[i * solo.len()..(i + 1) * solo.len()],
-                solo.data(),
-                "record {i} diverged from its solo product"
-            );
         }
     }
 

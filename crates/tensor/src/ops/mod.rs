@@ -7,7 +7,6 @@
 
 pub mod attention;
 pub mod conv;
-pub mod dispatch;
 pub mod elementwise;
 pub mod gemm;
 pub mod matmul;
@@ -18,9 +17,8 @@ pub mod reduce;
 pub use attention::{attention_backward, attention_forward, AttnDims};
 pub use conv::{
     avg_pool2d_global, conv2d, conv2d_backward, conv2d_backward_direct, conv2d_backward_ex,
-    conv2d_backward_im2col, conv2d_direct, conv2d_im2col, max_pool2d, max_pool2d_backward,
+    conv2d_direct, max_pool2d, max_pool2d_backward,
 };
-pub use dispatch::with_batch_invariant_dispatch;
 pub use elementwise::{add, add_assign, axpy, hadamard, scale, sub};
 pub use gemm::MatRef;
 pub use matmul::{matmul, matmul_ex, matmul_ex_flops, matmul_ta, matmul_tb, MatmulSpec};

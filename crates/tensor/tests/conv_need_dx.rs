@@ -2,14 +2,15 @@
 //! compute one.
 //!
 //! `conv2d_backward_ex(.., need_dx = false)` must return the bits of the
-//! full backward for `dW` / `db` and skip the work behind `dX` — on the
-//! GEMM lowering that is the group's `Wᵀ · dY` product, visible as strictly
-//! fewer `gemm.microkernel_calls`.
+//! full backward for `dW` / `db` and skip the work behind `dX` — the
+//! group's `Wᵀ · dY` product, visible as strictly fewer
+//! `gemm.microkernel_calls` at every size (the counter needs metrics on,
+//! not tracing).
 //!
 //! One `#[test]` in a binary of its own: the counter is process-global, so
 //! no other test may run GEMMs while it is being read.
 
-use nautilus_tensor::ops::conv::{conv_out_dim, IM2COL_THRESHOLD};
+use nautilus_tensor::ops::conv::conv_out_dim;
 use nautilus_tensor::ops::conv2d_backward_ex;
 use nautilus_tensor::Tensor;
 use nautilus_util::prop::{f32_bits, salted_f32s};
@@ -21,10 +22,10 @@ fn salted(seed: u64, shape: [usize; 4]) -> Tensor {
 
 #[test]
 fn dead_input_gradient_is_not_computed() {
-    telemetry::enable();
+    telemetry::enable_metrics();
     // (b, c_in, c_out, hw, k, stride, pad): the convolutions of a projecting
-    // MiniResNet block at the FTU shapes, a wide early layer, and one shape
-    // below the lowering threshold (direct loops: no GEMM either way).
+    // MiniResNet block at the FTU shapes, a wide early layer, and one tiny
+    // shape (lowered like the rest).
     let cases = [
         (8usize, 24usize, 32usize, 4usize, 3usize, 2usize, 1usize),
         (8, 32, 32, 2, 3, 1, 1),
@@ -34,7 +35,6 @@ fn dead_input_gradient_is_not_computed() {
     ];
     for (b, c_in, c_out, hw, k, stride, pad) in cases {
         let o = conv_out_dim(hw, k, stride, pad).unwrap();
-        let lowered = b * c_out * o * o * c_in * k * k >= IM2COL_THRESHOLD;
         let x = salted(1, [b, c_in, hw, hw]);
         let w = salted(2, [c_out, c_in, k, k]);
         let dy = salted(3, [b, c_out, o, o]);
@@ -49,13 +49,9 @@ fn dead_input_gradient_is_not_computed() {
         assert!(dx.is_some() && none.is_none(), "{ctx}");
         assert_eq!(f32_bits(dw_only.data()), f32_bits(dw.data()), "dW {ctx}");
         assert_eq!(f32_bits(db_only.data()), f32_bits(db.data()), "db {ctx}");
-        if lowered {
-            assert!(
-                calls_dead > 0 && calls_dead < calls_full,
-                "{ctx}: {calls_dead} microkernel calls without dX, {calls_full} with"
-            );
-        } else {
-            assert_eq!((calls_dead, calls_full), (0, 0), "{ctx}: direct loops run no GEMM");
-        }
+        assert!(
+            calls_dead > 0 && calls_dead < calls_full,
+            "{ctx}: {calls_dead} microkernel calls without dX, {calls_full} with"
+        );
     }
 }

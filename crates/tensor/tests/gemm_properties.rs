@@ -26,9 +26,7 @@
 //! Everything lives in one `#[test]` so `NAUTILUS_THREADS` is set exactly
 //! once, before the pool's first use, in a binary no other test shares.
 
-use nautilus_tensor::ops::conv::{
-    conv2d_backward_direct, conv2d_backward_im2col, conv2d_direct, conv2d_im2col,
-};
+use nautilus_tensor::ops::conv::{conv2d, conv2d_backward, conv2d_backward_direct, conv2d_direct};
 use nautilus_tensor::ops::gemm::{self, MatRef};
 use nautilus_tensor::Tensor;
 use nautilus_util::pool;
@@ -168,9 +166,8 @@ fn check_gemm(c: &GemmCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Random conv shapes; roughly a quarter cross [`IM2COL_THRESHOLD`] so the
-/// lowered path is what `conv2d` itself would pick, but both strategies are
-/// always invoked explicitly here.
+/// Random conv shapes, a quarter of them large: the lowering `conv2d` always
+/// runs against the direct reference loops.
 #[derive(Clone, Debug)]
 struct ConvCase {
     b: usize,
@@ -236,32 +233,32 @@ fn check_conv(c: &ConvCase) -> Result<(), String> {
     let ctx = format!("{c:?}");
 
     let direct = conv2d_direct(&x, &wt, &bias, c.stride, c.pad).map_err(|e| e.to_string())?;
-    let lowered = pool::with_parallelism_limit(1, || conv2d_im2col(&x, &wt, &bias, c.stride, c.pad))
+    let lowered = pool::with_parallelism_limit(1, || conv2d(&x, &wt, &bias, c.stride, c.pad))
         .map_err(|e| e.to_string())?;
     assert_close(lowered.data(), direct.data(), "conv2d", &ctx)?;
     for limit in [2usize, 8] {
-        let got = pool::with_parallelism_limit(limit, || conv2d_im2col(&x, &wt, &bias, c.stride, c.pad))
+        let got = pool::with_parallelism_limit(limit, || conv2d(&x, &wt, &bias, c.stride, c.pad))
             .map_err(|e| e.to_string())?;
-        prop_assert!(lowered.data() == got.data(), "conv2d_im2col bits diverged at limit {limit} for {ctx}");
+        prop_assert!(lowered.data() == got.data(), "conv2d bits diverged at limit {limit} for {ctx}");
     }
 
     let grad = filled(&mut rng, &lowered.shape().0);
     let (dxd, dwd, dbd) =
         conv2d_backward_direct(&x, &wt, &grad, c.stride, c.pad).map_err(|e| e.to_string())?;
     let (dxi, dwi, dbi) =
-        pool::with_parallelism_limit(1, || conv2d_backward_im2col(&x, &wt, &grad, c.stride, c.pad))
+        pool::with_parallelism_limit(1, || conv2d_backward(&x, &wt, &grad, c.stride, c.pad))
             .map_err(|e| e.to_string())?;
     assert_close(dxi.data(), dxd.data(), "conv dX", &ctx)?;
     assert_close(dwi.data(), dwd.data(), "conv dW", &ctx)?;
     assert_close(dbi.data(), dbd.data(), "conv db", &ctx)?;
     for limit in [2usize, 8] {
         let (gx, gw, gb) = pool::with_parallelism_limit(limit, || {
-            conv2d_backward_im2col(&x, &wt, &grad, c.stride, c.pad)
+            conv2d_backward(&x, &wt, &grad, c.stride, c.pad)
         })
         .map_err(|e| e.to_string())?;
         prop_assert!(
             dxi.data() == gx.data() && dwi.data() == gw.data() && dbi.data() == gb.data(),
-            "conv2d_backward_im2col bits diverged at limit {limit} for {ctx}"
+            "conv2d_backward bits diverged at limit {limit} for {ctx}"
         );
     }
     Ok(())

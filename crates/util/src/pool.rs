@@ -52,28 +52,6 @@ static PARALLELISM_LIMIT: AtomicUsize = AtomicUsize::new(0);
 std::thread_local! {
     /// Index of the pool worker running on this thread, if any.
     static WORKER_INDEX: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-
-    /// Batch-invariant kernel-dispatch divisor for this thread (1 = off).
-    /// The semantics live in `nautilus_tensor::ops::dispatch`; the slot
-    /// lives here because the divisor describes the *logical computation*,
-    /// not the thread: a job must run under the divisor of the code that
-    /// spawned it. [`Pool::push`] captures the spawner's value into every
-    /// job, so (a) batch-scoped jobs keep their divisor on whichever
-    /// worker runs them, and (b) a batch-scoped thread that executes
-    /// unrelated jobs while help-first waiting in [`run_scope`] does not
-    /// leak its divisor into them.
-    static DISPATCH_DIVISOR: std::cell::Cell<usize> = const { std::cell::Cell::new(1) };
-}
-
-/// This thread's batch-invariant dispatch divisor (1 = no scope active).
-pub fn dispatch_divisor() -> usize {
-    DISPATCH_DIVISOR.with(|c| c.get())
-}
-
-/// Installs `d` (clamped to ≥ 1) as this thread's dispatch divisor and
-/// returns the previous value so the caller can restore it.
-pub fn set_dispatch_divisor(d: usize) -> usize {
-    DISPATCH_DIVISOR.with(|c| c.replace(d.max(1)))
 }
 
 /// Index of the pool worker running the current thread (`None` off-pool).
@@ -210,21 +188,6 @@ impl Pool {
 
     fn push(&self, job: Job) {
         telemetry::POOL_TASKS.add(1);
-        // Jobs carry their spawner's dispatch divisor (see
-        // DISPATCH_DIVISOR): install it for the duration of the job and
-        // restore the executing thread's own value afterwards, even on
-        // unwind.
-        let divisor = dispatch_divisor();
-        let job: Job = Box::new(move || {
-            struct Restore(usize);
-            impl Drop for Restore {
-                fn drop(&mut self) {
-                    set_dispatch_divisor(self.0);
-                }
-            }
-            let _restore = Restore(set_dispatch_divisor(divisor));
-            job();
-        });
         let me = WORKER_INDEX.with(|w| w.get());
         match me {
             Some(i) => self.locals[i].lock().unwrap().push_back(job),
@@ -564,42 +527,6 @@ mod tests {
         with_parallelism_limit(1, || {
             assert!(aligned_chunk_len(1000, 8) >= 1000, "width 1 must not split");
         });
-    }
-
-    #[test]
-    fn jobs_run_under_their_spawners_dispatch_divisor() {
-        // Tasks spawned while a divisor is installed must observe that
-        // divisor on whichever thread runs them (worker or the help-first
-        // waiting spawner) — and the executing thread's own value must be
-        // restored afterwards.
-        let prev = set_dispatch_divisor(6);
-        let seen: Vec<usize> = join_all(
-            (0..32usize)
-                .map(|i| {
-                    Box::new(move || {
-                        // Enough work that tasks spread across threads.
-                        let mut acc = i;
-                        for _ in 0..2_000 {
-                            acc = std::hint::black_box(acc + 1) - 1;
-                        }
-                        let _ = acc;
-                        dispatch_divisor()
-                    }) as Box<dyn FnOnce() -> usize + Send>
-                })
-                .collect(),
-        );
-        set_dispatch_divisor(prev);
-        assert!(seen.iter().all(|&d| d == 6), "divisor leaked or lost: {seen:?}");
-
-        // With no divisor installed, tasks see the default even if some
-        // other thread is mid-scope (they capture at spawn time).
-        let seen: Vec<usize> = join_all(
-            (0..8usize)
-                .map(|_| Box::new(dispatch_divisor) as Box<dyn FnOnce() -> usize + Send>)
-                .collect(),
-        );
-        assert!(seen.iter().all(|&d| d == 1), "default divisor not 1: {seen:?}");
-        assert_eq!(dispatch_divisor(), 1, "caller divisor not restored");
     }
 
     #[test]

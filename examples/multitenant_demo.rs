@@ -23,7 +23,8 @@ use nautilus_repro::dnn::exec::{forward, BatchInputs};
 use nautilus_repro::dnn::ModelGraph;
 use nautilus_repro::models::bert::{adapter_model, BertConfig};
 use nautilus_repro::models::{personalize, BuildScale};
-use nautilus_repro::serve::{http, ModelRegistry, Server};
+use nautilus_repro::serve::{ModelRegistry, Server};
+use nautilus_repro::util::http;
 use nautilus_repro::tensor::Tensor;
 use nautilus_repro::util::json::Json;
 use std::sync::Arc;

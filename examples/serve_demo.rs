@@ -19,7 +19,8 @@ use nautilus_repro::core::workloads::{Scale, WorkloadKind, WorkloadSpec};
 use nautilus_repro::core::{BackendKind, NautilusError, Strategy};
 use nautilus_repro::dnn::checkpoint;
 use nautilus_repro::dnn::exec::{forward, BatchInputs};
-use nautilus_repro::serve::{http, ModelRegistry, Server};
+use nautilus_repro::serve::{ModelRegistry, Server};
+use nautilus_repro::util::http;
 use nautilus_repro::tensor::Tensor;
 use nautilus_repro::util::telemetry;
 use std::sync::Arc;

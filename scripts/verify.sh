@@ -58,11 +58,16 @@ cargo test -q --offline
 # differential test inside the suite compares the two directly). On
 # hardware without AVX2+FMA the fma run is skipped — dispatch sanitizes
 # the request down to `safe` there, so it would only repeat the first run.
+# The fma leg also runs the dnn unit tests: batch invariance per layer and
+# the `forward_batch*` bit-identity tests must hold on the fused kernel too
+# (tier-1 above proved them on `safe`).
 NAUTILUS_GEMM_KERNEL=safe \
     cargo test -q --offline -p nautilus-tensor --test gemm_properties
 if grep -qm1 avx2 /proc/cpuinfo && grep -qm1 fma /proc/cpuinfo; then
     NAUTILUS_GEMM_KERNEL=fma \
         cargo test -q --offline -p nautilus-tensor --test gemm_properties
+    NAUTILUS_GEMM_KERNEL=fma \
+        cargo test -q --offline -p nautilus-dnn --lib
 else
     echo "verify: skipping NAUTILUS_GEMM_KERNEL=fma property run (no AVX2+FMA)"
 fi

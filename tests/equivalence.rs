@@ -18,18 +18,21 @@ fn workdir(tag: &str) -> PathBuf {
     p
 }
 
-fn run(
+/// Two labeling cycles of the first `models` candidates of `kind` under
+/// `cfg`; returns the session and the per-cycle validation accuracies.
+fn run_session(
     kind: WorkloadKind,
     strategy: Strategy,
     models: usize,
     tag: &str,
-) -> (CycleAccuracies, f64) {
+    cfg: SystemConfig,
+) -> (ModelSelection, CycleAccuracies) {
     let spec = WorkloadSpec { kind, scale: Scale::Tiny };
     let mut candidates = spec.candidates().expect("workload builds");
     candidates.truncate(models);
     let mut session = ModelSelection::new(
         candidates,
-        SystemConfig::tiny(),
+        cfg,
         strategy,
         BackendKind::Real,
         workdir(&format!("{tag}-{}", strategy.label().replace('/', "_"))),
@@ -48,7 +51,30 @@ fn run(
         a.sort_by(|x, y| x.0.cmp(&y.0));
         acc.push(a);
     }
+    (session, acc)
+}
+
+fn run(
+    kind: WorkloadKind,
+    strategy: Strategy,
+    models: usize,
+    tag: &str,
+) -> (CycleAccuracies, f64) {
+    let (session, acc) = run_session(kind, strategy, models, tag, SystemConfig::tiny());
     (acc, session.stats().flops)
+}
+
+/// Every parameter of two models of one topology, bit for bit.
+fn assert_same_params(a: &nautilus_repro::dnn::ModelGraph, b: &nautilus_repro::dnn::ModelGraph, ctx: &str) {
+    assert_eq!(a.len(), b.len());
+    for idx in 0..a.len() {
+        let id = nautilus_repro::dnn::NodeId(idx);
+        let (na, nb) = (a.node(id), b.node(id));
+        assert_eq!(na.params.len(), nb.params.len(), "{ctx}: node {}", na.name);
+        for (pa, pb) in na.params.iter().zip(&nb.params) {
+            assert_eq!(pa.data(), pb.data(), "{ctx}: params differ at node {}", na.name);
+        }
+    }
 }
 
 #[test]
@@ -68,6 +94,41 @@ fn ftu_nautilus_matches_current_practice() {
     let (opt, opt_flops) = run(WorkloadKind::Ftu, Strategy::Nautilus, 3, "ftu");
     assert_eq!(base, opt);
     assert!(opt_flops < base_flops, "{opt_flops:.2e} vs {base_flops:.2e}");
+}
+
+/// The FTU equivalence must not depend on *which* convolutional layers the
+/// planner materializes: the materializer forwards a whole cycle in one
+/// call, the trainer forwards mini-batches, and an image's bits are the
+/// same in both. A ladder of disk budgets — nothing, only the cheapest
+/// materializable layer, everything the MILP wants — moves the materialized
+/// set; at every rung the accuracies and the exported best model's
+/// parameters equal Current Practice's bit for bit.
+#[test]
+fn ftu_equivalence_holds_whatever_the_planner_materializes() {
+    let tiny = SystemConfig::tiny;
+    let (base, base_acc) = run_session(WorkloadKind::Ftu, Strategy::CurrentPractice, 2, "ftu-ladder", tiny());
+    let (base_best, base_model) = base.export_best().expect("trained model exports");
+    let cheapest_layer = {
+        let multi = base.multi();
+        let per_record = multi.mat_candidates().iter().map(|&m| multi.node(m).profile.out_bytes).min();
+        per_record.expect("FTU has materializable layers") * base.max_records() as u64
+    };
+    let mut materialized = Vec::new();
+    for (rung, budget) in [0, cheapest_layer, tiny().disk_budget_bytes].into_iter().enumerate() {
+        let cfg = tiny().into_builder().disk_budget_bytes(budget).build();
+        let tag = format!("ftu-ladder{rung}");
+        let (opt, acc) = run_session(WorkloadKind::Ftu, Strategy::Nautilus, 2, &tag, cfg);
+        assert_eq!(acc, base_acc, "rung {rung} (budget {budget} B)");
+        let (best, model) = opt.export_best().expect("trained model exports");
+        assert_eq!(best, base_best, "rung {rung}: same best candidate");
+        assert_same_params(&base_model, &model, &tag);
+        materialized.push(opt.init_report().num_materialized);
+    }
+    assert_eq!(materialized[0], 0, "no budget, nothing materialized");
+    assert!(
+        materialized[0] < materialized[1] && materialized[1] < materialized[2],
+        "the ladder must move the materialized set: {materialized:?}"
+    );
 }
 
 /// Like [`run`] over one cycle, but over the first `models` candidates
@@ -107,10 +168,8 @@ fn export_best_is_bit_identical_across_strategies() {
     // The fused/materialized plan trains step-for-step identically to solo
     // training, so the *exported parameters* — mapped from the plan graph
     // back onto the candidate topology — must match Current Practice's
-    // bit for bit, layer by layer. On FTU (convolutions) that rests on the
-    // materialized layers being ones whose kernel choice does not change
-    // between a whole-cycle forward and a mini-batch one — see DESIGN.md
-    // "Batch invariance"; single-candidate sessions at both batch sizes.
+    // bit for bit, layer by layer — on FTU (convolutions) too, at both
+    // trainer batch sizes.
     let sessions = [
         (WorkloadKind::Ftr2, "", 3, "exp"),
         (WorkloadKind::Ftu, "FTU/tune12-b4-", 1, "exp-ftu-b4"),
@@ -120,15 +179,7 @@ fn export_best_is_bit_identical_across_strategies() {
         let (ci_base, base) = run_export(kind, prefix, models, Strategy::CurrentPractice, tag);
         let (ci_opt, opt) = run_export(kind, prefix, models, Strategy::Nautilus, tag);
         assert_eq!(ci_base, ci_opt, "{tag}: same best candidate");
-        assert_eq!(base.len(), opt.len());
-        for idx in 0..base.len() {
-            let id = nautilus_repro::dnn::NodeId(idx);
-            let (a, b) = (base.node(id), opt.node(id));
-            assert_eq!(a.params.len(), b.params.len(), "{tag}: node {}", a.name);
-            for (pa, pb) in a.params.iter().zip(&b.params) {
-                assert_eq!(pa.data(), pb.data(), "{tag}: params differ at node {}", a.name);
-            }
-        }
+        assert_same_params(&base, &opt, tag);
     }
 }
 

@@ -5,7 +5,7 @@
 use nautilus_repro::dnn::exec::{forward, BatchInputs};
 use nautilus_repro::dnn::graph::ParamInit;
 use nautilus_repro::dnn::{checkpoint, Activation, LayerKind, ModelGraph};
-use nautilus_repro::serve::http::{self, parse_request, Limits, ParseOutcome};
+use nautilus_repro::util::http::{self, parse_request, Limits, ParseOutcome};
 use nautilus_repro::serve::{MicroBatcher, ModelRegistry, Server};
 use nautilus_repro::tensor::init::seeded_rng;
 use nautilus_repro::tensor::Tensor;
