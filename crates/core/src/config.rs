@@ -14,35 +14,23 @@ pub struct PlannerCosts {
     pub disk_bytes_per_sec: f64,
     /// Assumed compute throughput in FLOP/s.
     pub flops_per_sec: f64,
-    /// Assumed network throughput in bytes/second for shipping materialized
-    /// features to remote workers. `0` (the default) means "single box, no
-    /// wire": the load-cost model charges disk only. The distributed
-    /// coordinator sets this from its network micro-probe when
-    /// `DistConfig::calibrate_net` is on, extending the measured-I/O
-    /// calibration of `IoConfig::calibrate` to bytes over the wire.
-    pub net_bytes_per_sec: f64,
 }
 
-json_struct!(PlannerCosts { disk_bytes_per_sec, flops_per_sec, net_bytes_per_sec });
+json_struct!(PlannerCosts { disk_bytes_per_sec, flops_per_sec });
 
 impl Default for PlannerCosts {
     fn default() -> Self {
-        PlannerCosts { disk_bytes_per_sec: 500e6, flops_per_sec: 6e12, net_bytes_per_sec: 0.0 }
+        PlannerCosts { disk_bytes_per_sec: 500e6, flops_per_sec: 6e12 }
     }
 }
 
 impl PlannerCosts {
     /// Converts a byte count into "missed compute" FLOPs — the paper's
-    /// `cload` metric: load time × compute throughput. When a network
-    /// bandwidth is configured (distributed execution), loading a
-    /// materialized chunk also pays a serial transfer leg: disk seconds +
-    /// wire seconds, both converted to missed compute.
+    /// `cload` metric: load time × compute throughput. There is no wire
+    /// term: a distributed run is a single-box session whose units train
+    /// remotely, and it must plan exactly as the single box does.
     pub fn load_cost_flops(&self, bytes: u64) -> f64 {
-        let mut secs = bytes as f64 / self.disk_bytes_per_sec;
-        if self.net_bytes_per_sec > 0.0 {
-            secs += bytes as f64 / self.net_bytes_per_sec;
-        }
-        secs * self.flops_per_sec
+        bytes as f64 / self.disk_bytes_per_sec * self.flops_per_sec
     }
 }
 
@@ -291,13 +279,13 @@ impl Default for ObservabilityConfig {
 
 /// Knobs for the distributed execution plane (`nautilus-dist`).
 ///
-/// A coordinator shards the model-selection search (one shard per fused
-/// training unit) across remote worker processes, assigns shards with
-/// heartbeat-monitored leases, and retries failed or timed-out shards
-/// with capped exponential backoff. All timing knobs affect only *when*
-/// work runs — never its numerics: distributed selection output is
-/// bit-identical to the single-box run at any worker count (see
-/// DESIGN.md "Distributed execution plane").
+/// The coordinator is a `ModelSelection` whose units train on
+/// `RemoteUnits`: one shard per fused training unit, assigned to remote
+/// worker processes with heartbeat-monitored leases, failed or timed-out
+/// shards retried with capped exponential backoff. These knobs affect only
+/// *when* and *where* units train — never the plan or its numerics, so
+/// distributed selection output is the single-box output at any worker
+/// count (see DESIGN.md "Distributed execution plane").
 #[derive(Debug, Clone, Copy)]
 pub struct DistConfig {
     /// Lease length for one dispatched shard, milliseconds: a worker that
@@ -318,22 +306,8 @@ pub struct DistConfig {
     pub retry_backoff_cap_ms: u64,
     /// TCP connect + health-probe timeout, milliseconds.
     pub connect_timeout_ms: u64,
-    /// Largest request/response body a worker or coordinator accepts,
-    /// bytes. Shard payloads carry datasets + materialized feature chunks,
-    /// so this is far larger than the serving default.
-    pub max_body_bytes: usize,
-    /// Handler threads per worker process (health probes stay responsive
-    /// while a shard trains).
-    pub worker_threads: usize,
-    /// Measure per-worker network bandwidth at coordinator start (echo
-    /// micro-probe against `/work/probe`) and feed the measured
-    /// bytes-over-wire term into MAT-OPT via
-    /// `PlannerCosts::net_bytes_per_sec`. Off by default: the probe is
-    /// always *run* and exported to telemetry, but only an explicit opt-in
-    /// changes planner inputs — keeping distributed plans (and therefore
-    /// selection output) bit-identical to the single-box run.
-    pub calibrate_net: bool,
-    /// Bytes echoed per network calibration probe.
+    /// Bytes echoed per worker by the network micro-probe at connect
+    /// (reported, never fed to the planner).
     pub net_probe_bytes: u64,
 }
 
@@ -344,9 +318,6 @@ json_struct!(DistConfig {
     retry_backoff_ms,
     retry_backoff_cap_ms,
     connect_timeout_ms,
-    max_body_bytes,
-    worker_threads,
-    calibrate_net,
     net_probe_bytes
 });
 
@@ -359,9 +330,6 @@ impl Default for DistConfig {
             retry_backoff_ms: 100,
             retry_backoff_cap_ms: 5_000,
             connect_timeout_ms: 2_000,
-            max_body_bytes: 256 << 20,
-            worker_threads: 2,
-            calibrate_net: false,
             net_probe_bytes: 1 << 20,
         }
     }
@@ -417,7 +385,7 @@ pub struct SystemConfig {
     /// Live observability knobs (`/metrics`, health watchdog SLOs,
     /// structured event log).
     pub observability: ObservabilityConfig,
-    /// Distributed execution plane knobs (leases, retries, calibration).
+    /// Distributed execution plane knobs (leases, retries, network probe).
     pub dist: DistConfig,
 }
 
@@ -477,11 +445,7 @@ impl SystemConfig {
             .disk_budget_bytes(64 << 20)
             .memory_budget_bytes(256 << 20)
             .max_records(256)
-            .planner(PlannerCosts {
-                disk_bytes_per_sec: 500e6,
-                flops_per_sec: 5e9,
-                net_bytes_per_sec: 0.0,
-            })
+            .planner(PlannerCosts { disk_bytes_per_sec: 500e6, flops_per_sec: 5e9 })
             .hardware(HardwareProfile {
                 achieved_flops_per_sec: 2e9,
                 page_cache_bytes: 64 << 20,
@@ -801,26 +765,7 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Largest shard request/response body, bytes.
-    pub fn dist_max_body_bytes(mut self, v: usize) -> Self {
-        self.cfg.dist.max_body_bytes = v;
-        self
-    }
-
-    /// Handler threads per worker process.
-    pub fn dist_worker_threads(mut self, v: usize) -> Self {
-        self.cfg.dist.worker_threads = v;
-        self
-    }
-
-    /// Feed the measured network bandwidth into MAT-OPT (changes planner
-    /// inputs — distributed plans then diverge from single-box plans).
-    pub fn dist_calibrate_net(mut self, v: bool) -> Self {
-        self.cfg.dist.calibrate_net = v;
-        self
-    }
-
-    /// Bytes echoed per network calibration probe.
+    /// Bytes echoed per worker by the network micro-probe.
     pub fn dist_net_probe_bytes(mut self, v: u64) -> Self {
         self.cfg.dist.net_probe_bytes = v;
         self
@@ -868,11 +813,7 @@ mod tests {
             .disk_budget_bytes(123)
             .memory_budget_bytes(456)
             .max_records(7)
-            .planner(PlannerCosts {
-                disk_bytes_per_sec: 1.0,
-                flops_per_sec: 2.0,
-                net_bytes_per_sec: 0.0,
-            })
+            .planner(PlannerCosts { disk_bytes_per_sec: 1.0, flops_per_sec: 2.0 })
             .hardware(HardwareProfile { page_cache_bytes: 99, ..HardwareProfile::default() })
             .workspace_bytes(8)
             .shuffle_each_epoch(false)
@@ -1025,9 +966,6 @@ mod tests {
             .dist_retry_backoff_ms(10)
             .dist_retry_backoff_cap_ms(100)
             .dist_connect_timeout_ms(500)
-            .dist_max_body_bytes(1 << 20)
-            .dist_worker_threads(3)
-            .dist_calibrate_net(true)
             .dist_net_probe_bytes(4096)
             .build();
         assert_eq!(cfg.dist.lease_timeout_ms, 1234);
@@ -1036,9 +974,6 @@ mod tests {
         assert_eq!(cfg.dist.retry_backoff_ms, 10);
         assert_eq!(cfg.dist.retry_backoff_cap_ms, 100);
         assert_eq!(cfg.dist.connect_timeout_ms, 500);
-        assert_eq!(cfg.dist.max_body_bytes, 1 << 20);
-        assert_eq!(cfg.dist.worker_threads, 3);
-        assert!(cfg.dist.calibrate_net);
         assert_eq!(cfg.dist.net_probe_bytes, 4096);
 
         let bytes = nautilus_util::json::to_vec(&cfg.dist.to_json());
@@ -1046,19 +981,6 @@ mod tests {
             .expect("dist config round-trips through json");
         assert_eq!(back.lease_timeout_ms, 1234);
         assert_eq!(back.max_shard_retries, 2);
-        assert!(back.calibrate_net);
-    }
-
-    #[test]
-    fn net_term_is_off_by_default_and_adds_serial_transfer_leg() {
-        let p = PlannerCosts::default();
-        assert_eq!(p.net_bytes_per_sec, 0.0, "single-box: no wire term");
-        let base = p.load_cost_flops(500_000_000);
-        let with_net = PlannerCosts { net_bytes_per_sec: 500e6, ..p };
-        // Equal disk and net bandwidth → the load leg exactly doubles.
-        let c = with_net.load_cost_flops(500_000_000);
-        assert!((c - 2.0 * base).abs() / c < 1e-12);
-        assert!(!DistConfig::default().calibrate_net, "net calibration is opt-in");
     }
 
     #[test]

@@ -110,10 +110,6 @@ pub fn choose_materialization_grouped(
     // Gauge: the disk constant this MILP run actually used (static default
     // or the measured/blended value from I/O calibration).
     telemetry::PLANNER_DISK_BPS.set(cfg.planner.disk_bytes_per_sec as u64);
-    // Companion gauge for the wire term: 0 means single-box (no network
-    // leg in the load-cost model), nonzero means the distributed
-    // coordinator fed a measured bytes-over-wire bandwidth into this run.
-    telemetry::PLANNER_NET_BPS.set(cfg.planner.net_bytes_per_sec as u64);
     let groups = if grouped {
         multi.interchangeable_groups()
     } else {

@@ -8,7 +8,10 @@
 //! with the newly labeled batch: it updates the dataset and the
 //! incremental feature materialization (§4.2.3, including the exponential
 //! backoff of `r`), retrains every unit on the full snapshot, and returns
-//! the per-candidate validation accuracies.
+//! the per-candidate validation accuracies. Where the units train is the
+//! session's [`UnitExecutor`]: [`LocalUnits`] by default, or a remote one
+//! (the distributed plane's lease scheduler) set with
+//! [`ModelSelection::set_unit_executor`].
 
 use crate::backend::{Backend, BackendKind};
 use crate::config::SystemConfig;
@@ -17,7 +20,7 @@ use crate::mat_opt::{choose_materialization, mat_all_plan, no_reuse_plan, MilpRu
 use crate::materializer::{MatError, Materializer};
 use crate::memory::estimate_peak_memory;
 use crate::metrics::{CycleReport, InitReport, RunStats};
-use crate::multimodel::MultiModelGraph;
+use crate::multimodel::{MNodeId, MultiModelGraph};
 use crate::plan::ExecutablePlan;
 use crate::profiler::profile_graph;
 use crate::spec::CandidateModel;
@@ -122,6 +125,9 @@ pub enum SessionError {
     Store(StoreError),
     /// Misuse (wrong backend/input pairing, empty workload, ...).
     Invalid(String),
+    /// A [`UnitExecutor`]'s own failure (e.g. the distributed plane's
+    /// typed error), recoverable by downcast.
+    Executor(Box<dyn std::error::Error + Send + Sync>),
 }
 
 impl std::fmt::Display for SessionError {
@@ -132,6 +138,7 @@ impl std::fmt::Display for SessionError {
             SessionError::Trainer(e) => write!(f, "session trainer: {e}"),
             SessionError::Store(e) => write!(f, "session store: {e}"),
             SessionError::Invalid(m) => write!(f, "session: {m}"),
+            SessionError::Executor(e) => write!(f, "session unit executor: {e}"),
         }
     }
 }
@@ -187,6 +194,131 @@ pub struct ModelSelection {
     /// graph's post-training parameters mapped back onto the candidate's
     /// own topology, ready for checkpointing or serving.
     best_trained: Option<(usize, ModelGraph)>,
+    /// Where `fit` trains the units ([`LocalUnits`] unless replaced).
+    executor: Box<dyn UnitExecutor>,
+}
+
+/// The borrowed training work of one cycle, handed to a [`UnitExecutor`]:
+/// the session's plan, its *effective* configuration (after I/O
+/// calibration and the re-plan blend), the installed `V`, the feature
+/// store holding it, and the accumulated snapshot.
+pub struct CycleWork<'a> {
+    /// The multi-model graph.
+    pub multi: &'a MultiModelGraph,
+    /// The candidate set.
+    pub candidates: &'a [CandidateModel],
+    /// The training units with their plans, in unit order.
+    pub units: &'a [(TrainUnit, ExecutablePlan)],
+    /// The installed materialized set `V`.
+    pub v: &'a BTreeSet<MNodeId>,
+    /// The session's effective configuration.
+    pub config: &'a SystemConfig,
+    /// Execution strategy.
+    pub strategy: Strategy,
+    /// The feature store the units' plans load from.
+    pub store: &'a TensorStore,
+    /// The accumulated snapshot.
+    pub data: CycleDataView<'a>,
+}
+
+/// One unit's training outcome: per-member results in `unit.members`
+/// order, plus the trained plan graph (real backend).
+pub type UnitOutcome = (Vec<MemberResult>, Option<ModelGraph>);
+
+/// Where a cycle's units train. `fit` hands each cycle's [`CycleWork`] to
+/// its executor and folds the outcomes itself (best-pick, export), so
+/// every executor yields the same selection as the single box.
+pub trait UnitExecutor: Send {
+    /// Trains every unit of `work`, returning one outcome per unit in unit
+    /// order, with the compute already charged to or absorbed into
+    /// `backend`.
+    fn train_units(
+        &mut self,
+        work: &CycleWork<'_>,
+        backend: &mut Backend,
+    ) -> Result<Vec<UnitOutcome>, SessionError>;
+}
+
+/// The default executor: trains every unit in this process. On the real
+/// backend independent units run concurrently on the shared pool, each
+/// task with its own accounting backend whose compute is absorbed in unit
+/// order. The simulated backend stays serial: its virtual clock is a
+/// single timeline, and Fig 6/8-style numbers must not change.
+pub struct LocalUnits;
+
+impl UnitExecutor for LocalUnits {
+    fn train_units(
+        &mut self,
+        work: &CycleWork<'_>,
+        backend: &mut Backend,
+    ) -> Result<Vec<UnitOutcome>, SessionError> {
+        let train = |(unit, plan): &(TrainUnit, ExecutablePlan), backend: &mut Backend| {
+            crate::trainer::train_unit_retaining(
+                work.multi, plan, unit, work.candidates, &work.data, work.store, backend,
+                work.strategy.full_checkpoints(), work.config.shuffle_each_epoch,
+            )
+        };
+        if !(backend.is_real() && work.units.len() > 1 && nautilus_util::pool::num_threads() > 1)
+        {
+            return work.units.iter().map(|u| train(u, backend).map_err(Into::into)).collect();
+        }
+        type UnitOut = Result<(UnitOutcome, f64, f64), TrainError>;
+        let tasks: Vec<Box<dyn FnOnce() -> UnitOut + Send>> = work
+            .units
+            .iter()
+            .map(|u| {
+                let io = backend.io.clone();
+                Box::new(move || {
+                    let mut worker = Backend::new(BackendKind::Real, work.config.hardware, io);
+                    let outcome = train(u, &mut worker)?;
+                    Ok((outcome, worker.busy_secs(), worker.total_flops()))
+                }) as Box<dyn FnOnce() -> UnitOut + Send>
+            })
+            .collect();
+        let mut outcomes = Vec::with_capacity(work.units.len());
+        for out in nautilus_util::pool::join_all(tasks) {
+            let (outcome, busy, flops) = out?;
+            backend.absorb_compute(busy, flops);
+            outcomes.push(outcome);
+        }
+        Ok(outcomes)
+    }
+}
+
+/// Turns `config` into process and store settings — the one place this
+/// happens, for the session and the remote worker alike: requests the
+/// shared pool's width, applies the GEMM kernel preference (only for a
+/// `real` backend: only real execution computes), and opens the feature
+/// store at `dir` with the configured page-cache size and I/O policy.
+pub fn open_feature_store(
+    config: &SystemConfig,
+    real: bool,
+    dir: PathBuf,
+    io: SharedIoStats,
+) -> Result<TensorStore, StoreError> {
+    if config.threads > 0 {
+        // Best-effort: ignored if NAUTILUS_THREADS is set or the shared
+        // pool has already been started.
+        let _ = nautilus_util::pool::request_threads(config.threads);
+    }
+    if real {
+        // The NAUTILUS_GEMM_KERNEL env override still wins inside the
+        // dispatch layer, and unsupported hosts degrade to safe.
+        if let Some(kind) = nautilus_tensor::ops::gemm::KernelKind::parse(&config.gemm_kernel) {
+            nautilus_tensor::ops::gemm::set_kernel_preference(kind);
+        }
+    }
+    let mut store = TensorStore::open(dir, io)?;
+    // The real store models the OS page cache at the size the hardware
+    // profile declares (the simulated backend has its own model).
+    store.set_page_cache_bytes(config.hardware.page_cache_bytes);
+    store.set_io_policy(IoPolicy {
+        prefetch: config.io.prefetch,
+        io_threads: config.io.io_threads,
+        write_behind: config.io.write_behind,
+        read_delay_ms: config.io.read_delay_ms,
+    });
+    Ok(store)
 }
 
 impl ModelSelection {
@@ -202,11 +334,6 @@ impl ModelSelection {
         if candidates.is_empty() {
             return Err(SessionError::Invalid("empty candidate set".into()));
         }
-        if config.threads > 0 {
-            // Best-effort: ignored if NAUTILUS_THREADS is set or the shared
-            // pool has already been started by an earlier session.
-            let _ = nautilus_util::pool::request_threads(config.threads);
-        }
         let workdir = workdir.into();
         std::fs::create_dir_all(&workdir)
             .map_err(|e| SessionError::Invalid(format!("workdir: {e}")))?;
@@ -218,17 +345,8 @@ impl ModelSelection {
         let _sp_init = telemetry::span("core", "session.init");
         let io = SharedIoStats::new();
         let mut backend = Backend::new(backend_kind, config.hardware, io.clone());
-        if backend.is_real() {
-            // Per-backend GEMM kernel opt-in: only real execution computes,
-            // so only a real backend applies the preference. The
-            // NAUTILUS_GEMM_KERNEL env override still wins inside the
-            // dispatch layer, and unsupported hosts degrade to safe.
-            if let Some(kind) =
-                nautilus_tensor::ops::gemm::KernelKind::parse(&config.gemm_kernel)
-            {
-                nautilus_tensor::ops::gemm::set_kernel_preference(kind);
-            }
-        }
+        let store =
+            open_feature_store(&config, backend.is_real(), workdir.join("features"), io.clone())?;
         let t_init = Instant::now();
 
         // Phase 1: original model checkpoints (all strategies).
@@ -331,16 +449,6 @@ impl ModelSelection {
         let plan_checkpoints_secs = end_phase(&mut backend, t0, c0);
         drop(sp);
 
-        let mut store = TensorStore::open(workdir.join("features"), io.clone())?;
-        // The real store models the OS page cache at the size the hardware
-        // profile declares (the simulated backend has its own model).
-        store.set_page_cache_bytes(config.hardware.page_cache_bytes);
-        store.set_io_policy(IoPolicy {
-            prefetch: config.io.prefetch,
-            io_threads: config.io.io_threads,
-            write_behind: config.io.write_behind,
-            read_delay_ms: config.io.read_delay_ms,
-        });
         // MAT-ALL is the paper's unbounded baseline: it materializes every
         // materializable layer "irrespective of whether it is efficient"
         // (§5.1), so it is exempt from the Bdisk enforcement that guards
@@ -395,13 +503,20 @@ impl ModelSelection {
             calibration,
             best_so_far: None,
             best_trained: None,
+            executor: Box::new(LocalUnits),
         })
+    }
+
+    /// Replaces where `fit` trains the units (default [`LocalUnits`]).
+    /// Planning, materialization and the best-pick fold stay here, so the
+    /// selection output does not depend on the executor.
+    pub fn set_unit_executor(&mut self, executor: Box<dyn UnitExecutor>) {
+        self.executor = executor;
     }
 
     /// Chooses the materialized set `V` for `strategy` — empty for the
     /// no-reuse strategies, everything for MatAll, the MILP optimum
-    /// otherwise. Deterministic in its inputs; public so the distributed
-    /// coordinator and workers derive the identical plan independently.
+    /// otherwise. Deterministic in its inputs.
     pub fn choose_v(
         multi: &MultiModelGraph,
         candidates: &[CandidateModel],
@@ -662,76 +777,35 @@ impl ModelSelection {
             self.backend.elapsed_secs() - t_cycle
         };
 
-        // 4. Train every unit on the full snapshot. On the real backend,
-        // independent fused units run concurrently on the shared pool (each
-        // worker gets its own accounting backend whose compute is absorbed
-        // afterwards, and results are folded in unit order so the best-model
-        // tie-break matches the serial loop bit for bit). The simulated
-        // backend stays serial: its virtual clock is a single timeline, and
-        // Fig 6/8-style numbers must not change.
+        // 4. Train every unit on the full snapshot, wherever the executor
+        // trains them. Outcomes come back in unit order, so the first-wins
+        // best-pick below is the same for every executor.
         let sp_train = telemetry::timed_span("core", "cycle.train");
         let t_train = self.backend.elapsed_secs();
+        let work = CycleWork {
+            multi: &self.multi,
+            candidates: &self.candidates,
+            units: &self.units,
+            v: self.materializer.v(),
+            config: &self.config,
+            strategy: self.strategy,
+            store: &self.materializer.store,
+            data: if self.backend.is_real() {
+                CycleDataView::Real { train: &self.train_all, valid: &self.valid_all }
+            } else {
+                CycleDataView::Virtual { n_train: self.n_train, n_valid: self.n_valid }
+            },
+        };
+        let unit_results = self.executor.train_units(&work, &mut self.backend)?;
+        if unit_results.len() != self.units.len() {
+            return Err(SessionError::Invalid(format!(
+                "unit executor returned {} outcomes for {} units",
+                unit_results.len(),
+                self.units.len()
+            )));
+        }
         let mut accuracies: Vec<(String, Option<f32>)> = Vec::new();
         let mut best: Option<(usize, String, f32)> = None;
-        let parallel_units = self.backend.is_real()
-            && self.units.len() > 1
-            && nautilus_util::pool::num_threads() > 1;
-        let unit_results: Vec<(Vec<MemberResult>, Option<ModelGraph>)> = if parallel_units {
-            type UnitOut = Result<(Vec<MemberResult>, f64, f64, Option<ModelGraph>), TrainError>;
-            let multi = &self.multi;
-            let candidates = &self.candidates[..];
-            let store = &self.materializer.store;
-            let train = &self.train_all;
-            let valid = &self.valid_all;
-            let hw = self.config.hardware;
-            let io = self.backend.io.clone();
-            let full_ckpt = self.strategy.full_checkpoints();
-            let shuffle = self.config.shuffle_each_epoch;
-            let tasks: Vec<Box<dyn FnOnce() -> UnitOut + Send>> = self
-                .units
-                .iter()
-                .map(|(unit, plan)| {
-                    let io = io.clone();
-                    Box::new(move || {
-                        let mut worker = Backend::new(BackendKind::Real, hw, io);
-                        let data = CycleDataView::Real { train, valid };
-                        let (results, trained) = crate::trainer::train_unit_retaining(
-                            multi, plan, unit, candidates, &data, store, &mut worker,
-                            full_ckpt, shuffle,
-                        )?;
-                        Ok((results, worker.busy_secs(), worker.total_flops(), trained))
-                    }) as Box<dyn FnOnce() -> UnitOut + Send>
-                })
-                .collect();
-            let mut folded = Vec::with_capacity(self.units.len());
-            for out in nautilus_util::pool::join_all(tasks) {
-                let (results, busy, flops, trained) = out?;
-                self.backend.absorb_compute(busy, flops);
-                folded.push((results, trained));
-            }
-            folded
-        } else {
-            let mut folded = Vec::with_capacity(self.units.len());
-            for (unit, plan) in &self.units {
-                let data = if self.backend.is_real() {
-                    CycleDataView::Real { train: &self.train_all, valid: &self.valid_all }
-                } else {
-                    CycleDataView::Virtual { n_train: self.n_train, n_valid: self.n_valid }
-                };
-                folded.push(crate::trainer::train_unit_retaining(
-                    &self.multi,
-                    plan,
-                    unit,
-                    &self.candidates,
-                    &data,
-                    &self.materializer.store,
-                    &mut self.backend,
-                    self.strategy.full_checkpoints(),
-                    self.config.shuffle_each_epoch,
-                )?);
-            }
-            folded
-        };
         let mut best_unit = 0usize;
         for (ui, (results, _)) in unit_results.iter().enumerate() {
             for r in results {
@@ -1138,7 +1212,7 @@ impl ModelSelection {
 /// (`merged_to_plan`). Nodes the plan pruned or loaded from materialized
 /// features keep their initial (frozen) parameters — the optimizer never
 /// touches those, so the result equals full solo training of the candidate.
-pub fn export_candidate(
+fn export_candidate(
     multi: &MultiModelGraph,
     candidates: &[CandidateModel],
     plan: &ExecutablePlan,

@@ -8,9 +8,9 @@
 //!   serves until killed.
 //! - `demo` — multi-process loopback demonstration: spawns two workers,
 //!   runs one model-selection cycle single-box and distributed, checks the
-//!   selection outputs are bit-identical, exercises worker-kill recovery,
-//!   and writes `results/BENCH_dist.json` with shard throughput and the
-//!   2-worker speedup.
+//!   selection outputs and FLOP counts are identical, exercises worker-kill
+//!   recovery, and writes `results/BENCH_dist.json` with shard throughput
+//!   and the 2-worker speedup.
 
 use nautilus_dist::{run_search, run_worker, DistJob, DistReport, WorkerOptions};
 use nautilus_repro_dist_deps::*;
@@ -106,7 +106,8 @@ fn acc_bits(acc: &[(String, Option<f32>)]) -> Vec<(String, Option<u32>)> {
 }
 
 /// One single-box cycle via the ordinary session; the ground truth the
-/// distributed run must reproduce bit for bit.
+/// distributed run must reproduce bit for bit (accuracies, best pick and
+/// the session's FLOP count).
 fn single_box(
     candidates: &[nautilus_core::CandidateModel],
     config: &SystemConfig,
@@ -114,7 +115,7 @@ fn single_box(
     train: &Dataset,
     valid: &Dataset,
     workdir: &PathBuf,
-) -> (Vec<(String, Option<f32>)>, Option<(String, f32)>, f64) {
+) -> (nautilus_core::CycleReport, f64) {
     let t0 = Instant::now();
     let mut session = ModelSelection::new(
         candidates.to_vec(),
@@ -127,7 +128,7 @@ fn single_box(
     let report = session
         .fit(CycleInput::Real { train: train.clone(), valid: valid.clone() })
         .expect("cycle runs");
-    (report.accuracies, report.best, t0.elapsed().as_secs_f64())
+    (report, t0.elapsed().as_secs_f64())
 }
 
 fn demo_cmd() -> i32 {
@@ -154,7 +155,7 @@ fn demo_cmd() -> i32 {
     children.extend([c1, c2]);
     println!("workers: {w1} {w2}");
 
-    let (sb_acc, sb_best, _) =
+    let (sb, _) =
         single_box(&candidates, &config, Strategy::Nautilus, &train, &valid, &scratch.join("sb-n"));
     let job = DistJob {
         candidates: candidates.clone(),
@@ -165,8 +166,9 @@ fn demo_cmd() -> i32 {
     };
     let rep = run_search(&job, &[w1.clone(), w2.clone()], &scratch.join("co-n"))
         .expect("distributed nautilus run");
-    let nautilus_identical =
-        acc_bits(&sb_acc) == acc_bits(&rep.accuracies) && best_bits(&sb_best) == best_bits(&rep.best);
+    let nautilus_identical = acc_bits(&sb.accuracies) == acc_bits(&rep.accuracies)
+        && best_bits(&sb.best) == best_bits(&rep.best)
+        && rep.total_flops == sb.stats.flops;
     println!(
         "nautilus strategy: {} units, bit-identical = {nautilus_identical}",
         rep.units
@@ -177,7 +179,7 @@ fn demo_cmd() -> i32 {
 
     // --- Part 2: shard throughput + 2-worker speedup under Current
     // Practice (three independent units — real parallelism). ---
-    let (cp_acc, cp_best, t_single) = single_box(
+    let (cp, t_single) = single_box(
         &candidates,
         &config,
         Strategy::CurrentPractice,
@@ -193,9 +195,11 @@ fn demo_cmd() -> i32 {
     let rep2 = run_search(&job_cp, &[w1.clone(), w2.clone()], &scratch.join("co-cp2"))
         .expect("2-worker run");
     let t_two = t0.elapsed().as_secs_f64();
-    let cp_identical = acc_bits(&cp_acc) == acc_bits(&rep1.accuracies)
-        && acc_bits(&cp_acc) == acc_bits(&rep2.accuracies)
-        && best_bits(&cp_best) == best_bits(&rep2.best);
+    let cp_identical = acc_bits(&cp.accuracies) == acc_bits(&rep1.accuracies)
+        && acc_bits(&cp.accuracies) == acc_bits(&rep2.accuracies)
+        && best_bits(&cp.best) == best_bits(&rep2.best)
+        && rep1.total_flops == cp.stats.flops
+        && rep2.total_flops == cp.stats.flops;
     println!(
         "current practice: {} units; single-box {t_single:.2}s, 1-worker {t_one:.2}s, \
          2-worker {t_two:.2}s, bit-identical = {cp_identical}",
@@ -211,7 +215,8 @@ fn demo_cmd() -> i32 {
     children.push(c3);
     let rep_kill = run_search(&job_cp, &[w3.clone(), w1.clone()], &scratch.join("co-kill"))
         .expect("kill-recovery run");
-    let kill_identical = acc_bits(&cp_acc) == acc_bits(&rep_kill.accuracies);
+    let kill_identical = acc_bits(&cp.accuracies) == acc_bits(&rep_kill.accuracies)
+        && rep_kill.total_flops == cp.stats.flops;
     let recovered = rep_kill.retries >= 1 && kill_identical;
     println!(
         "kill recovery: retries = {}, lease_timeouts = {}, workers left = {}, \

@@ -29,7 +29,7 @@ use nautilus_util::json_struct;
 use std::collections::BTreeSet;
 
 /// Current wire-schema version; bump on any breaking DTO change.
-pub const WIRE_VERSION: u64 = 1;
+pub const WIRE_VERSION: u64 = 2;
 
 /// Errors from encoding/decoding wire messages.
 #[derive(Debug)]
@@ -99,7 +99,6 @@ struct TrainRequestHeader {
     version: u64,
     strategy: String,
     unit_index: u64,
-    max_records: u64,
     v: Vec<u64>,
     config: SystemConfig,
     candidates: Vec<CandidateDto>,
@@ -111,7 +110,6 @@ json_struct!(TrainRequestHeader {
     version,
     strategy,
     unit_index,
-    max_records,
     v,
     config,
     candidates,
@@ -160,8 +158,6 @@ pub struct TrainRequest {
     pub strategy: Strategy,
     /// Which training unit of the deterministic unit list to run.
     pub unit_index: usize,
-    /// The coordinator's current `r` (plans depend on it).
-    pub max_records: usize,
     /// The chosen materialized set `V`, as merged-node indices.
     pub v: BTreeSet<MNodeId>,
     /// Full system configuration (identical on every participant).
@@ -251,7 +247,6 @@ fn check_version(version: u64) -> Result<(), ProtoError> {
 pub fn encode_train_request(
     strategy: Strategy,
     unit_index: usize,
-    max_records: usize,
     v: &BTreeSet<MNodeId>,
     config: &SystemConfig,
     candidates: &[CandidateModel],
@@ -282,7 +277,6 @@ pub fn encode_train_request(
         version: WIRE_VERSION,
         strategy: strategy.label().to_string(),
         unit_index: unit_index as u64,
-        max_records: max_records as u64,
         v: v.iter().map(|m| m.index() as u64).collect(),
         config: config.clone(),
         candidates: cand_dtos,
@@ -354,7 +348,6 @@ pub fn decode_train_request(bytes: &[u8]) -> Result<TrainRequest, ProtoError> {
     Ok(TrainRequest {
         strategy,
         unit_index: header.unit_index as usize,
-        max_records: header.max_records as usize,
         v: header.v.iter().map(|&i| MNodeId(i as usize)).collect(),
         config: header.config,
         candidates,

@@ -5,11 +5,13 @@
 //! - `GET /healthz` — liveness + wire version (also the heartbeat target).
 //! - `GET /work/status` — idle/training state and shard counters.
 //! - `POST /work/probe` — echoes the body; the coordinator times a
-//!   round-trip of `dist.net_probe_bytes` to measure loopback/NIC
-//!   bandwidth for the planner's bytes-over-wire term.
+//!   round-trip of `dist.net_probe_bytes` to measure (and report)
+//!   loopback/NIC bandwidth.
 //! - `POST /work/train` — a framed [`crate::proto`] train request; the
-//!   worker rebuilds the deterministic unit list from the shipped
-//!   `(candidates, config, strategy, V)`, replays the feature chunks into
+//!   worker rejects an empty candidate list or a `V` outside the
+//!   materializable nodes with `422`, rebuilds the deterministic unit list
+//!   from the shipped `(candidates, config, strategy, V)`, replays the
+//!   feature chunks into
 //!   a fresh local store (preserving the coordinator's chunk boundaries),
 //!   trains the requested unit, and answers with framed metrics + the
 //!   trained plan graph.
@@ -21,9 +23,9 @@
 use crate::proto;
 use nautilus_core::backend::{Backend, BackendKind};
 use nautilus_core::multimodel::MultiModelGraph;
-use nautilus_core::session::ModelSelection;
+use nautilus_core::session::{open_feature_store, ModelSelection};
 use nautilus_core::trainer::CycleDataView;
-use nautilus_store::{IoPolicy, SharedIoStats, TensorStore};
+use nautilus_store::SharedIoStats;
 use nautilus_util::http::{serve, Limits, Request, Response, ServerHandle};
 use nautilus_util::json::Json;
 use nautilus_util::{eventlog, telemetry};
@@ -173,19 +175,27 @@ fn train_shard(
     let _sp = telemetry::span("dist", "dist.train");
     let spec = proto::decode_train_request(&req.body)
         .map_err(|e| (400u16, format!("decode: {e}")))?;
+    // Fail closed on shipped inputs the plan rebuild would index blindly.
+    if spec.candidates.is_empty() {
+        return Err((422, "empty candidate list".into()));
+    }
+    let multi = MultiModelGraph::build(&spec.candidates);
+    let materializable = multi.mat_candidates();
+    if let Some(m) = spec.v.iter().find(|m| !materializable.contains(m)) {
+        return Err((422, format!("V index {} is not a materializable node", m.index())));
+    }
 
-    // Bit-identity prerequisites: the worker computes with the same GEMM
-    // kernel and thread-pool request as the coordinator's config asks for.
-    if let Some(kind) = nautilus_tensor::ops::gemm::KernelKind::parse(&spec.config.gemm_kernel) {
-        nautilus_tensor::ops::gemm::set_kernel_preference(kind);
-    }
-    if spec.config.threads > 0 {
-        let _ = nautilus_util::pool::request_threads(spec.config.threads);
-    }
+    // Bit-identity prerequisites: the same process and store settings as
+    // the coordinator's session. A fresh per-shard store; replaying chunks
+    // in manifest order reproduces the coordinator's chunk boundaries (and
+    // thus identical prefetch/read behavior).
+    let io = SharedIoStats::new();
+    let dir = state.workdir.join(format!("shard-{seq}"));
+    let mut store = open_feature_store(&spec.config, true, dir, io.clone())
+        .map_err(|e| (500u16, format!("store: {e}")))?;
 
     // Rebuild the deterministic unit list from the shipped inputs; the
     // resulting plan graphs are byte-identical to the coordinator's.
-    let multi = MultiModelGraph::build(&spec.candidates);
     let units =
         ModelSelection::build_units(&multi, &spec.candidates, &spec.config, spec.strategy, &spec.v)
             .map_err(|e| (422u16, format!("build_units: {e}")))?;
@@ -195,20 +205,6 @@ fn train_shard(
             format!("unit index {} out of range ({} units)", spec.unit_index, units.len()),
         ));
     };
-
-    // Fresh per-shard feature store; replaying chunks in manifest order
-    // reproduces the coordinator's chunk boundaries (and thus identical
-    // prefetch/read behavior).
-    let io = SharedIoStats::new();
-    let mut store = TensorStore::open(state.workdir.join(format!("shard-{seq}")), io.clone())
-        .map_err(|e| (500u16, format!("store: {e}")))?;
-    store.set_page_cache_bytes(spec.config.hardware.page_cache_bytes);
-    store.set_io_policy(IoPolicy {
-        prefetch: spec.config.io.prefetch,
-        io_threads: spec.config.io.io_threads,
-        write_behind: spec.config.io.write_behind,
-        read_delay_ms: spec.config.io.read_delay_ms,
-    });
     for (key, tensor) in &spec.features {
         store.append(key, tensor).map_err(|e| (500u16, format!("store append: {e}")))?;
     }

@@ -6,11 +6,13 @@
 //! the full stack: process spawn, HTTP over loopback, framed wire codec,
 //! worker-side plan rebuild, and the coordinator's lease/retry scheduler.
 
+use nautilus_core::metrics::CycleReport;
 use nautilus_core::session::{CycleInput, ModelSelection};
 use nautilus_core::workloads::{Scale, WorkloadKind, WorkloadSpec};
 use nautilus_core::{BackendKind, CandidateModel, Strategy, SystemConfig};
 use nautilus_data::Dataset;
 use nautilus_dist::{run_search, DistJob};
+use nautilus_dnn::{ModelGraph, NodeId};
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -68,6 +70,31 @@ fn bits(acc: &[(String, Option<f32>)]) -> AccBits {
     acc.iter().map(|(n, a)| (n.clone(), a.map(f32::to_bits))).collect()
 }
 
+/// Every parameter of `g`, as bits.
+fn param_bits(g: &ModelGraph) -> Vec<Vec<u32>> {
+    (0..g.len())
+        .flat_map(|i| &g.node(NodeId(i)).params)
+        .map(|p| p.data().iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+fn single_box_session(
+    candidates: &[CandidateModel],
+    config: SystemConfig,
+    strategy: Strategy,
+    train: &Dataset,
+    valid: &Dataset,
+    dir: PathBuf,
+) -> (ModelSelection, CycleReport) {
+    let mut session =
+        ModelSelection::new(candidates.to_vec(), config, strategy, BackendKind::Real, dir)
+            .expect("session initializes");
+    let report = session
+        .fit(CycleInput::Real { train: train.clone(), valid: valid.clone() })
+        .expect("cycle runs");
+    (session, report)
+}
+
 fn single_box(
     candidates: &[CandidateModel],
     strategy: Strategy,
@@ -75,17 +102,8 @@ fn single_box(
     valid: &Dataset,
     dir: PathBuf,
 ) -> (AccBits, Option<(String, u32)>) {
-    let mut session = ModelSelection::new(
-        candidates.to_vec(),
-        SystemConfig::tiny(),
-        strategy,
-        BackendKind::Real,
-        dir,
-    )
-    .expect("session initializes");
-    let report = session
-        .fit(CycleInput::Real { train: train.clone(), valid: valid.clone() })
-        .expect("cycle runs");
+    let (_, report) =
+        single_box_session(candidates, SystemConfig::tiny(), strategy, train, valid, dir);
     (bits(&report.accuracies), report.best.map(|(n, a)| (n, a.to_bits())))
 }
 
@@ -131,22 +149,44 @@ fn distributed_selection_is_bit_identical_to_single_box() {
 fn nautilus_strategy_ships_features_and_stays_bit_identical() {
     let dir = scratch("feat");
     let (candidates, train, valid) = workload();
-    let (sb_acc, sb_best) =
-        single_box(&candidates, Strategy::Nautilus, &train, &valid, dir.join("single"));
-
     let w1 = spawn_worker(dir.join("w1"), None);
     let w2 = spawn_worker(dir.join("w2"), None);
-    let job = DistJob {
-        candidates,
-        config: SystemConfig::tiny(),
-        strategy: Strategy::Nautilus,
-        train,
-        valid,
-    };
-    let rep = run_search(&job, &[w1.addr.clone(), w2.addr.clone()], &dir.join("coord"))
-        .expect("distributed run succeeds");
-    assert_eq!(bits(&rep.accuracies), sb_acc);
-    assert_eq!(rep.best.map(|(n, a)| (n, a.to_bits())), sb_best);
+    // At `max_records` 16 the 60-record snapshot makes the coordinator's
+    // session run the backoff re-plan (`r` ends at 64) before it ships.
+    for max_records in [256, 16] {
+        let config = SystemConfig::tiny().into_builder().max_records(max_records).build();
+        let (session, report) = single_box_session(
+            &candidates,
+            config.clone(),
+            Strategy::Nautilus,
+            &train,
+            &valid,
+            dir.join(format!("single-{max_records}")),
+        );
+        let sb_acc = bits(&report.accuracies);
+        let sb_best = report.best.clone().map(|(n, a)| (n, a.to_bits()));
+
+        let job = DistJob {
+            candidates: candidates.clone(),
+            config,
+            strategy: Strategy::Nautilus,
+            train: train.clone(),
+            valid: valid.clone(),
+        };
+        let coord = dir.join(format!("coord-{max_records}"));
+        let rep = run_search(&job, &[w1.addr.clone(), w2.addr.clone()], &coord)
+            .expect("distributed run succeeds");
+        assert_eq!(bits(&rep.accuracies), sb_acc);
+        assert_eq!(rep.best.map(|(n, a)| (n, a.to_bits())), sb_best);
+
+        assert_eq!(session.max_records(), if max_records == 16 { 64 } else { 256 });
+        assert_eq!(rep.units, session.units().len(), "r {max_records}: unit count");
+        assert_eq!(rep.total_flops, report.stats.flops, "r {max_records}: FLOPs exactly");
+        let (ci, exported) = session.export_best().expect("single box exports");
+        assert_eq!(rep.best_candidate, Some(ci));
+        let trained = rep.best_trained.as_ref().expect("winner's trained graph comes home");
+        assert_eq!(param_bits(trained), param_bits(&exported), "r {max_records}: params");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

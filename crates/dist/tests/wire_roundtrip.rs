@@ -55,7 +55,6 @@ fn train_request_round_trips_candidate_graphs_bit_exactly() {
     let bytes = proto::encode_train_request(
         Strategy::CurrentPractice,
         1,
-        256,
         &v,
         &config,
         &candidates,
@@ -107,7 +106,6 @@ fn feature_chunks_round_trip_in_manifest_order() {
     let bytes = proto::encode_train_request(
         Strategy::Nautilus,
         0,
-        256,
         &BTreeSet::new(),
         &config,
         &candidates,

@@ -795,10 +795,6 @@ declare_counters! {
     DIST_LEASE_TIMEOUTS => "dist.lease_timeouts";
     /// Shards completed successfully by remote workers.
     DIST_SHARDS_DONE => "dist.shards_done";
-    /// Gauge: the network-throughput constant (bytes/s) the MILP consumed
-    /// on its most recent solve — measured when net calibration is on,
-    /// 0 (no wire term) otherwise.
-    PLANNER_NET_BPS => "planner.net_bytes_per_sec";
 }
 
 /// Interns a dynamically named counter (e.g. `pool.worker3.steals`),
