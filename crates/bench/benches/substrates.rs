@@ -94,6 +94,70 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gemm_census(c: &mut Criterion) {
+    // The engine against the naive loop, single task on the resolved kernel,
+    // at the products the five benchmark workloads run: the FTR-2 tiny block
+    // (96 rows = 8 records x 12 tokens) in all four transpose forms and its
+    // attention heads, the batch-folded MiniResNet lowering at three stages
+    // (forward `W·panel`, `Wᵀ·dY`, per-image `dY_n·col_nᵀ`) and its batch-4
+    // head, and the serving tier's single-record and one-request products.
+    // The naive column is `gemm::gemm_naive` as written — the loop
+    // `matmul_ex` keeps for safe-kernel row vectors (m < MR). Against a
+    // transposed operand it strides, so the `nt`/`tt` rows time that strided
+    // loop, not a transpose-once naive kernel. Labels are
+    // `{workload}/{m}x{k}x{n}/{form}`, `t` marking a transposed operand.
+    use nautilus_tensor::ops::gemm::{self, MatRef};
+    let mut rng = seeded_rng(37);
+    let mut group = c.benchmark_group("gemm_census");
+    let (nn, tn, nt, tt) = ((false, false), (true, false), (false, true), (true, true));
+    let mut products = Vec::new();
+    for (m, k, n) in [(96usize, 32usize, 32usize), (96, 32, 64)] {
+        for form in [nn, tn, nt, tt] {
+            products.push(("ftr2", m, k, n, form));
+        }
+    }
+    products.extend([
+        ("ftr2_head", 12, 8, 12, nt),
+        ("ftr2_head", 12, 12, 8, nn),
+        ("ftu_fwd", 8, 72, 768, nn),
+        ("ftu_wtdy", 72, 8, 768, tn),
+        ("ftu_dw", 8, 256, 72, nt),
+        ("ftu_fwd", 16, 144, 256, nn),
+        ("ftu_wtdy", 144, 16, 256, tn),
+        ("ftu_dw", 16, 64, 144, nt),
+        ("ftu_fwd", 32, 288, 32, nn),
+        ("ftu_wtdy", 288, 32, 32, tn),
+        ("ftu_dw", 32, 4, 288, nt),
+        ("ftu_head", 4, 32, 10, nn),
+        ("ftu_head", 4, 10, 32, nt),
+        ("serve", 1, 32, 32, nn),
+        ("serve", 1, 48, 96, nn),
+        ("serve", 16, 48, 48, nn),
+    ]);
+    for (workload, m, k, n, (ta, tb)) in products {
+        let a = randn([m * k], 1.0, &mut rng).into_vec();
+        let b = randn([k * n], 1.0, &mut rng).into_vec();
+        let av = if ta { MatRef::transposed(&a, m) } else { MatRef::row_major(&a, k) };
+        let bv = if tb { MatRef::transposed(&b, k) } else { MatRef::row_major(&b, n) };
+        let form = [ta, tb].map(|t| if t { "t" } else { "n" }).concat();
+        let label = format!("{workload}/{m}x{k}x{n}/{form}");
+        let mut out = vec![0.0f32; m * n];
+        group.bench_function(format!("engine/{label}"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                gemm::gemm_serial(m, k, n, av, bv, &mut out);
+            })
+        });
+        group.bench_function(format!("naive/{label}"), |bch| {
+            bch.iter(|| {
+                out.fill(0.0);
+                gemm::gemm_naive(m, k, n, av, bv, &mut out);
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_gemm_fma(c: &mut Criterion) {
     // Explicit-FMA microkernel vs the portable safe kernel, both serial so
     // the ratio isolates the register kernel + blocking, not the pool.
@@ -144,8 +208,8 @@ fn bench_gemm_fma(c: &mut Criterion) {
 fn bench_int8(c: &mut Criterion) {
     // f32 vs int8 row-quantized serving forward on an MLP at micro-batch
     // scale. Per-record work sits below the parallel-dispatch threshold
-    // (the serving regime), so f32 runs the naive/blocked f32 path while
-    // int8 runs the i32-accumulate dot kernels over 4x-smaller weights.
+    // (the serving regime), so f32 runs the blocked engine on one thread
+    // while int8 runs the i32-accumulate dot kernels over 4x-smaller weights.
     // scripts/verify.sh gates int8 >= 1.2x f32 via results/BENCH_int8.json.
     use nautilus_dnn::exec::forward_batch;
     use nautilus_dnn::graph::ParamInit;
@@ -635,6 +699,7 @@ criterion_group!(
     benches,
     bench_tensor_kernels,
     bench_gemm,
+    bench_gemm_census,
     bench_gemm_fma,
     bench_int8,
     bench_conv,

@@ -1886,17 +1886,18 @@ mod tests {
     /// first k ∈ {1, 4} records of a batch of n ∈ {8, 24} carry the bits of
     /// a batch of k — outputs and input gradients — through plain
     /// `run_forward` / `run_backward`, with no scope around either. The dense,
-    /// adapter and transformer shapes put one record at 2^14 multiply-adds
-    /// per product, so a batch of 4 stays below `GEMM_THRESHOLD` (naive
-    /// loops on the safe kernel) and a batch of 8 is at it (blocked
-    /// engine); the conv shapes are the MiniResNet projections whose
-    /// whole-batch work used to pick direct loops at 4 images and the
-    /// lowering at 24.
+    /// adapter and transformer shapes give one record 4 rows over a shared
+    /// dimension of 64, so at a batch of 1 the forward products are row
+    /// vectors (fewer than `MR` rows inside one `KC` block: the naive loop
+    /// on the safe kernel) and at batches of 4 and up they run the blocked
+    /// engine; the conv shapes are the
+    /// MiniResNet projections whose whole-batch work used to pick direct
+    /// loops at 4 images and the lowering at 24.
     #[test]
     fn layer_batch_prefix_bitwise_vs_reference() {
-        use nautilus_tensor::ops::matmul::GEMM_THRESHOLD;
+        use nautilus_tensor::ops::gemm::{KC, MR};
         use nautilus_util::prop::salted_f32s;
-        assert!(4 * (4 * 64 * 64) < GEMM_THRESHOLD && 8 * (4 * 64 * 64) >= GEMM_THRESHOLD, "sizing");
+        assert!(4 < MR && 4 * 4 >= MR && 64 <= KC, "sizing");
 
         let check = |kind: LayerKind, records: &[&[usize]]| {
             let ctx = format!("{kind:?}");
@@ -1968,12 +1969,12 @@ mod tests {
     }
 
     /// `forward_batch` over a stacked batch must reproduce per-record
-    /// `forward` bit for bit — including when the *stacked* matmul work
-    /// crosses `GEMM_THRESHOLD` while the per-record work does not, so the
-    /// batch runs the blocked engine and each record alone the naive loops.
+    /// `forward` bit for bit — including when each record alone is a row
+    /// vector (one row, shared dimension inside one `KC` block) and so runs
+    /// the naive loop on the safe kernel, while the batch runs the engine.
     #[test]
     fn forward_batch_bit_identical_to_per_record_forward() {
-        use nautilus_tensor::ops::matmul::GEMM_THRESHOLD;
+        use nautilus_tensor::ops::gemm::{KC, MR};
         let mut rng = seeded_rng(42);
         let mut g = ModelGraph::new();
         let inp = g.add_input("in", [64]);
@@ -1998,8 +1999,7 @@ mod tests {
         g.add_output(o).unwrap();
 
         let batch = 64usize;
-        assert!(batch * 64 * 64 >= GEMM_THRESHOLD, "stacked work must cross the threshold");
-        assert!(64 * 64 < GEMM_THRESHOLD, "per-record work must stay below it");
+        assert!(batch >= MR && 64 <= KC, "a record is a row vector, the batch is not");
 
         let records: Vec<Tensor> = (0..batch).map(|_| randn([1, 64], 1.0, &mut rng)).collect();
         let mut stacked = Vec::new();
@@ -2136,58 +2136,56 @@ mod tests {
 
     /// The transformer fans per-record attention tasks out over the shared
     /// pool, so `forward_batch` bit-identity must hold whichever thread runs
-    /// a record. Sized so each record's attention context matmul straddles
-    /// `GEMM_THRESHOLD` — per-record work at or above the threshold,
-    /// work/batch below it — and so its shared dim exceeds one GEMM `KC`
-    /// panel, where the naive loops would round differently from the
-    /// blocked engine: such a product runs the engine on both sides.
+    /// a record. Two shapes straddle the boundaries the GEMM routing has
+    /// left. (1) `seq` 4 < `MR`: alone, a record's projections are row
+    /// vectors (naive loop on the safe kernel) except the FF down-projection,
+    /// whose shared dim `ff` exceeds one `KC` block and so runs the engine;
+    /// stacked, every product runs the engine. (2) `seq` > `KC`: the
+    /// attention context product's shared dim spans two `kc` blocks.
     #[test]
-    fn forward_batch_transformer_attention_straddles_gemm_threshold() {
-        use nautilus_tensor::ops::gemm::KC;
-        use nautilus_tensor::ops::matmul::GEMM_THRESHOLD;
-        let (seq, dim, heads, batch) = (288usize, 8usize, 1usize, 8usize);
-        let ctx_work = seq * seq * (dim / heads);
-        assert!(ctx_work >= GEMM_THRESHOLD, "per-record attention work must cross");
-        assert!(ctx_work / batch < GEMM_THRESHOLD, "work/batch must stay below");
-        assert!(seq > KC, "shared dim must exceed one KC panel");
+    fn forward_batch_transformer_straddles_mr_and_kc() {
+        use nautilus_tensor::ops::gemm::{KC, MR};
+        let (dim, heads, batch) = (8usize, 1usize, 8usize);
+        for (seq, ff) in [(4usize, KC + 8), (KC + 32, 16usize)] {
+            assert!((seq < MR && ff > KC && batch * seq >= MR) || seq > KC, "sizing");
+            let mut rng = seeded_rng(23);
+            let mut g = ModelGraph::new();
+            let inp = g.add_input("seq", [seq, dim]);
+            let t = g
+                .add_layer(
+                    "block",
+                    LayerKind::TransformerBlock { dim, heads, ff_dim: ff },
+                    &[inp],
+                    false,
+                    ParamInit::Seeded(&mut rng),
+                )
+                .unwrap();
+            g.add_output(t).unwrap();
 
-        let mut rng = seeded_rng(23);
-        let mut g = ModelGraph::new();
-        let inp = g.add_input("seq", [seq, dim]);
-        let t = g
-            .add_layer(
-                "block",
-                LayerKind::TransformerBlock { dim, heads, ff_dim: 16 },
-                &[inp],
-                false,
-                ParamInit::Seeded(&mut rng),
-            )
-            .unwrap();
-        g.add_output(t).unwrap();
+            let records: Vec<Tensor> =
+                (0..batch).map(|_| randn([1, seq, dim], 1.0, &mut rng)).collect();
+            let mut stacked = Vec::new();
+            for r in &records {
+                stacked.extend_from_slice(r.data());
+            }
+            let stacked = Tensor::from_vec([batch, seq, dim], stacked).unwrap();
 
-        let records: Vec<Tensor> =
-            (0..batch).map(|_| randn([1, seq, dim], 1.0, &mut rng)).collect();
-        let mut stacked = Vec::new();
-        for r in &records {
-            stacked.extend_from_slice(r.data());
-        }
-        let stacked = Tensor::from_vec([batch, seq, dim], stacked).unwrap();
+            let mut bi = BatchInputs::new();
+            bi.insert(inp, stacked);
+            let batched = forward_batch(&g, &bi, batch).unwrap();
+            let out = batched.output(t);
+            let per_record = out.len() / batch;
 
-        let mut bi = BatchInputs::new();
-        bi.insert(inp, stacked);
-        let batched = forward_batch(&g, &bi, batch).unwrap();
-        let out = batched.output(t);
-        let per_record = out.len() / batch;
-
-        for (i, r) in records.iter().enumerate() {
-            let mut solo_in = BatchInputs::new();
-            solo_in.insert(inp, r.clone());
-            let solo = forward(&g, &solo_in, false).unwrap();
-            assert_eq!(
-                &out.data()[i * per_record..(i + 1) * per_record],
-                solo.output(t).data(),
-                "record {i} diverged between batched and solo transformer forward"
-            );
+            for (i, r) in records.iter().enumerate() {
+                let mut solo_in = BatchInputs::new();
+                solo_in.insert(inp, r.clone());
+                let solo = forward(&g, &solo_in, false).unwrap();
+                assert_eq!(
+                    &out.data()[i * per_record..(i + 1) * per_record],
+                    solo.output(t).data(),
+                    "seq {seq}: record {i} diverged between batched and solo transformer forward"
+                );
+            }
         }
     }
 }

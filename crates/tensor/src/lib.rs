@@ -12,9 +12,9 @@
 //! Design notes
 //! * Shapes are `Vec<usize>` wrapped in [`Shape`]; all data is contiguous
 //!   row-major, which keeps kernels simple and cache-friendly.
-//! * Large matmuls and convolutions run on the cache-blocked packed GEMM
-//!   engine in [`ops::gemm`] (convolutions lower via im2col); tiny shapes
-//!   keep straightforward naive loops. Kernels are *not* used at all by
+//! * Matmuls, attention and convolutions run on the cache-blocked packed
+//!   GEMM engine in [`ops::gemm`] (convolutions lower via im2col); only
+//!   safe-kernel row vectors keep a naive loop. Kernels are *not* used at all by
 //!   the simulated backend (which only does cost math).
 //! * Tensor storage is recycled through the thread-local
 //!   `nautilus_util::scratch` arena: kernel outputs take recycled buffers

@@ -9,23 +9,19 @@
 //! on the copies, and adding the results back.
 //!
 //! **Bit-identity with that composition is the contract**: per output
-//! element the same float operations run in the same order. The five
-//! products of a head all have `s·dh·s` multiply-adds and shared dimension
-//! `s` or `dh`, so one [`runs_blocked`] decision picks, for all of them, what
-//! `matmul_ex` would have picked for each: the naive loops — saxpy *with*
-//! the `a == 0` skip where the composition ran `matmul`/`matmul_ta`,
-//! *without* it where it ran `matmul_tb` — or the blocked engine over
-//! strided [`MatRef`] views (packing reads the same values it read from the
-//! copies). Under the summation contract (see [`crate::ops::matmul`]) the
-//! naive arm runs only where it is the engine's float expression, so which
-//! one serves a head never changes a bit. Softmax and its gradient are the
-//! row bodies of [`crate::ops::nn`]. The composition survives as the
-//! `#[cfg(test)]` reference below.
+//! element the same float operations run in the same order. Every product
+//! of a head runs the blocked engine of the resolved kernel over strided
+//! [`MatRef`] views, so packing reads the same values it read from the
+//! copies. Under the summation contract (see [`crate::ops::matmul`]) that
+//! is the composition's expression whichever arm `matmul_ex` chose for
+//! each product. Softmax and its gradient are the row bodies of
+//! [`crate::ops::nn`]. The composition survives as the `#[cfg(test)]`
+//! reference below.
 //!
 //! One call covers one record; callers fan records out over the pool.
 
 use crate::ops::gemm::{self, KernelKind, MatRef};
-use crate::ops::matmul::{count_dispatch, runs_blocked};
+use crate::ops::matmul::count_dispatch;
 use crate::ops::nn::{softmax_backward_row, softmax_row};
 use nautilus_util::scratch;
 
@@ -65,17 +61,14 @@ impl AttnDims {
         self.heads * self.seq * self.seq
     }
 
-    /// The kernel every product of a head runs on: `Some(kind)` for the
-    /// blocked engine, `None` for the naive loops — the rule of `matmul_ex`.
-    /// Counts `products` routing decisions per head, as `matmul_ex` would.
-    fn route(&self, products: usize) -> Option<KernelKind> {
+    /// The kernel every product of a head runs on, with `products` routing
+    /// decisions per head counted as `matmul_ex` counts its own.
+    fn kernel(&self, products: usize) -> KernelKind {
         let kernel = gemm::resolved_kernel();
-        let (s, dh) = (self.seq, self.head_dim());
-        let blocked = runs_blocked(kernel, s * dh * s, s.max(dh)).then_some(kernel);
         for _ in 0..products * self.heads {
-            count_dispatch(blocked.map_or("naive", KernelKind::as_str));
+            count_dispatch(kernel.as_str());
         }
-        blocked
+        kernel
     }
 }
 
@@ -89,75 +82,10 @@ fn band_t(x: &[f32], off: usize, dim: usize) -> MatRef<'_> {
     MatRef { data: &x[off..], rs: 1, cs: dim }
 }
 
-/// Writes the `[S, dh]` band at `off` transposed into `t` as `[dh, S]`.
-fn transpose_band(x: &[f32], off: usize, dim: usize, dh: usize, t: &mut [f32]) {
-    let s = t.len() / dh;
-    for (j, row) in x.chunks_exact(dim).enumerate() {
-        for (p, &v) in row[off..off + dh].iter().enumerate() {
-            t[p * s + j] = v;
-        }
-    }
-}
-
-/// `out[S, S] = A · Bᵀ` for two `[S, dh]` bands, `out` zeroed on entry, with
-/// `bt` the second band already transposed: the `matmul_tb` naive form.
-fn band_tb(a: &[f32], off: usize, dim: usize, bt: &[f32], out: &mut [f32]) {
-    let s = out.len() / (a.len() / dim);
-    for (arow, orow) in a.chunks_exact(dim).zip(out.chunks_exact_mut(s)) {
-        for (&av, btrow) in arow[off..].iter().zip(bt.chunks_exact(s)) {
-            for (o, &bv) in orow.iter_mut().zip(btrow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// `dst band += A[S, S] · src band`: the `matmul` naive form (zero-skip).
-fn band_mm(a: &[f32], src: &[f32], dst: &mut [f32], off: usize, dim: usize, dh: usize) {
-    let s = src.len() / dim;
-    for (arow, drow) in a.chunks_exact(s).zip(dst.chunks_exact_mut(dim)) {
-        let drow = &mut drow[off..off + dh];
-        for (&av, srow) in arow.iter().zip(src.chunks_exact(dim)) {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in drow.iter_mut().zip(&srow[off..off + dh]) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// `dst band += Aᵀ · src band` for `a` stored `[S, S]`: the `matmul_ta`
-/// naive form (input rows scanned once, zero-skip, scatter into `dst` rows).
-fn band_mm_ta(a: &[f32], src: &[f32], dst: &mut [f32], off: usize, dim: usize, dh: usize) {
-    let s = src.len() / dim;
-    for (arow, srow) in a.chunks_exact(s).zip(src.chunks_exact(dim)) {
-        let srow = &srow[off..off + dh];
-        for (&av, drow) in arow.iter().zip(dst.chunks_exact_mut(dim)) {
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in drow[off..off + dh].iter_mut().zip(srow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Rewrites the band at `off` as `0.0 + x·scale`: what `scale` followed by
-/// accumulation into a zeroed tensor leaves (a product that underflows to
-/// `-0.0` lands as `+0.0`).
-fn scale_band(dst: &mut [f32], off: usize, dim: usize, dh: usize, scale: f32) {
-    for row in dst.chunks_exact_mut(dim) {
-        for o in &mut row[off..off + dh] {
-            *o = 0.0 + *o * scale;
-        }
-    }
-}
-
 /// Stores a contiguous `[S, dh]` product into the band at `off` as
-/// `0.0 + x·scale` (see [`scale_band`]; `scale` 1.0 leaves `0.0 + x`).
+/// `0.0 + x·scale`: what `scale` followed by accumulation into a zeroed
+/// tensor leaves (a product that underflows to `-0.0` lands as `+0.0`;
+/// `scale` 1.0 leaves `0.0 + x`).
 fn store_band(src: &[f32], dst: &mut [f32], off: usize, dim: usize, dh: usize, scale: f32) {
     for (srow, drow) in src.chunks_exact(dh).zip(dst.chunks_exact_mut(dim)) {
         for (o, &v) in drow[off..off + dh].iter_mut().zip(srow) {
@@ -179,20 +107,7 @@ pub fn attention_forward(
     ctx: &mut [f32],
     probs: Option<&mut [f32]>,
 ) {
-    forward_on(dims.route(2), dims, q, k, v, ctx, probs);
-}
-
-/// [`attention_forward`] on a given arm: `Some(kernel)` the blocked engine,
-/// `None` the naive loops.
-fn forward_on(
-    blocked: Option<KernelKind>,
-    dims: AttnDims,
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    ctx: &mut [f32],
-    probs: Option<&mut [f32]>,
-) {
+    let kernel = dims.kernel(2);
     let (s, dim) = (dims.seq, dims.dim);
     let (dh, scale) = (dims.head_dim(), dims.score_scale());
     for x in [q, k, v, &*ctx] {
@@ -213,31 +128,14 @@ fn forward_on(
     let mut tmp = scratch::take(s * dh);
     for (h, attn) in probs.chunks_exact_mut(s * s).enumerate() {
         let off = h * dh;
-        match blocked {
-            Some(kernel) => {
-                gemm::gemm_with(kernel, s, dh, s, band(q, off, dim), band_t(k, off, dim), attn);
-            }
-            None => {
-                transpose_band(k, off, dim, dh, &mut tmp);
-                band_tb(q, off, dim, &tmp, attn);
-            }
-        }
+        gemm::gemm_with(kernel, s, dh, s, band(q, off, dim), band_t(k, off, dim), attn);
         for row in attn.chunks_exact_mut(s) {
             row.iter_mut().for_each(|x| *x *= scale);
             softmax_row(row);
         }
-        match blocked {
-            Some(kernel) => {
-                tmp.fill(0.0);
-                gemm::gemm_with(kernel, s, s, dh, MatRef::row_major(attn, s), band(v, off, dim), &mut tmp);
-                store_band(&tmp, ctx, off, dim, dh, 1.0);
-            }
-            None => {
-                // The chain starts at +0.0 and so never ends at -0.0: the
-                // composition's `0.0 + x` on top of it changes nothing.
-                band_mm(attn, v, ctx, off, dim, dh);
-            }
-        }
+        tmp.fill(0.0);
+        gemm::gemm_with(kernel, s, s, dh, MatRef::row_major(attn, s), band(v, off, dim), &mut tmp);
+        store_band(&tmp, ctx, off, dim, dh, 1.0);
     }
 }
 
@@ -255,23 +153,7 @@ pub fn attention_backward(
     dk: &mut [f32],
     dv: &mut [f32],
 ) {
-    backward_on(dims.route(4), dims, q, k, v, probs, dctx, dq, dk, dv);
-}
-
-/// [`attention_backward`] on a given arm (see [`forward_on`]).
-#[allow(clippy::too_many_arguments)]
-fn backward_on(
-    blocked: Option<KernelKind>,
-    dims: AttnDims,
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    probs: &[f32],
-    dctx: &[f32],
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-) {
+    let kernel = dims.kernel(4);
     let (s, dim) = (dims.seq, dims.dim);
     let (dh, scale) = (dims.head_dim(), dims.score_scale());
     for x in [q, k, v, dctx, &*dq, &*dk, &*dv] {
@@ -286,45 +168,27 @@ fn backward_on(
     for (h, attn) in probs.chunks_exact(s * s).enumerate() {
         let off = h * dh;
         dscores.fill(0.0);
-        match blocked {
-            Some(kernel) => {
-                let mut product = |a: MatRef, b: MatRef, dst: &mut [f32], scale: f32| {
-                    tmp.fill(0.0);
-                    gemm::gemm_with(kernel, s, s, dh, a, b, &mut tmp);
-                    store_band(&tmp, dst, off, dim, dh, scale);
-                };
-                gemm::gemm_with(kernel, s, dh, s, band(dctx, off, dim), band_t(v, off, dim), &mut dscores);
-                product(MatRef::transposed(attn, s), band(dctx, off, dim), dv, 1.0);
-                for (yr, gr) in attn.chunks_exact(s).zip(dscores.chunks_exact_mut(s)) {
-                    softmax_backward_row(yr, gr);
-                }
-                product(MatRef::row_major(&dscores[..], s), band(k, off, dim), dq, scale);
-                product(MatRef::transposed(&dscores[..], s), band(q, off, dim), dk, scale);
-            }
-            None => {
-                transpose_band(v, off, dim, dh, &mut tmp);
-                band_tb(dctx, off, dim, &tmp, &mut dscores);
-                band_mm_ta(attn, dctx, dv, off, dim, dh);
-                for (yr, gr) in attn.chunks_exact(s).zip(dscores.chunks_exact_mut(s)) {
-                    softmax_backward_row(yr, gr);
-                }
-                band_mm(&dscores, k, dq, off, dim, dh);
-                scale_band(dq, off, dim, dh, scale);
-                band_mm_ta(&dscores, q, dk, off, dim, dh);
-                scale_band(dk, off, dim, dh, scale);
-            }
+        let mut product = |a: MatRef, b: MatRef, dst: &mut [f32], scale: f32| {
+            tmp.fill(0.0);
+            gemm::gemm_with(kernel, s, s, dh, a, b, &mut tmp);
+            store_band(&tmp, dst, off, dim, dh, scale);
+        };
+        gemm::gemm_with(kernel, s, dh, s, band(dctx, off, dim), band_t(v, off, dim), &mut dscores);
+        product(MatRef::transposed(attn, s), band(dctx, off, dim), dv, 1.0);
+        for (yr, gr) in attn.chunks_exact(s).zip(dscores.chunks_exact_mut(s)) {
+            softmax_backward_row(yr, gr);
         }
+        product(MatRef::row_major(&dscores[..], s), band(k, off, dim), dq, scale);
+        product(MatRef::transposed(&dscores[..], s), band(q, off, dim), dk, scale);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::matmul::GEMM_THRESHOLD;
     use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
     use crate::ops::{matmul, matmul_ta, matmul_tb, scale, softmax_last, softmax_last_backward};
     use crate::Tensor;
-    use nautilus_util::pool::with_parallelism_limit;
     use nautilus_util::prop::{bools, prop_check, u64s, usizes};
     use nautilus_util::prop_assert_eq;
 
@@ -423,68 +287,12 @@ mod tests {
             let d = AttnDims { seq, dim: heads * dh, heads };
             check(d, seed, if saturate { 64.0 } else { 1.0 })
         });
-    }
-
-    /// `s·dh·s` one step below and at the safe kernel's work threshold, so
-    /// both arms are compared with the composition at every pool width.
-    /// Under FMA there is no naive arm and both sizes run the engine.
-    #[test]
-    fn threshold_straddle_bitwise_vs_reference() {
-        let dh = 8usize;
-        let at = (1..).find(|s| s * dh * s >= GEMM_THRESHOLD).unwrap();
-        let safe = gemm::resolved_kernel() == KernelKind::Safe;
-        for (heads, seq) in [(1, at - 1), (1, at), (4, at - 1), (4, at)] {
+        // Past the generator's range: several MC row blocks with rows not a
+        // multiple of MR, band offsets across four heads, and a shared
+        // dimension one past a kc block.
+        for (heads, dh, seq) in [(1, 8, 127), (4, 8, 128), (1, 1, gemm::KC + 1)] {
             let d = AttnDims { seq, dim: heads * dh, heads };
-            assert_eq!(d.route(0).is_none(), safe && seq < at, "straddle sizing");
-            for limit in [1usize, 2, 8] {
-                with_parallelism_limit(limit, || check(d, 0x5EED + seq as u64, 1.0))
-                    .unwrap_or_else(|e| panic!("heads {heads} seq {seq} limit {limit}: {e}"));
-            }
-        }
-    }
-
-    /// The summation contract for attention: with `seq` and `dh` inside one
-    /// `KC` block the naive arm and the safe engine arm leave the same bits
-    /// in every output, forward and backward — so which of them `route`
-    /// picks is a performance choice. `route` itself admits the naive arm
-    /// only there, and never under FMA.
-    #[test]
-    fn naive_arm_equals_engine_arm_bitwise_vs_reference() {
-        let arms_agree = |heads: usize, dh: usize, seq: usize, saturate: bool, seed: u64| {
-            let d = AttnDims { seq, dim: heads * dh, heads };
-            let n = d.record_len();
-            let spread = if saturate { 64.0 } else { 1.0 };
-            let q: Vec<f32> = salted(seed, n).iter().map(|x| x * spread).collect();
-            let (k, v, dctx) = (salted(seed ^ 1, n), salted(seed ^ 2, n), salted(seed ^ 3, n));
-            let run = |arm: Option<KernelKind>| {
-                let mut ctx = vec![0.0f32; n];
-                let mut probs = vec![0.0f32; d.probs_len()];
-                forward_on(arm, d, &q, &k, &v, &mut ctx, Some(&mut probs));
-                let mut grads = [(); 3].map(|_| vec![0.0f32; n]);
-                let [dq, dk, dv] = &mut grads;
-                backward_on(arm, d, &q, &k, &v, &probs, &dctx, dq, dk, dv);
-                let [dq, dk, dv] = grads;
-                [ctx, probs, dq, dk, dv].map(|x| bits(&x))
-            };
-            prop_assert_eq!(run(None), run(Some(KernelKind::Safe)));
-            Ok(())
-        };
-        let gen = (bools(), usizes(1..41), usizes(1..41), bools(), u64s(0..u64::MAX));
-        prop_check(0xA77F, 32, &gen, |&(four_heads, dh, seq, saturate, seed)| {
-            arms_agree(if four_heads { 4 } else { 1 }, dh, seq, saturate, seed)
-        });
-        // The last shared dimensions the naive arm is admitted at.
-        for (heads, dh, seq) in [(1, 8, gemm::KC - 1), (4, 3, gemm::KC), (1, gemm::KC, 9)] {
-            arms_agree(heads, dh, seq, seq % 2 == 0, 0xA77F).unwrap_or_else(|e: String| panic!("{e}"));
-        }
-
-        let (kernel, blk) = gemm::kernel_info();
-        for (seq, dh) in [(1, 1), (12, 8), (blk.kc, 8), (blk.kc + 1, 1), (8, blk.kc + 1), (400, 64)] {
-            let d = AttnDims { seq, dim: dh, heads: 1 };
-            let naive = kernel == KernelKind::Safe
-                && seq * dh * seq < GEMM_THRESHOLD
-                && seq.max(dh) <= blk.kc;
-            assert_eq!(d.route(0).is_none(), naive, "{kernel:?} seq {seq} dh {dh}");
+            check(d, seq as u64, 1.0).unwrap_or_else(|e| panic!("{d:?}: {e}"));
         }
     }
 

@@ -15,9 +15,15 @@
 //!   by exactly one task. The order is a function of the blocking
 //!   parameters and kernel kind only — never of the worker count — so
 //!   results are bit-identical at any thread width *within one kernel*.
-//! * **No per-call allocation.** Packing panels come from the thread-local
-//!   [`nautilus_util::scratch`] arena (32-byte aligned via
-//!   [`scratch::take_aligned`]) and are reused across calls.
+//! * **Per-call cost proportional to the product.** Packing panels are
+//!   sized to the product (at most one blocking's worth) and come unzeroed
+//!   from the thread-local [`nautilus_util::scratch`] arena, 32-byte
+//!   aligned ([`scratch::take_aligned`]), so a call never allocates
+//!   or fills more than its operands need once the arena is warm. The
+//!   packers write every element the microkernel reads, edge padding
+//!   included, so a recycled panel's stale values never reach an output.
+//!   This is why [`crate::ops::matmul`] can hand the engine every product
+//!   but safe-kernel row vectors.
 //! * **Two microkernels behind one dispatch layer.**
 //!   - [`KernelKind::Safe`]: the portable default — fixed-trip-count array
 //!     arithmetic over `[[f32; NR]; MR]` accumulators that rustc
@@ -258,25 +264,10 @@ pub fn blocking_for(kind: KernelKind) -> Blocking {
 }
 
 /// `(resolved kernel, its blocking)` — the exact configuration the next
-/// dispatched GEMM runs with. Used by telemetry, matmul threshold
-/// validation, and tests.
+/// dispatched GEMM runs with. Used by telemetry and tests.
 pub fn kernel_info() -> (KernelKind, Blocking) {
     let kind = resolved_kernel();
     (kind, blocking_for(kind))
-}
-
-/// Work threshold (in multiply-adds, `m·k·n`) at and above which a product
-/// always runs the blocked engine. Below it the safe kernel may take the
-/// naive row loops, which — for a shared dimension within one `kc` block —
-/// are the same float expression per element, so the crossover is a pure
-/// performance choice. The FMA kernel has no naive arm: a multiply followed
-/// by an add rounds twice and can never equal the fused engine, so its
-/// threshold is 0 and every product runs the engine.
-pub fn dispatch_threshold(kind: KernelKind) -> usize {
-    match kind {
-        KernelKind::Safe => 1 << 17,
-        KernelKind::Fma => 0,
-    }
 }
 
 /// Bitmask of kernel kinds whose selection was already logged.
@@ -284,13 +275,17 @@ static SELECTION_LOGGED: AtomicU8 = AtomicU8::new(0);
 
 /// Records the resolved kernel + blocking once per kind per process: a
 /// `gemm.kernel_selected` event and a `gemm.kernel_blocking` labeled gauge
-/// family would be overkill — the event carries the numbers.
+/// family would be overkill — the event carries the numbers. Every GEMM
+/// calls this, from every pool worker, so the logged case is a shared
+/// relaxed load; the read-modify-write runs once per kind.
 fn record_selection(kind: KernelKind, blk: Blocking) {
     let bit = match kind {
         KernelKind::Safe => 1u8,
         KernelKind::Fma => 2u8,
     };
-    if SELECTION_LOGGED.fetch_or(bit, Ordering::Relaxed) & bit != 0 {
+    if SELECTION_LOGGED.load(Ordering::Relaxed) & bit != 0
+        || SELECTION_LOGGED.fetch_or(bit, Ordering::Relaxed) & bit != 0
+    {
         return;
     }
     eventlog::info(
@@ -486,6 +481,26 @@ fn gemm_task(
     }
 }
 
+/// The packing panels of one task's loop nest, sized to its product: an A
+/// panel of `min(mc, rows)` rows rounded up to whole `SR`-row strips by
+/// `min(kc, k)`, and a B panel of `min(kc, k)` by `min(nc, n)` columns
+/// rounded up to whole `SC`-column strips. They come unzeroed: in every
+/// block [`pack_a`]/[`pack_b`] write each element the microkernel then
+/// reads, edge padding included, so a recycled panel's stale values never
+/// reach an output.
+fn panels<const SR: usize, const SC: usize>(
+    blk: Blocking,
+    rows: usize,
+    k: usize,
+    n: usize,
+) -> (scratch::AlignedScratch, scratch::AlignedScratch) {
+    let kc = blk.kc.min(k);
+    (
+        scratch::take_aligned(blk.mc.min(rows).div_ceil(SR) * SR * kc),
+        scratch::take_aligned(kc * blk.nc.min(n).div_ceil(SC) * SC),
+    )
+}
+
 /// The safe kernel's loop nest: MR×NR tiles over MR/NR-strip panels. This
 /// body (and its packing layout) is byte-for-byte the pre-dispatch blocked
 /// engine, pinned by `safe_path_bit_pattern_is_pinned`.
@@ -499,8 +514,7 @@ fn gemm_task_safe(
     b: MatRef,
     out: &mut [f32],
 ) {
-    let mut apack = scratch::take_aligned(blk.mc.div_ceil(MR) * MR * blk.kc);
-    let mut bpack = scratch::take_aligned(blk.kc * blk.nc.div_ceil(NR) * NR);
+    let (mut apack, mut bpack) = panels::<MR, NR>(blk, rows, k, n);
     let mut pack_bytes = 0u64;
     let mut mk_calls = 0u64;
     let mut jc = 0;
@@ -569,8 +583,7 @@ fn gemm_task_fma(
     b: MatRef,
     out: &mut [f32],
 ) {
-    let mut apack = scratch::take_aligned(blk.mc.div_ceil(MR_FMA) * MR_FMA * blk.kc);
-    let mut bpack = scratch::take_aligned(blk.kc * blk.nc.div_ceil(NR_FMA) * NR_FMA);
+    let (mut apack, mut bpack) = panels::<MR_FMA, NR_FMA>(blk, rows, k, n);
     let mut pack_bytes = 0u64;
     let mut mk_calls = 0u64;
     let mut jc = 0;
@@ -707,9 +720,10 @@ pub fn gemm_serial(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut
     gemm_serial_with(resolved_kernel(), m, k, n, a, b, out);
 }
 
-/// Unblocked i-p-j reference kernel over the same strided views. This is
-/// the rounding reference the blocked kernel is validated against, and the
-/// "naive" side of the `gemm` bench group / `BENCH_gemm.json` gate.
+/// Unblocked i-p-j kernel over the same strided views. This is the rounding
+/// reference the blocked kernel is validated against, the "naive" side of
+/// the `gemm` bench group / `BENCH_gemm.json` gate, and the row-vector arm
+/// of [`crate::ops::matmul::matmul_ex`] on the safe kernel.
 pub fn gemm_naive(m: usize, k: usize, n: usize, a: MatRef, b: MatRef, out: &mut [f32]) {
     debug_assert_eq!(out.len(), m * n);
     for i in 0..m {
@@ -858,6 +872,71 @@ mod tests {
         }
         let (h1, _) = nautilus_util::scratch::thread_stats();
         assert!(h1 > h0, "repeated gemms must hit the scratch arena");
+    }
+
+    /// The panels come unzeroed, so this is the proof that no stale value
+    /// reaches an output: before every run, panels of the sizes the run
+    /// takes are filled with NaN or `f32::MAX` and recycled — into the
+    /// calling thread's arena and into those of whichever workers run a
+    /// poisoning scope — and the output must carry the bits of a run on a
+    /// fresh thread, whose arena holds nothing. Edge shapes for both tiles
+    /// (m, n not multiples of `MR`/`NR`/`MR_FMA`/`NR_FMA`, n past the safe
+    /// `NC`), k on both sides of one and two `kc` blocks, all four
+    /// transpose views, pool widths 1/2/8 (the last shape fans out).
+    #[test]
+    fn poisoned_arena_never_reaches_an_output() {
+        use nautilus_util::prop::{f32_bits as bits, salted_f32s as salted};
+        fn poison(kind: KernelKind, rows: usize, k: usize, n: usize, value: f32) {
+            let blk = blocking_for(kind);
+            let (mut a, mut b) = match kind {
+                KernelKind::Safe => panels::<MR, NR>(blk, rows, k, n),
+                KernelKind::Fma => panels::<MR_FMA, NR_FMA>(blk, rows, k, n),
+            };
+            a.fill(value);
+            b.fill(value);
+        }
+        let run = |kind: KernelKind, (m, k, n): (usize, usize, usize), x: &[f32], y: &[f32], (ta, tb): (bool, bool)| {
+            let a = if ta { MatRef::transposed(x, m) } else { MatRef::row_major(x, k) };
+            let b = if tb { MatRef::transposed(y, k) } else { MatRef::row_major(y, n) };
+            let mut out = vec![0.0f32; m * n];
+            gemm_with(kind, m, k, n, a, b, &mut out);
+            bits(&out)
+        };
+        for kind in [KernelKind::Safe, KernelKind::Fma].map(sanitize) {
+            let kc = blocking_for(kind).kc;
+            for k in [1, kc - 1, kc, kc + 1, 2 * kc + 1] {
+                let mut shapes = vec![(13, k, 19), (67, k, 5), (13, k, 259)];
+                if k > 2 * kc {
+                    shapes.push((70, k, PAR_THRESHOLD.div_ceil(70 * k) | 1));
+                }
+                for (m, k, n) in shapes {
+                    let (x, y) = (salted(k as u64, m * k), salted(n as u64, k * n));
+                    for views in [(false, false), (true, false), (false, true), (true, true)] {
+                        let fresh = std::thread::scope(|s| {
+                            s.spawn(|| with_parallelism_limit(1, || run(kind, (m, k, n), &x, &y, views)))
+                                .join()
+                                .unwrap()
+                        });
+                        for (width, value) in [(1, f32::NAN), (1, f32::MAX), (2, f32::NAN), (8, f32::MAX)] {
+                            let got = with_parallelism_limit(width, || {
+                                poison(kind, m, k, n, value);
+                                let chunk = pool::aligned_chunk_len(m, blocking_for(kind).mc);
+                                pool::run_scope(
+                                    (0..8)
+                                        .map(|_| {
+                                            Box::new(move || poison(kind, chunk, k, n, value))
+                                                as Box<dyn FnOnce() + Send>
+                                        })
+                                        .collect(),
+                                );
+                                run(kind, (m, k, n), &x, &y, views)
+                            });
+                            assert!(got == fresh, "{kind:?} {m}x{k}x{n} views {views:?} width {width} poison {value}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

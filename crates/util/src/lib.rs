@@ -21,7 +21,8 @@
 //!   `NAUTILUS_THREADS`.
 //! - [`scratch`] — thread-local arena of reusable `f32` buffers for
 //!   kernel temporaries (GEMM packing panels, im2col columns, output
-//!   buffers); zero-filled on take, bounded retention, `scratch.hits`/
+//!   buffers); zero-filled on take except the aligned panel take, bounded
+//!   retention, `scratch.hits`/
 //!   `scratch.misses` telemetry.
 //! - [`telemetry`] — tracing + metrics substrate: RAII spans with
 //!   thread-local parent stacks and per-thread ring buffers, named atomic

@@ -10,12 +10,14 @@
 //!   into the arena on drop — the right shape for kernel-internal
 //!   temporaries (packing panels, column matrices).
 //! * [`take_aligned`] is [`take`] with the window lifted onto a 32-byte
-//!   boundary, for packed panels consumed by SIMD microkernels.
+//!   boundary and without the zero fill, for buffers consumed by SIMD
+//!   kernels that overwrite them before reading (GEMM packing panels): a
+//!   reused buffer keeps its last user's values.
 //! * [`take_vec`] / [`recycle`] split the two halves apart for buffers
 //!   whose ownership must escape (e.g. a kernel output that becomes a
 //!   tensor's backing storage and is recycled later by the tensor's drop).
 //!
-//! Buffers are zero-filled on every take, so a reused buffer is
+//! Every take but [`take_aligned`] is zero-filled, so a reused buffer is
 //! indistinguishable from a fresh `vec![0.0; n]`. Reuse is bounded: at most
 //! [`MAX_BUFS`] buffers / [`MAX_BYTES`] bytes are retained per thread
 //! (smallest evicted first), and buffers under [`MIN_POOL_LEN`] elements
@@ -96,6 +98,13 @@ std::thread_local! {
 /// A zero-filled buffer of exactly `len` elements, reusing a previously
 /// recycled allocation when one fits. The vec's capacity may exceed `len`.
 pub fn take_vec(len: usize) -> Vec<f32> {
+    take_raw(len, true)
+}
+
+/// A buffer of exactly `len` elements from the arena: zero-filled when
+/// `zeroed`, otherwise a recycled buffer keeps its stale (but initialized)
+/// prefix and only a tail beyond its old length is zero-filled.
+fn take_raw(len: usize, zeroed: bool) -> Vec<f32> {
     if len < MIN_POOL_LEN {
         return vec![0.0; len];
     }
@@ -120,7 +129,11 @@ pub fn take_vec(len: usize) -> Vec<f32> {
     match reused {
         Some(mut buf) => {
             telemetry::SCRATCH_HITS.add(1);
-            buf.clear();
+            if zeroed {
+                buf.clear();
+            } else {
+                buf.truncate(len);
+            }
             buf.resize(len, 0.0);
             buf
         }
@@ -225,20 +238,33 @@ impl Drop for AlignedScratch {
     }
 }
 
-/// A zero-filled RAII scratch buffer of `len` elements whose first element
-/// sits on a [`SIMD_ALIGN`]-byte boundary, so vector kernels reading it in
-/// 32-byte lanes never take split-load penalties. Works by over-allocating
-/// `SIMD_ALIGN/4 - 1` elements and offsetting into the buffer; the offset
-/// is recomputed on every take because the arena may hand back a different
-/// allocation each time. Falls back to offset 0 (a plain, possibly
-/// unaligned window) in the degenerate case where the allocator returns a
-/// pointer that cannot be aligned — callers must still use unaligned loads
-/// for correctness and get alignment as a performance property.
+/// An RAII scratch buffer of `len` elements whose first element sits on a
+/// [`SIMD_ALIGN`]-byte boundary, so vector kernels reading it in 32-byte
+/// lanes never take split-load penalties. Not zero-filled: a recycled
+/// buffer comes back holding whatever its last user left in it (still
+/// initialized `f32`s, so this is plain safe Rust). For buffers the caller
+/// overwrites before it reads any element — GEMM packing panels — where
+/// zero-filling a panel on every call would cost more than a small product
+/// itself.
+///
+/// Works by over-allocating `SIMD_ALIGN/4 - 1` elements and offsetting into
+/// the buffer; the offset is recomputed on every take because the arena may
+/// hand back a different allocation each time. Falls back to offset 0 (a
+/// plain, possibly unaligned window) in the degenerate case where the
+/// allocator returns a pointer that cannot be aligned — callers must still
+/// use unaligned loads for correctness and get alignment as a performance
+/// property.
 pub fn take_aligned(len: usize) -> AlignedScratch {
-    const SLACK: usize = SIMD_ALIGN / 4 - 1;
-    let buf = take_vec(len + SLACK);
+    aligned(take_raw(len + ALIGN_SLACK, false), len)
+}
+
+const ALIGN_SLACK: usize = SIMD_ALIGN / 4 - 1;
+
+/// Wraps `buf` (at least `len + ALIGN_SLACK` long) with its window lifted
+/// onto the first `SIMD_ALIGN`-byte boundary.
+fn aligned(buf: Vec<f32>, len: usize) -> AlignedScratch {
     let mis = buf.as_ptr().align_offset(SIMD_ALIGN);
-    let off = if mis <= SLACK { mis } else { 0 };
+    let off = if mis <= ALIGN_SLACK { mis } else { 0 };
     AlignedScratch { buf: Some(buf), off, len }
 }
 
@@ -297,24 +323,35 @@ mod tests {
 
     #[test]
     fn aligned_take_is_simd_aligned_and_zeroed() {
+        // Each test runs on a fresh thread, so every take here misses the
+        // arena (or bypasses it) and gets a fresh, zero-filled allocation.
         for len in [1usize, 7, MIN_POOL_LEN, MIN_POOL_LEN * 3 + 5] {
             let s = take_aligned(len);
             assert_eq!(s.len(), len);
             assert_eq!(s.as_ptr() as usize % SIMD_ALIGN, 0, "len {len} window misaligned");
             assert!(s.iter().all(|&x| x == 0.0));
         }
+        let (h0, m0) = thread_stats();
+        for _ in 0..2 {
+            let _tiny = take_aligned(8);
+        }
+        assert_eq!(thread_stats(), (h0, m0), "tiny aligned takes must not touch stats");
     }
 
     #[test]
     fn aligned_take_recycles_through_the_arena() {
-        let len = MIN_POOL_LEN * 2;
+        let len = MIN_POOL_LEN * 2 + 5;
         {
-            let _s = take_aligned(len);
+            let mut s = take_aligned(len);
+            s.fill(7.0);
         }
         let (h0, _) = thread_stats();
-        let _s2 = take_aligned(len);
+        let s2 = take_aligned(len);
         let (h1, _) = thread_stats();
         assert_eq!(h1 - h0, 1, "second aligned take must hit the arena");
+        assert_eq!(s2.len(), len);
+        assert_eq!(s2.as_ptr() as usize % SIMD_ALIGN, 0, "window misaligned");
+        assert!(s2.iter().all(|&x| x == 7.0), "an aligned take must not zero-fill");
     }
 
     #[test]

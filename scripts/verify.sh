@@ -78,7 +78,8 @@ fi
 # runner the pool degrades to inline execution, so pooled must track
 # sequential; on multi-core it must beat it.
 # NAUTILUS_RESULTS must be absolute: cargo runs bench binaries from the
-# package directory, not the workspace root.
+# package directory, not the workspace root. Filters match by substring,
+# so `gemm` also selects the `gemm_census` group.
 NAUTILUS_BENCH_SAMPLES=9 NAUTILUS_RESULTS="$PWD/results" \
     cargo bench --offline -p nautilus-bench --bench substrates -- gemm conv pool telemetry serve multitenant prefetch int8
 python3 - results/bench-substrates.json results/BENCH_pool.json <<'EOF'
@@ -158,8 +159,9 @@ EOF
 # GEMM kernel-quality gate: the cache-blocked packed kernel must beat the
 # naive triple loop by >= 1.5x at 256 and 512 (both sides single-task, so
 # the ratio is pure kernel quality, not pool parallelism). 64 is recorded
-# for the report only — below the dispatch threshold the naive loop wins
-# on startup cost, which is exactly why matmul_ex keeps it for tiny shapes.
+# for the report only. Which products keep the naive loop at run time is
+# shape-keyed (safe-kernel row vectors, m < MR) and rests on the
+# `gemm_census` rows of bench-substrates.json, not on this gate.
 # Conv direct-vs-im2col numbers ride along as information.
 python3 - results/bench-substrates.json results/BENCH_gemm.json <<'EOF'
 import json, sys
