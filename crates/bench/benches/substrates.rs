@@ -210,11 +210,13 @@ fn bench_int8(c: &mut Criterion) {
     // scale. Per-record work sits below the parallel-dispatch threshold
     // (the serving regime), so f32 runs the blocked engine on one thread
     // while int8 runs the i32-accumulate dot kernels over 4x-smaller weights.
-    // scripts/verify.sh gates int8 >= 1.2x f32 via results/BENCH_int8.json.
-    use nautilus_dnn::exec::forward_batch;
+    // Both run the one serving entry over one group, differing only in the
+    // group's int8 form. scripts/verify.sh gates int8 >= 1.2x f32 via
+    // results/BENCH_int8.json.
+    use nautilus_dnn::exec::{forward_batch_shared_trunk, TrunkGroup};
     use nautilus_dnn::graph::ParamInit;
     use nautilus_dnn::layer::{Activation, LayerKind};
-    use nautilus_dnn::quant::{forward_batch_quantized, QuantizedModel};
+    use nautilus_dnn::quant::QuantizedModel;
     use nautilus_dnn::ModelGraph;
 
     const IN: usize = 256;
@@ -244,18 +246,18 @@ fn bench_int8(c: &mut Criterion) {
         )
         .unwrap();
     g.add_output(head).unwrap();
-    let quant = QuantizedModel::from_graph(&g, None);
+    let quant = QuantizedModel::from_graph(&g, None).unwrap();
 
-    let mut stacked = BatchInputs::new();
-    stacked.insert(inp, randn([BATCH, IN], 1.0, &mut rng));
+    let stacked = randn([BATCH, IN], 1.0, &mut rng);
+    let f32_group = [TrunkGroup { rows: BATCH, overrides: None, quant: None }];
+    let int8_group = [TrunkGroup { rows: BATCH, overrides: None, quant: Some(&quant) }];
+    let run = |groups: &[TrunkGroup<'_>]| {
+        forward_batch_shared_trunk(&g, inp, head, stacked.clone(), groups).unwrap()
+    };
 
     let mut group = c.benchmark_group("int8");
-    group.bench_function("f32_forward/8", |b| {
-        b.iter(|| forward_batch(&g, &stacked, BATCH).unwrap())
-    });
-    group.bench_function("int8_forward/8", |b| {
-        b.iter(|| forward_batch_quantized(&g, &stacked, head, &quant, None).unwrap())
-    });
+    group.bench_function("f32_forward/8", |b| b.iter(|| run(&f32_group)));
+    group.bench_function("int8_forward/8", |b| b.iter(|| run(&int8_group)));
     group.finish();
 }
 
@@ -601,7 +603,7 @@ fn bench_multitenant(c: &mut Criterion) {
         })
         .collect();
     let groups: Vec<TrunkGroup> =
-        overrides.iter().map(|o| TrunkGroup { rows: 1, overrides: Some(o) }).collect();
+        overrides.iter().map(|o| TrunkGroup { rows: 1, overrides: Some(o), quant: None }).collect();
 
     let mut group = c.benchmark_group("multitenant");
     group.sample_size(15);

@@ -1196,7 +1196,8 @@ impl ModelSelection {
         &self,
     ) -> Result<(usize, ModelGraph, nautilus_dnn::QuantizedModel), SessionError> {
         let (ci, g) = self.export_best()?;
-        let quant = nautilus_dnn::QuantizedModel::from_graph(&g, None);
+        let quant = nautilus_dnn::QuantizedModel::from_graph(&g, None)
+            .map_err(|e| SessionError::Invalid(e.to_string()))?;
         Ok((ci, g, quant))
     }
 

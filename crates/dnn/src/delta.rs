@@ -204,29 +204,47 @@ pub fn apply_delta(base: &ModelGraph, delta: &GraphDelta) -> Result<ModelGraph, 
     if sig != delta.base_sig {
         return Err(DeltaError::BaseMismatch { expected: delta.base_sig, actual: sig });
     }
+    check_delta(base, delta)?;
     let mut g = base.clone();
-    let mut covered = 0usize;
     for e in &delta.entries {
-        if e.node >= g.len() {
-            return Err(DeltaError::BadEntry(format!("entry references missing node #{}", e.node)));
+        g.set_node_params(NodeId(e.node), e.params.clone())?;
+    }
+    Ok(g)
+}
+
+/// Checks that `delta`'s entries fit `base` (signatures aside): each names
+/// an in-range trainable node with params matching its `param_shapes`, and
+/// together they cover every trainable node exactly once.
+pub fn check_delta(base: &ModelGraph, delta: &GraphDelta) -> Result<(), DeltaError> {
+    let mut covered = vec![false; base.len()];
+    for e in &delta.entries {
+        let node = base
+            .nodes()
+            .get(e.node)
+            .ok_or_else(|| DeltaError::BadEntry(format!("entry references missing node #{}", e.node)))?;
+        if !node.trainable() {
+            return Err(DeltaError::BadEntry(format!("entry targets non-trainable node '{}'", node.name)));
         }
-        let id = NodeId(e.node);
-        if !g.node(id).trainable() {
+        if std::mem::replace(&mut covered[e.node], true) {
+            return Err(DeltaError::BadEntry(format!("two entries for node '{}'", node.name)));
+        }
+        if e.params.len() != node.param_shapes.len()
+            || e.params.iter().zip(&node.param_shapes).any(|(p, s)| p.shape() != s)
+        {
             return Err(DeltaError::BadEntry(format!(
-                "entry targets non-trainable node '{}'",
-                g.node(id).name
+                "entry for '{}' does not match the layer's parameter shapes",
+                node.name
             )));
         }
-        g.set_node_params(id, e.params.clone())?;
-        covered += 1;
     }
-    let trainable = g.nodes().iter().filter(|n| n.trainable()).count();
+    let covered = covered.iter().filter(|&&c| c).count();
+    let trainable = base.nodes().iter().filter(|n| n.trainable()).count();
     if covered != trainable {
         return Err(DeltaError::BadEntry(format!(
             "delta covers {covered} of {trainable} trainable nodes"
         )));
     }
-    Ok(g)
+    Ok(())
 }
 
 struct DeltaHeader {
@@ -442,6 +460,17 @@ mod tests {
             apply_delta(&strip_trainable(&v), &partial),
             Err(DeltaError::BadEntry(_))
         ));
+    }
+
+    /// Entry count matches the trainable count, but one node is covered
+    /// twice and another not at all.
+    #[test]
+    fn apply_rejects_a_duplicated_entry() {
+        let v = variant(3);
+        let mut dup = extract_delta(&v).unwrap();
+        dup.entries[1] = dup.entries[0].clone();
+        let err = apply_delta(&strip_trainable(&v), &dup).unwrap_err();
+        assert!(matches!(&err, DeltaError::BadEntry(m) if m.contains("two entries")), "{err}");
     }
 
     #[test]

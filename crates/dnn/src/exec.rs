@@ -8,9 +8,14 @@
 //! forward + input-gradient + parameter-gradient, frozen non-materializable
 //! layers pay forward + input-gradient, and materializable layers pay
 //! forward only (§4.1).
+//!
+//! Every forward entry point — training [`forward`], [`forward_batch`] and
+//! shared-trunk serving in f32 or int8 — is one walk over a chosen set of
+//! nodes, with each node's parameters looked up in one place (`resolve`).
 
 use crate::graph::{ModelGraph, NodeId};
 use crate::layer::{Activation, LayerKind};
+use crate::quant::{QuantDense, QuantizedModel};
 use nautilus_tensor::ops::{
     add, add_assign, attention_backward, attention_forward, avg_pool2d_global, conv2d,
     conv2d_backward, conv2d_backward_ex, gelu, gelu_backward, gelu_backward_cached,
@@ -21,6 +26,7 @@ use nautilus_tensor::{Shape, Tensor, TensorError};
 use nautilus_util::telemetry;
 use nautilus_util::pool;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Batched tensors for a graph's input placeholders.
 #[derive(Debug, Clone, Default)]
@@ -208,7 +214,7 @@ pub struct Gradients {
 /// Keyed by node id; each value replaces that node's `params` wholesale.
 /// The `Arc<Vec<Tensor>>` granularity lets a registry share one resident
 /// copy of structurally identical deltas across tenants.
-pub type ParamOverrides = HashMap<NodeId, std::sync::Arc<Vec<Tensor>>>;
+pub type ParamOverrides = HashMap<NodeId, Arc<Vec<Tensor>>>;
 
 /// Runs the forward pass. `training` controls whether backward caches are
 /// retained.
@@ -217,48 +223,113 @@ pub fn forward(
     inputs: &BatchInputs,
     training: bool,
 ) -> Result<ForwardResult, ExecError> {
-    forward_with_overrides(graph, inputs, training, None)
-}
-
-/// [`forward`] with per-node parameter overrides (see [`ParamOverrides`]).
-///
-/// Nodes absent from the override map execute with their own `params`;
-/// overridden nodes execute with the supplied tensors. This is how a
-/// trainable-stripped base graph serves any of its variants.
-pub fn forward_with_overrides(
-    graph: &ModelGraph,
-    inputs: &BatchInputs,
-    training: bool,
-    overrides: Option<&ParamOverrides>,
-) -> Result<ForwardResult, ExecError> {
     let _sp = telemetry::span("dnn", "dnn.forward");
     let n = graph.len();
     let mut outputs: Vec<Option<Tensor>> = vec![None; n];
     let mut caches: Vec<Cache> = Vec::with_capacity(n);
     // Only training reads it: inference skips the graph walk.
     let requires_grad = training.then(|| graph.requires_grad());
-
-    for id in graph.ids() {
-        let node = graph.node(id);
-        let keep_cache = requires_grad.as_ref().is_some_and(|rg| rg[id.index()]);
-        let parent_outputs: Vec<&Tensor> = node
-            .inputs
-            .iter()
-            .map(|p| outputs[p.index()].as_ref().expect("topological order"))
-            .collect();
-        let params: &[Tensor] = overrides
-            .and_then(|o| o.get(&id))
-            .map_or(&node.params[..], |v| &v[..]);
-        let (out, cache) = run_forward(node, params, &parent_outputs, inputs, id, keep_cache)
-            .map_err(|e| exec_err(&node.name, e))?;
-        outputs[id.index()] = Some(out);
-        caches.push(if keep_cache { cache } else { Cache::None });
-    }
-
+    // One group over the whole batch, with the graph's own params.
+    let own = [TrunkGroup { rows: 0, overrides: None, quant: None }];
+    let keep = Some((&mut caches, requires_grad.as_deref()));
+    walk(graph, graph.ids(), &own, inputs, &mut outputs, keep)?;
     Ok(ForwardResult {
         outputs: outputs.into_iter().map(|o| o.expect("all nodes computed")).collect(),
         caches,
     })
+}
+
+/// A node's parameters as one group resolves them.
+pub(crate) enum Resolved<'a> {
+    /// f32 tensors, in the node's parameter order.
+    F32(&'a [Tensor]),
+    /// The group's int8 form of a dense node.
+    Int8(&'a Arc<QuantDense>),
+}
+
+impl Resolved<'_> {
+    /// The same tensors: identity, not equal values.
+    fn same(&self, other: &Resolved<'_>) -> bool {
+        match (self, other) {
+            (Resolved::F32(a), Resolved::F32(b)) => std::ptr::eq(*a, *b),
+            (Resolved::Int8(a), Resolved::Int8(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+/// Resolves node `id`'s parameters for `group`: the group's int8 layer, else
+/// its override entry, else the graph's own params. f32 params must match
+/// the node's declared `param_shapes` in count (and, for an override, in
+/// shape; the graph's own were checked when set), so no layer indexes past
+/// what it was given.
+pub(crate) fn resolve<'a>(
+    graph: &'a ModelGraph,
+    id: NodeId,
+    group: &TrunkGroup<'a>,
+) -> Result<Resolved<'a>, ExecError> {
+    if let Some(q) = group.quant.and_then(|q| q.layers.get(&id)) {
+        return Ok(Resolved::Int8(q));
+    }
+    let node = graph.node(id);
+    let over = group.overrides.and_then(|o| o.get(&id));
+    let params = over.map_or(&node.params[..], |v| &v[..]);
+    if params.len() != node.param_shapes.len() {
+        return Err(exec_err(
+            &node.name,
+            format!("{} parameter tensors, the layer takes {}", params.len(), node.param_shapes.len()),
+        ));
+    }
+    if over.is_some() {
+        for (p, s) in params.iter().zip(&node.param_shapes) {
+            if p.shape() != s {
+                return Err(exec_err(&node.name, format!("override parameter {} is not {s}", p.shape())));
+            }
+        }
+    }
+    Ok(Resolved::F32(params))
+}
+
+/// The one forward walk: runs `nodes` (ascending ids, so topological) over
+/// the batch in `outs`, each node's parameters resolved in every one of
+/// `groups` — which must agree, since the node's output serves them all.
+/// A parent's output must already sit in `outs`. With `caches`, every
+/// walked node pushes a cache, kept where its `keep` entry is set.
+fn walk<'a>(
+    graph: &'a ModelGraph,
+    nodes: impl Iterator<Item = NodeId>,
+    groups: &[TrunkGroup<'a>],
+    inputs: &BatchInputs,
+    outs: &mut [Option<Tensor>],
+    mut caches: Option<(&mut Vec<Cache>, Option<&[bool]>)>,
+) -> Result<(), ExecError> {
+    for id in nodes {
+        let node = graph.node(id);
+        let mut each = groups.iter().map(|g| resolve(graph, id, g));
+        let params = each.next().expect("at least one group")?;
+        for other in each {
+            if !params.same(&other?) {
+                return Err(exec_err(&node.name, "groups sharing this node resolve different parameters"));
+            }
+        }
+        let keep = caches.as_ref().and_then(|(_, k)| *k).is_some_and(|k| k[id.index()]);
+        let parents: Vec<&Tensor> =
+            node.inputs.iter().map(|p| outs[p.index()].as_ref().expect("topological order")).collect();
+        let (out, cache) = match params {
+            Resolved::Int8(q) => {
+                let out = q.forward(parents[0]).map_err(|e| exec_err(&node.name, e.message))?;
+                (out, Cache::None)
+            }
+            Resolved::F32(p) => {
+                run_forward(node, p, &parents, inputs, id, keep).map_err(|e| exec_err(&node.name, e))?
+            }
+        };
+        outs[id.index()] = Some(out);
+        if let Some((c, _)) = caches.as_mut() {
+            c.push(if keep { cache } else { Cache::None });
+        }
+    }
+    Ok(())
 }
 
 /// Inference forward over a stacked batch of `batch` records: one graph
@@ -282,25 +353,32 @@ pub fn forward_batch(
 }
 
 /// One tenant's slice of a shared-trunk batch: `rows` consecutive records
-/// of the stacked input, executed with the variant's [`ParamOverrides`].
+/// of the stacked input, executed with the variant's parameters: per node,
+/// its int8 layer, else its override entry, else the graph's own params.
 pub struct TrunkGroup<'a> {
     /// Number of consecutive records belonging to this group.
     pub rows: usize,
     /// The variant's trainable parameters (`None` = graph's own params).
     pub overrides: Option<&'a ParamOverrides>,
+    /// The variant's int8 serving form: dense nodes it holds run the
+    /// row-quantized kernel (`None` = f32 throughout).
+    pub quant: Option<&'a QuantizedModel>,
 }
 
 /// Inference over a stacked batch spanning several variants of one base:
 /// the tenant-independent trunk (nodes with `requires_grad = false`) runs
 /// **once** over the union batch, then each group's suffix (adapters,
 /// heads, and any frozen layers above them) runs on its own row slice with
-/// its own parameter overrides — the serving dual of the paper's FUSE
-/// optimization.
+/// its own parameters — the serving dual of the paper's FUSE optimization.
+/// A trunk node must resolve to the same tensors (or the same int8 layer)
+/// in every group, otherwise the call fails: one trunk output cannot serve
+/// two parameter sets.
 ///
 /// Bit-identity with solo serving holds as for [`forward_batch`]: all graph
 /// ops are record-separable and no kernel choice changes a bit, so each
 /// returned tensor is bit-identical to running that group's records alone
-/// through the full variant graph.
+/// through the full variant graph. int8 nodes quantize each row against its
+/// own scale and accumulate in exact integers, so they keep the promise.
 ///
 /// `stacked` must hold `sum(rows)` records of `input`'s per-record shape;
 /// returns one stacked output tensor (of node `output`) per group, in
@@ -327,52 +405,26 @@ pub fn forward_batch_shared_trunk(
             ),
         ));
     }
+    if groups.is_empty() {
+        return Ok(Vec::new());
+    }
     let rg = graph.requires_grad();
 
     // Trunk pass: every tenant-independent node, once, over the union batch.
+    // A trunk node's parents are all trunk: requires_grad is monotone along
+    // edges, so !rg[child] implies !rg[parent].
     let mut binputs = BatchInputs::new();
     binputs.insert(input, stacked);
     let mut trunk_out: Vec<Option<Tensor>> = vec![None; n];
-    for id in graph.ids() {
-        if rg[id.index()] {
-            continue;
-        }
-        let node = graph.node(id);
-        // A trunk node's parents are all trunk: requires_grad is
-        // monotone along edges, so !rg[child] implies !rg[parent].
-        let parents: Vec<&Tensor> = node
-            .inputs
-            .iter()
-            .map(|p| trunk_out[p.index()].as_ref().expect("trunk parents are trunk"))
-            .collect();
-        let (out, _) = run_forward(node, &node.params, &parents, &binputs, id, false)
-            .map_err(|e| exec_err(&node.name, e))?;
-        trunk_out[id.index()] = Some(out);
-    }
+    walk(graph, graph.ids().filter(|id| !rg[id.index()]), groups, &binputs, &mut trunk_out, None)?;
 
-    // Fully frozen graph: no per-tenant suffix, just split the rows.
-    if !rg[output.index()] {
-        let shared = trunk_out[output.index()].take().expect("output computed in trunk");
-        let mut row = 0usize;
-        return Ok(groups
-            .iter()
-            .map(|g| {
-                let t = slice_rows(&shared, row, row + g.rows);
-                row += g.rows;
-                t
-            })
-            .collect());
-    }
-
-    // Boundary: trunk nodes feeding at least one per-tenant node.
+    // Boundary: trunk nodes whose rows each group takes — those feeding a
+    // per-tenant node, and the output itself when it is trunk.
     let mut needed = vec![false; n];
-    for id in graph.ids() {
-        if rg[id.index()] {
-            for p in &graph.node(id).inputs {
-                if !rg[p.index()] {
-                    needed[p.index()] = true;
-                }
-            }
+    needed[output.index()] = !rg[output.index()];
+    for id in graph.ids().filter(|id| rg[id.index()]) {
+        for p in &graph.node(id).inputs {
+            needed[p.index()] |= !rg[p.index()];
         }
     }
 
@@ -388,25 +440,9 @@ pub fn forward_batch_shared_trunk(
                 outs[i] = Some(slice_rows(trunk_out[i].as_ref().expect("boundary is trunk"), a, b));
             }
         }
-        for id in graph.ids() {
-            if !rg[id.index()] {
-                continue;
-            }
-            let node = graph.node(id);
-            let parents: Vec<&Tensor> = node
-                .inputs
-                .iter()
-                .map(|p| outs[p.index()].as_ref().expect("suffix parents available"))
-                .collect();
-            let params: &[Tensor] = g
-                .overrides
-                .and_then(|o| o.get(&id))
-                .map_or(&node.params[..], |v| &v[..]);
-            let (out, _) = run_forward(node, params, &parents, &empty, id, false)
-                .map_err(|e| exec_err(&node.name, e))?;
-            outs[id.index()] = Some(out);
-        }
-        results.push(outs[output.index()].take().expect("output computed in suffix"));
+        let suffix = graph.ids().filter(|id| rg[id.index()]);
+        walk(graph, suffix, std::slice::from_ref(g), &empty, &mut outs, None)?;
+        results.push(outs[output.index()].take().expect("output computed"));
     }
     Ok(results)
 }
@@ -504,7 +540,7 @@ fn act_backward(act: Activation, pre: &Tensor, grad: &Tensor) -> Result<Tensor, 
 }
 
 #[allow(clippy::too_many_lines)]
-pub(crate) fn run_forward(
+fn run_forward(
     node: &crate::graph::Node,
     params: &[Tensor],
     parents: &[&Tensor],
@@ -2115,7 +2151,7 @@ mod tests {
         let groups: Vec<TrunkGroup<'_>> = rows
             .iter()
             .zip(&overrides)
-            .map(|(&rows, ov)| TrunkGroup { rows, overrides: Some(ov) })
+            .map(|(&rows, ov)| TrunkGroup { rows, overrides: Some(ov), quant: None })
             .collect();
         let outs = forward_batch_shared_trunk(&base, inp, out, stacked, &groups).unwrap();
 
@@ -2132,6 +2168,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// frozen `trunk` (6→6) → trainable `head` (6→2), and its stripped base.
+    fn trunk_head(seed: u64) -> (ModelGraph, ModelGraph, NodeId, NodeId, NodeId) {
+        let mut rng = seeded_rng(seed);
+        let mut g = ModelGraph::new();
+        let inp = g.add_input("in", [6]);
+        let dense = |out_dim| LayerKind::Dense { in_dim: 6, out_dim, act: Activation::None };
+        let trunk = g.add_layer("trunk", dense(6), &[inp], true, ParamInit::Seeded(&mut rng)).unwrap();
+        let head = g.add_layer("head", dense(2), &[trunk], false, ParamInit::Seeded(&mut rng)).unwrap();
+        g.add_output(head).unwrap();
+        let base = crate::delta::strip_trainable(&g);
+        (g, base, inp, trunk, head)
+    }
+
+    /// A stripped base run without the overrides it needs is a typed error
+    /// naming the node, not an index past the end of its empty params.
+    #[test]
+    fn forward_on_stripped_base_without_overrides_is_an_error() {
+        let (_, base, inp, _, _) = trunk_head(61);
+        let mut inputs = BatchInputs::new();
+        inputs.insert(inp, Tensor::zeros([1, 6]));
+        let err = forward(&base, &inputs, false).expect_err("head has no params");
+        assert_eq!(err.node, "head");
+    }
+
+    /// One trunk output serves every group, so a group that overrides a
+    /// trunk node cannot be honoured: the call fails rather than answering
+    /// that group with the base's trunk.
+    #[test]
+    fn group_overriding_a_trunk_node_is_an_error() {
+        let (g, base, inp, trunk, head) = trunk_head(62);
+        let mut rng = seeded_rng(63);
+        let plain: ParamOverrides = HashMap::from([(head, Arc::new(g.node(head).params.clone()))]);
+        let mut retrunked = plain.clone();
+        retrunked.insert(trunk, Arc::new(vec![randn([6, 6], 1.0, &mut rng), randn([6], 1.0, &mut rng)]));
+        let groups = [
+            TrunkGroup { rows: 1, overrides: Some(&plain), quant: None },
+            TrunkGroup { rows: 1, overrides: Some(&retrunked), quant: None },
+        ];
+        let err = forward_batch_shared_trunk(&base, inp, head, Tensor::zeros([2, 6]), &groups)
+            .expect_err("trunk resolves differently per group");
+        assert_eq!(err.node, "trunk");
     }
 
     /// The transformer fans per-record attention tasks out over the shared

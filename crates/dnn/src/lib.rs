@@ -29,9 +29,9 @@
 //!   per-tenant delta (trainable params only), with content hashes for
 //!   dedup and a compact delta checkpoint format; the substrate of the
 //!   multi-tenant serving plane.
-//! * [`quant`] — int8 row-quantized serving forms of dense layers and a
-//!   quantized batch forward, compressing the hot serving path's compute
-//!   the way [`delta`] compresses its storage.
+//! * [`quant`] — int8 row-quantized serving forms of dense layers, one more
+//!   per-group parameter source of the shared-trunk forward, compressing the
+//!   hot serving path's compute the way [`delta`] compresses its storage.
 
 pub mod checkpoint;
 pub mod delta;
@@ -45,11 +45,11 @@ pub mod summary;
 
 pub use delta::{apply_delta, base_signature, extract_delta, strip_trainable, GraphDelta};
 pub use exec::{
-    backward, forward, forward_batch_shared_trunk, forward_with_overrides, BatchInputs,
-    ForwardResult, ParamOverrides, TrunkGroup,
+    backward, forward, forward_batch_shared_trunk, BatchInputs, ForwardResult, ParamOverrides,
+    TrunkGroup,
 };
 pub use graph::{GraphError, ModelGraph, Node, NodeId};
 pub use layer::{Activation, LayerKind};
 pub use loss::TaskKind;
 pub use optim::{Optimizer, OptimizerSpec};
-pub use quant::{forward_batch_quantized, QuantDense, QuantizedModel};
+pub use quant::{QuantDense, QuantizedModel};

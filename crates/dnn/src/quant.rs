@@ -10,11 +10,12 @@
 //!
 //! Only [`LayerKind::Dense`] nodes quantize — they are where serving
 //! FLOPs live in the MLP/head suffixes the multi-tenant plane hosts.
-//! Every other node (embeddings, transformer blocks, adapters, norms,
-//! combinators) runs its ordinary f32 path via the shared
-//! [`crate::exec`] machinery, so a [`QuantizedModel`] composes with
-//! [`ParamOverrides`]: a node present in `layers` serves int8, any other
-//! trainable node still resolves through the overrides map.
+//! There is no separate quantized forward: a [`QuantizedModel`] is one
+//! more per-group parameter source of
+//! [`crate::exec::forward_batch_shared_trunk`] ([`TrunkGroup::quant`]). A
+//! node present in `layers` serves int8; every other node (embeddings,
+//! transformer blocks, adapters, norms, combinators) runs its ordinary f32
+//! path, its params resolved through the group's [`ParamOverrides`].
 //!
 //! Accuracy contract: dynamic per-row activation scales plus per-channel
 //! weight scales bound the logit delta tightly enough that top-1
@@ -23,7 +24,7 @@
 //! own scale and accumulates in exact integers, and the residual f32 nodes
 //! obey the summation contract of [`nautilus_tensor::ops::matmul`].
 
-use crate::exec::{apply_act, exec_err, run_forward, BatchInputs, ExecError, ParamOverrides};
+use crate::exec::{apply_act, exec_err, resolve, ExecError, ParamOverrides, Resolved, TrunkGroup};
 use crate::graph::{ModelGraph, NodeId};
 use crate::layer::LayerKind;
 use nautilus_tensor::ops::qgemm::{qgemm_dyn, quantize_rows, QuantizedMatrix};
@@ -111,30 +112,34 @@ impl QuantizedModel {
 
     /// Quantizes every dense node of `graph` selected by `select`,
     /// resolving parameters through `overrides` exactly like the f32
-    /// forward does. Non-dense nodes are never quantized.
+    /// forward does, and failing where that forward would. Non-dense nodes
+    /// are never quantized.
     pub fn from_graph_where(
         graph: &ModelGraph,
         overrides: Option<&ParamOverrides>,
         mut select: impl FnMut(NodeId) -> bool,
-    ) -> QuantizedModel {
+    ) -> Result<QuantizedModel, ExecError> {
+        let group = TrunkGroup { rows: 0, overrides, quant: None };
         let mut layers = HashMap::new();
         for id in graph.ids() {
-            let node = graph.node(id);
-            let LayerKind::Dense { act, .. } = &node.kind else { continue };
+            let LayerKind::Dense { act, .. } = &graph.node(id).kind else { continue };
             if !select(id) {
                 continue;
             }
-            let params: &[Tensor] = overrides
-                .and_then(|o| o.get(&id))
-                .map_or(&node.params[..], |v| &v[..]);
+            let Resolved::F32(params) = resolve(graph, id, &group)? else {
+                unreachable!("a group without int8 layers resolves f32 params")
+            };
             layers.insert(id, Arc::new(QuantDense::from_params(&params[0], &params[1], *act)));
         }
-        QuantizedModel { layers }
+        Ok(QuantizedModel { layers })
     }
 
     /// Quantizes every dense node of `graph` (params resolved through
     /// `overrides`).
-    pub fn from_graph(graph: &ModelGraph, overrides: Option<&ParamOverrides>) -> QuantizedModel {
+    pub fn from_graph(
+        graph: &ModelGraph,
+        overrides: Option<&ParamOverrides>,
+    ) -> Result<QuantizedModel, ExecError> {
         Self::from_graph_where(graph, overrides, |_| true)
     }
 
@@ -160,60 +165,30 @@ impl QuantizedModel {
     }
 }
 
-/// Inference forward over a stacked batch where dense nodes present in
-/// `quant` run the int8 row-quantized kernel and every other node runs its
-/// ordinary f32 path (with `overrides` resolution, exactly like
-/// [`crate::exec::forward_with_overrides`]).
-///
-/// Each record's rows are what serving it alone would give: the int8 nodes
-/// use per-row activation scales and exact integer accumulation, the f32
-/// nodes are batch-invariant by the summation contract. Returns the output
-/// tensor of node `output`.
-pub fn forward_batch_quantized(
-    graph: &ModelGraph,
-    inputs: &BatchInputs,
-    output: NodeId,
-    quant: &QuantizedModel,
-    overrides: Option<&ParamOverrides>,
-) -> Result<Tensor, ExecError> {
-    let _sp = nautilus_util::telemetry::span("dnn", "dnn.forward_quantized");
-    let n = graph.len();
-    if output.index() >= n {
-        return Err(exec_err("graph", "output node out of range"));
-    }
-    let mut outputs: Vec<Option<Tensor>> = vec![None; n];
-    for id in graph.ids() {
-        let node = graph.node(id);
-        let parents: Vec<&Tensor> = node
-            .inputs
-            .iter()
-            .map(|p| outputs[p.index()].as_ref().expect("topological order"))
-            .collect();
-        let out = if let Some(q) = quant.layers.get(&id) {
-            q.forward(parents[0]).map_err(|mut e| {
-                e.node = node.name.clone();
-                e
-            })?
-        } else {
-            let params: &[Tensor] = overrides
-                .and_then(|o| o.get(&id))
-                .map_or(&node.params[..], |v| &v[..]);
-            let (out, _) = run_forward(node, params, &parents, inputs, id, false)
-                .map_err(|e| exec_err(&node.name, e))?;
-            out
-        };
-        outputs[id.index()] = Some(out);
-    }
-    Ok(outputs[output.index()].take().expect("output computed"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{forward_batch_shared_trunk, BatchInputs};
     use crate::graph::ParamInit;
     use crate::layer::Activation;
     use nautilus_tensor::init::{randn, seeded_rng};
     use nautilus_tensor::ops::matmul;
+    use nautilus_tensor::Tensor;
+
+    /// The int8 forward of `inputs`' batch at `x` through the serving entry:
+    /// one group spanning every row. Returns node `y`'s output.
+    fn int8_forward(
+        g: &ModelGraph,
+        inputs: &BatchInputs,
+        x: NodeId,
+        y: NodeId,
+        quant: &QuantizedModel,
+        overrides: Option<&ParamOverrides>,
+    ) -> Result<Tensor, ExecError> {
+        let stacked = inputs.get(x).expect("input bound").clone();
+        let group = TrunkGroup { rows: stacked.shape().dim(0), overrides, quant: Some(quant) };
+        Ok(forward_batch_shared_trunk(g, x, y, stacked, &[group])?.remove(0))
+    }
 
     /// Frozen 32→48 trunk layer + trainable 48→10 head.
     fn mlp(seed: u64) -> (ModelGraph, NodeId, NodeId) {
@@ -267,10 +242,10 @@ mod tests {
         inputs.insert(x, input);
         let f32_out = crate::exec::forward_batch(&g, &inputs, 6).unwrap();
         let f32_out = &f32_out.outputs[y.index()];
-        let qm = QuantizedModel::from_graph(&g, None);
+        let qm = QuantizedModel::from_graph(&g, None).unwrap();
         assert_eq!(qm.layers.len(), 2);
         assert!(qm.bytes() > 0);
-        let q_out = forward_batch_quantized(&g, &inputs, y, &qm, None).unwrap();
+        let q_out = int8_forward(&g, &inputs, x, y, &qm, None).unwrap();
         assert_eq!(q_out.shape(), f32_out.shape());
         for (i, (&a, &b)) in q_out.data().iter().zip(f32_out.data()).enumerate() {
             assert!((a - b).abs() <= 0.05 * b.abs() + 0.6, "[{i}] int8 {a} vs f32 {b}");
@@ -286,13 +261,13 @@ mod tests {
         inputs.insert(x, input);
         // Quantize only the frozen layer; serve the head through overrides.
         let rg = g.requires_grad();
-        let qm = QuantizedModel::from_graph_where(&g, None, |id| !rg[id.index()]);
+        let qm = QuantizedModel::from_graph_where(&g, None, |id| !rg[id.index()]).unwrap();
         assert_eq!(qm.layers.len(), 1);
         let new_w = randn([48, 10], 0.2, &mut rng);
         let new_b = randn([10], 0.2, &mut rng);
         let mut ov: ParamOverrides = HashMap::new();
         ov.insert(y, Arc::new(vec![new_w.clone(), new_b.clone()]));
-        let out = forward_batch_quantized(&g, &inputs, y, &qm, Some(&ov)).unwrap();
+        let out = int8_forward(&g, &inputs, x, y, &qm, Some(&ov)).unwrap();
         // Reference: same quantized trunk, head applied by hand.
         let trunk_id = *qm.layers.keys().next().unwrap();
         let trunk = qm.layers[&trunk_id].forward(inputs.get(x).unwrap()).unwrap();
@@ -308,10 +283,10 @@ mod tests {
         let (g, x, y) = mlp(8);
         let mut rng = seeded_rng(24);
         let batch = randn([5, 32], 1.0, &mut rng);
-        let qm = QuantizedModel::from_graph(&g, None);
+        let qm = QuantizedModel::from_graph(&g, None).unwrap();
         let mut inputs = BatchInputs::new();
         inputs.insert(x, batch.clone());
-        let stacked = forward_batch_quantized(&g, &inputs, y, &qm, None).unwrap();
+        let stacked = int8_forward(&g, &inputs, x, y, &qm, None).unwrap();
         let per = stacked.len() / 5;
         for r in 0..5 {
             let solo_in = Tensor::from_vec(
@@ -321,7 +296,7 @@ mod tests {
             .unwrap();
             let mut si = BatchInputs::new();
             si.insert(x, solo_in);
-            let solo = forward_batch_quantized(&g, &si, y, &qm, None).unwrap();
+            let solo = int8_forward(&g, &si, x, y, &qm, None).unwrap();
             assert_eq!(
                 &stacked.data()[r * per..(r + 1) * per],
                 solo.data(),
@@ -330,11 +305,61 @@ mod tests {
         }
     }
 
+    /// Two tenants' int8 forms over one shared quantized trunk, in one
+    /// shared-trunk call: the trunk runs once over both groups' rows, and
+    /// every row is bitwise what that tenant's solo int8 forward gives. An
+    /// f32 group cannot join them: its trunk resolves to other parameters.
+    #[test]
+    fn int8_groups_share_one_quantized_trunk_bitwise_vs_solo() {
+        let (g, x, y) = mlp(13);
+        let base = crate::delta::strip_trainable(&g);
+        let rg = base.requires_grad();
+        let frozen = QuantizedModel::from_graph_where(&base, None, |id| !rg[id.index()]).unwrap();
+        let mut rng = seeded_rng(25);
+        let tenants: Vec<(ParamOverrides, QuantizedModel)> = (0..2)
+            .map(|_| {
+                let head = vec![randn([48, 10], 0.2, &mut rng), randn([10], 0.2, &mut rng)];
+                let ov: ParamOverrides = HashMap::from([(y, Arc::new(head))]);
+                let own = QuantizedModel::from_graph_where(&base, Some(&ov), |id| id == y).unwrap();
+                let merged = frozen.merged_with(&own);
+                (ov, merged)
+            })
+            .collect();
+        let rows = [2usize, 3];
+        let stacked = randn([5, 32], 1.0, &mut rng);
+        let groups: Vec<TrunkGroup<'_>> = tenants
+            .iter()
+            .zip(rows)
+            .map(|((ov, q), rows)| TrunkGroup { rows, overrides: Some(ov), quant: Some(q) })
+            .collect();
+        let outs = forward_batch_shared_trunk(&base, x, y, stacked.clone(), &groups).unwrap();
+        let mut row = 0;
+        for ((ov, q), (out, rows)) in tenants.iter().zip(outs.iter().zip(rows)) {
+            for r in 0..rows {
+                let mut si = BatchInputs::new();
+                let rec = stacked.data()[(row + r) * 32..(row + r + 1) * 32].to_vec();
+                si.insert(x, Tensor::from_vec([1usize, 32], rec).unwrap());
+                let solo = int8_forward(&base, &si, x, y, q, Some(ov)).unwrap();
+                let got = &out.data()[r * 10..(r + 1) * 10];
+                assert_eq!(
+                    nautilus_util::prop::f32_bits(got),
+                    nautilus_util::prop::f32_bits(solo.data()),
+                    "row {r} of a group diverged from its solo int8 forward"
+                );
+            }
+            row += rows;
+        }
+
+        let f32_group = TrunkGroup { rows: 3, overrides: Some(&tenants[1].0), quant: None };
+        let mixed = [TrunkGroup { rows: 2, ..groups[0] }, f32_group];
+        assert!(forward_batch_shared_trunk(&base, x, y, stacked, &mixed).is_err());
+    }
+
     #[test]
     fn merged_with_prefers_other_and_shares_arcs() {
         let (g, _x, y) = mlp(11);
-        let base = QuantizedModel::from_graph(&g, None);
-        let head_only = QuantizedModel::from_graph_where(&g, None, |id| id == y);
+        let base = QuantizedModel::from_graph(&g, None).unwrap();
+        let head_only = QuantizedModel::from_graph_where(&g, None, |id| id == y).unwrap();
         let merged = base.merged_with(&head_only);
         assert_eq!(merged.layers.len(), base.layers.len());
         assert!(Arc::ptr_eq(&merged.layers[&y], &head_only.layers[&y]));

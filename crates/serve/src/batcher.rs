@@ -12,22 +12,23 @@
 //! on entry, so the ticket spans the registry lookup and a delta-store
 //! fault-in) and stops counting when it is enqueued or fails early.
 //! Batches otherwise form from whatever queued while the previous forward
-//! ran. Records run grouped by *shared base*: all records whose variants
-//! ride the same
-//! frozen base share **one** trunk forward over the union batch
-//! ([`forward_batch_shared_trunk`]), then each tenant's adapter/head
+//! ran. Records run grouped by *trunk*: all records whose variants ride
+//! the same frozen base at the same precision (f32, or int8 over the
+//! base's one quantized trunk) share **one** trunk forward over the union
+//! batch ([`forward_batch_shared_trunk`]), then each tenant's adapter/head
 //! suffix runs on its own row slice — the serving dual of the paper's
 //! FUSE optimization. Each request is pinned at submit time to the
 //! artifact it was shape-validated against, so a hot swap never tears an
-//! in-flight request. Kernel dispatch is pinned to per-record work, so a
-//! record's result is **bit-identical** whether it rode alone, in a
-//! single-tenant batch, or in a shared-trunk batch with other tenants —
-//! batching is purely a throughput optimization, never a numerics change.
+//! in-flight request. A record's result is **bit-identical** whether it
+//! rode alone, in a single-tenant batch, or in a shared-trunk batch with
+//! other tenants: f32 products obey the summation contract (no kernel
+//! choice changes a bit), and int8 rows quantize against their own scales
+//! and accumulate in exact integers — batching is purely a throughput
+//! optimization, never a numerics change.
 
 use crate::registry::{BaseModel, ModelArtifact, ModelRegistry, RegistryError};
 use nautilus_core::config::ServingConfig;
-use nautilus_dnn::exec::{forward_batch_shared_trunk, BatchInputs, TrunkGroup};
-use nautilus_dnn::quant::forward_batch_quantized;
+use nautilus_dnn::exec::{forward_batch_shared_trunk, TrunkGroup};
 use nautilus_tensor::Tensor;
 use nautilus_util::telemetry;
 use std::sync::mpsc;
@@ -44,7 +45,8 @@ pub struct PredictOutput {
     pub version: u64,
     /// Records of *this tenant* fused into the suffix pass (diagnostics).
     pub batch_size: usize,
-    /// Records across all tenants that shared the base-trunk forward.
+    /// Records across all tenants that shared this record's trunk forward
+    /// (same base, same precision).
     pub trunk_batch: usize,
     /// Output head values for this record.
     pub values: Vec<f32>,
@@ -268,92 +270,35 @@ fn batcher_loop(inner: &Inner) {
 }
 
 fn run_batch(batch: Vec<Pending>) {
-    // Group by shared base first (one trunk forward per base), then by
-    // pinned artifact within the base (one suffix pass per variant), both
-    // in arrival order. Requests for variants of *different* bases — or
-    // spanning a hot swap that changed the architecture — never mix.
-    // Variants published with int8 quantization peel off into per-tenant
-    // quantized passes: they trade the shared f32 trunk for the integer
-    // kernels, so they never join an f32 trunk group.
+    // Group by trunk first — shared base and precision, one trunk forward
+    // each — then by pinned artifact within it (one suffix pass per
+    // variant), both in arrival order. Requests for variants of
+    // *different* bases — or spanning a hot swap that changed the
+    // architecture — never mix. int8 tenants of a base share its one
+    // quantized trunk, as f32 tenants share the f32 trunk.
     type TenantGroup = (Arc<ModelArtifact>, Vec<Pending>);
-    let mut base_groups: Vec<(Arc<BaseModel>, Vec<TenantGroup>)> = Vec::new();
-    let mut quant_groups: Vec<TenantGroup> = Vec::new();
+    let mut trunks: Vec<(Arc<BaseModel>, bool, Vec<TenantGroup>)> = Vec::new();
     for p in batch {
-        if p.artifact.quant.is_some() {
-            match quant_groups.iter_mut().find(|(a, _)| Arc::ptr_eq(a, &p.artifact)) {
-                Some((_, g)) => g.push(p),
-                None => quant_groups.push((Arc::clone(&p.artifact), vec![p])),
-            }
-            continue;
-        }
-        let base = Arc::clone(&p.artifact.base);
-        let idx = match base_groups.iter().position(|(b, _)| Arc::ptr_eq(b, &base)) {
+        let (base, int8) = (&p.artifact.base, p.artifact.quant.is_some());
+        let idx = match trunks.iter().position(|(b, q, _)| Arc::ptr_eq(b, base) && *q == int8) {
             Some(i) => i,
             None => {
-                base_groups.push((base, Vec::new()));
-                base_groups.len() - 1
+                trunks.push((Arc::clone(base), int8, Vec::new()));
+                trunks.len() - 1
             }
         };
-        let tenants = &mut base_groups[idx].1;
+        let tenants = &mut trunks[idx].2;
         match tenants.iter_mut().find(|(a, _)| Arc::ptr_eq(a, &p.artifact)) {
             Some((_, g)) => g.push(p),
             None => tenants.push((Arc::clone(&p.artifact), vec![p])),
         }
     }
-    for (base, tenants) in base_groups {
+    for (base, _, tenants) in trunks {
         run_base_group(&base, tenants);
     }
-    for (artifact, group) in quant_groups {
-        run_quant_group(&artifact, group);
-    }
 }
 
-/// One int8 execution: a single quantized tenant's pendings, fused into
-/// one batch through [`forward_batch_quantized`].
-fn run_quant_group(artifact: &Arc<ModelArtifact>, group: Vec<Pending>) {
-    let quant = artifact.quant.as_ref().expect("routed on quant presence");
-    let k = group.len();
-    let _sp = telemetry::span("serve", "serve.batch");
-    let t0 = Instant::now();
-    let result = (|| -> Result<Tensor, PredictError> {
-        let per = artifact.record_elems;
-        let mut data = Vec::with_capacity(k * per);
-        for p in &group {
-            data.extend_from_slice(&p.record);
-        }
-        let stacked = Tensor::from_vec(artifact.record_shape.with_batch(k), data)
-            .map_err(|e| PredictError::Exec(e.to_string()))?;
-        let mut bi = BatchInputs::new();
-        bi.insert(artifact.input, stacked);
-        forward_batch_quantized(&artifact.base.graph, &bi, artifact.output, quant, Some(&artifact.overrides))
-        .map_err(|e| PredictError::Exec(e.to_string()))
-    })();
-    match result {
-        Ok(out) => {
-            telemetry::SERVE_BATCHES.add(1);
-            telemetry::SERVE_BATCH_RECORDS.add(k as u64);
-            telemetry::SERVE_BATCH_US.record(t0.elapsed().as_micros() as u64);
-            let out_data = out.data();
-            let out_per = out_data.len() / k.max(1);
-            for (i, p) in group.into_iter().enumerate() {
-                let _ = p.reply.send(Ok(PredictOutput {
-                    model_id: artifact.id.as_str().to_string(),
-                    version: artifact.version,
-                    batch_size: k,
-                    trunk_batch: k,
-                    values: out_data[i * out_per..(i + 1) * out_per].to_vec(),
-                }));
-            }
-        }
-        Err(e) => {
-            for p in group {
-                let _ = p.reply.send(Err(e.clone()));
-            }
-        }
-    }
-}
-
-/// One shared-trunk execution: all of one base's pendings, any tenants.
+/// One shared-trunk execution: all of one trunk's pendings, any tenants.
 fn run_base_group(base: &BaseModel, tenants: Vec<(Arc<ModelArtifact>, Vec<Pending>)>) {
     let total: usize = tenants.iter().map(|(_, g)| g.len()).sum();
     let _sp = telemetry::span("serve", "serve.batch");
@@ -407,7 +352,11 @@ fn forward_shared(
         .map_err(|e| PredictError::Exec(e.to_string()))?;
     let groups: Vec<TrunkGroup<'_>> = tenants
         .iter()
-        .map(|(a, g)| TrunkGroup { rows: g.len(), overrides: Some(&a.overrides) })
+        .map(|(a, g)| TrunkGroup {
+            rows: g.len(),
+            overrides: Some(&a.overrides),
+            quant: a.quant.as_deref(),
+        })
         .collect();
     let outs = forward_batch_shared_trunk(&base.graph, base.input, base.output, stacked, &groups)
         .map_err(|e| PredictError::Exec(e.to_string()))?;
@@ -588,6 +537,36 @@ mod tests {
             );
             assert_eq!(&out.model_id, id);
             assert_eq!((out.batch_size, out.trunk_batch), (4, 12), "one union batch");
+        }
+    }
+
+    /// Two int8 tenants of one base in one window: one union batch over the
+    /// base's quantized trunk, and every answer bitwise what that tenant's
+    /// int8 form gives the record alone.
+    #[test]
+    fn int8_tenants_share_one_quantized_trunk_and_stay_bit_identical() {
+        use crate::registry::PublishOptions;
+        let registry = Arc::new(ModelRegistry::new());
+        for i in 0..2 {
+            let g = adapter_variant(800 + i, 16, 4);
+            registry.publish_with(&format!("q-{i}"), g, PublishOptions { quantize_int8: true }).unwrap();
+        }
+        let batcher = MicroBatcher::start(Arc::clone(&registry), &cfg(16, 10_000_000));
+
+        let mut rng = seeded_rng(654);
+        let jobs: Vec<(String, Vec<f32>)> = (0..6)
+            .map(|j| (format!("q-{}", j % 2), (0..16).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()))
+            .collect();
+        let outputs = predict_all_in_one_window(&batcher, &jobs);
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ((id, r), out) in jobs.iter().zip(&outputs) {
+            let a = registry.get(id).unwrap();
+            let alone = TrunkGroup { rows: 1, overrides: Some(&a.overrides), quant: a.quant.as_deref() };
+            let record = Tensor::from_vec(a.record_shape.with_batch(1), r.clone()).unwrap();
+            let solo = forward_batch_shared_trunk(&a.base.graph, a.input, a.output, record, &[alone]).unwrap();
+            assert_eq!(bits(&out.values), bits(solo[0].data()), "{id}: union batch != solo int8");
+            assert_eq!((out.batch_size, out.trunk_batch), (3, 6), "one union batch");
         }
     }
 

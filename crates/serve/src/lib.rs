@@ -24,7 +24,8 @@
 //!   manifests) and fault back in transparently on the next request.
 //! * **Cross-tenant micro-batching** — concurrent predictions fuse into
 //!   one batch ([`batcher::MicroBatcher`]); records whose variants share
-//!   a base run **one** trunk forward over the union batch
+//!   a base and a precision (f32, or int8 over the base's one quantized
+//!   trunk) run **one** trunk forward over the union batch
 //!   ([`nautilus_dnn::exec::forward_batch_shared_trunk`]) with per-tenant
 //!   suffix passes — the serving dual of the paper's FUSE optimization.
 //!   Results stay **bit-identical** to solo single-model execution by

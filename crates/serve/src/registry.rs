@@ -22,10 +22,10 @@ use crate::deltastore::DeltaStore;
 use nautilus_core::config::ServingConfig;
 use nautilus_dnn::checkpoint;
 use nautilus_dnn::delta::{
-    apply_delta, base_signature, extract_delta, strip_trainable, tensors_hash, DeltaEntry,
-    GraphDelta,
+    apply_delta, base_signature, check_delta, extract_delta, strip_trainable, tensors_hash,
+    DeltaEntry, GraphDelta,
 };
-use nautilus_dnn::exec::ParamOverrides;
+use nautilus_dnn::exec::{ExecError, ParamOverrides};
 use nautilus_dnn::quant::QuantizedModel;
 use nautilus_dnn::{ModelGraph, NodeId};
 use nautilus_tensor::Shape;
@@ -95,11 +95,14 @@ impl BaseModel {
     /// per base on first quantized publish, then shared (`Arc`) by every
     /// tenant of the family — the compute analogue of the base's
     /// one-resident-copy weight sharing.
-    pub fn frozen_quant(&self) -> Arc<QuantizedModel> {
-        Arc::clone(self.frozen_quant.get_or_init(|| {
-            let rg = self.graph.requires_grad();
-            Arc::new(QuantizedModel::from_graph_where(&self.graph, None, |id| !rg[id.index()]))
-        }))
+    pub fn frozen_quant(&self) -> Result<Arc<QuantizedModel>, ExecError> {
+        if let Some(q) = self.frozen_quant.get() {
+            return Ok(Arc::clone(q));
+        }
+        let rg = self.graph.requires_grad();
+        let q = QuantizedModel::from_graph_where(&self.graph, None, |id| !rg[id.index()])?;
+        // A racing first build loses to the stored one: every tenant shares it.
+        Ok(Arc::clone(self.frozen_quant.get_or_init(|| Arc::new(q))))
     }
 }
 
@@ -239,6 +242,9 @@ impl DeltaPool {
     }
 }
 
+/// The pool entries one artifact holds: content hash plus shared tensors.
+type PoolKeys = Vec<(u64, Arc<Vec<Tensorish>>)>;
+
 /// Where a known variant currently lives.
 #[derive(Debug)]
 enum VariantState {
@@ -246,7 +252,7 @@ enum VariantState {
     Resident {
         artifact: Arc<ModelArtifact>,
         /// Pool keys held by this artifact (released on evict/replace).
-        pool_keys: Vec<(u64, Arc<Vec<Tensorish>>)>,
+        pool_keys: PoolKeys,
     },
     /// Delta persisted in the store; base stays resident for fault-in.
     Evicted {
@@ -415,14 +421,39 @@ impl ModelRegistry {
         }
     }
 
-    /// The int8 serving form for one tenant: the base's shared quantized
-    /// trunk merged with this tenant's freshly quantized head (the nodes
-    /// its delta overrides).
-    fn build_quant(base: &BaseModel, overrides: &ParamOverrides) -> Arc<QuantizedModel> {
-        let head = QuantizedModel::from_graph_where(&base.graph, Some(overrides), |id| {
-            overrides.contains_key(&id)
-        });
-        Arc::new(base.frozen_quant().merged_with(&head))
+    /// Interns one tenant's delta entries through the dedup pool as its
+    /// overrides, plus its int8 serving form when `quantize`: the base's
+    /// shared quantized trunk merged with this tenant's freshly quantized
+    /// head (the nodes its delta overrides). A failed quantization leaves
+    /// nothing interned.
+    fn intern(
+        inner: &mut Inner,
+        base: &BaseModel,
+        entries: Vec<DeltaEntry>,
+        quantize: bool,
+    ) -> Result<(ParamOverrides, PoolKeys, Option<Arc<QuantizedModel>>), ExecError> {
+        let mut overrides: ParamOverrides = HashMap::with_capacity(entries.len());
+        let mut pool_keys = Vec::with_capacity(entries.len());
+        for e in entries {
+            let (hash, arc, _) = inner.pool.intern(e.params);
+            overrides.insert(NodeId(e.node), Arc::clone(&arc));
+            pool_keys.push((hash, arc));
+        }
+        let quant = || -> Result<_, ExecError> {
+            let head = QuantizedModel::from_graph_where(&base.graph, Some(&overrides), |id| {
+                overrides.contains_key(&id)
+            })?;
+            Ok(Arc::new(base.frozen_quant()?.merged_with(&head)))
+        };
+        match quantize.then(quant).transpose() {
+            Ok(quant) => Ok((overrides, pool_keys, quant)),
+            Err(e) => {
+                for (h, arc) in &pool_keys {
+                    inner.pool.release(*h, arc);
+                }
+                Err(e)
+            }
+        }
     }
 
     fn validate(graph: &ModelGraph) -> Result<(NodeId, NodeId, Shape), RegistryError> {
@@ -498,16 +529,11 @@ impl ModelRegistry {
         drop(graph);
 
         let delta_bytes = delta.bytes();
-        let mut overrides: ParamOverrides = HashMap::with_capacity(delta.entries.len());
-        let mut pool_keys = Vec::with_capacity(delta.entries.len());
-        for e in delta.entries {
-            let (hash, arc, _) = inner.pool.intern(e.params);
-            overrides.insert(NodeId(e.node), Arc::clone(&arc));
-            pool_keys.push((hash, arc));
-        }
+        let (overrides, pool_keys, quant) =
+            Self::intern(&mut inner, &base, delta.entries, opts.quantize_int8)
+                .map_err(|e| RegistryError::Unservable(e.to_string()))?;
 
         let version = inner.variants.get(&id).map_or(1, |s| s.version + 1);
-        let quant = opts.quantize_int8.then(|| Self::build_quant(&base, &overrides));
         let artifact = Arc::new(ModelArtifact {
             id: id.clone(),
             version,
@@ -599,16 +625,15 @@ impl ModelRegistry {
             .get(&base_sig)
             .map(Arc::clone)
             .ok_or_else(|| RegistryError::Store(format!("base {base_sig:#x} no longer resident")))?;
+        // The blobs verified their hashes; the manifest's node list must
+        // still cover the base, or the first forward would find a
+        // trainable node without params.
+        check_delta(&base.graph, &delta)
+            .map_err(|e| RegistryError::Store(format!("stored delta for '{id}': {e}")))?;
 
         let delta_bytes = delta.bytes();
-        let mut overrides: ParamOverrides = HashMap::with_capacity(delta.entries.len());
-        let mut pool_keys = Vec::with_capacity(delta.entries.len());
-        for e in delta.entries {
-            let (hash, arc, _) = inner.pool.intern(e.params);
-            overrides.insert(NodeId(e.node), Arc::clone(&arc));
-            pool_keys.push((hash, arc));
-        }
-        let quant = quantize.then(|| Self::build_quant(&base, &overrides));
+        let (overrides, pool_keys, quant) = Self::intern(inner, &base, delta.entries, quantize)
+            .map_err(|e| RegistryError::Store(format!("stored delta for '{id}': {e}")))?;
         let artifact = Arc::new(ModelArtifact {
             id: id.clone(),
             version,

@@ -672,7 +672,9 @@ fn model_meta(id: &str, shared: &Shared) -> Response {
 
 /// `POST /predict[/<id>]` with body `{"inputs": [f32...]}` →
 /// `{"model_id", "model_version", "batch_size", "trunk_batch",
-/// "outputs": [f32...]}`.
+/// "outputs": [f32...]}`. `batch_size` counts this tenant's records in
+/// the batch; `trunk_batch` counts every record, of any tenant, that
+/// shared this one's trunk pass (same base, same precision: f32 or int8).
 fn predict(req: &Request, id: &str, shared: &Shared) -> Response {
     // Announced before the body is decoded: the batcher holds its door for
     // this request only while it is really on its way.

@@ -163,7 +163,7 @@ impl Json {
 
     /// Parses a JSON document (the whole input must be one value).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -281,6 +281,7 @@ impl std::error::Error for JsonError {}
 pub const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -449,11 +450,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char (input is a &str, so
-                    // the bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    // Consume one UTF-8 encoded char. `pos` sits on a char
+                    // boundary of the input `&str`, so this decodes only that
+                    // char; re-validating the whole rest of the input per char
+                    // made parsing quadratic in the document's length.
+                    let rest = self.text.get(self.pos..).ok_or_else(|| self.err("invalid utf-8"))?;
+                    let c = rest.chars().next().ok_or_else(|| self.err("unterminated string"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }

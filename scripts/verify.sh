@@ -58,9 +58,10 @@ cargo test -q --offline
 # differential test inside the suite compares the two directly). On
 # hardware without AVX2+FMA the fma run is skipped — dispatch sanitizes
 # the request down to `safe` there, so it would only repeat the first run.
-# The fma leg also runs the dnn unit tests: batch invariance per layer and
-# the `forward_batch*` bit-identity tests must hold on the fused kernel too
-# (tier-1 above proved them on `safe`).
+# The fma leg also runs the dnn and serve unit tests: batch invariance per
+# layer, the `forward_batch*` bit-identity tests and the batcher's
+# union-batch == solo tests (f32 and int8 groups) must hold on the fused
+# kernel too (tier-1 above proved them on `safe`).
 NAUTILUS_GEMM_KERNEL=safe \
     cargo test -q --offline -p nautilus-tensor --test gemm_properties
 if grep -qm1 avx2 /proc/cpuinfo && grep -qm1 fma /proc/cpuinfo; then
@@ -68,6 +69,8 @@ if grep -qm1 avx2 /proc/cpuinfo && grep -qm1 fma /proc/cpuinfo; then
         cargo test -q --offline -p nautilus-tensor --test gemm_properties
     NAUTILUS_GEMM_KERNEL=fma \
         cargo test -q --offline -p nautilus-dnn --lib
+    NAUTILUS_GEMM_KERNEL=fma \
+        cargo test -q --offline -p nautilus-serve --lib
 else
     echo "verify: skipping NAUTILUS_GEMM_KERNEL=fma property run (no AVX2+FMA)"
 fi

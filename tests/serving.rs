@@ -541,6 +541,56 @@ fn evicted_variant_faults_in_bit_identical_under_concurrent_hot_swaps() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within 10 s, so a stuck batcher fails the test instead of hanging it.
+fn within_timeout<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|_| panic!("{what}: no answer in 10 s"))
+}
+
+// ---------------------------------------------------------------------
+// Fail closed: a stored delta whose manifest no longer covers its base
+// (one trainable node's entry cut, nodes, counts and hashes consistent)
+// is refused at fault-in, and the batcher goes on serving other tenants.
+// ---------------------------------------------------------------------
+
+#[test]
+fn truncated_delta_manifest_fails_closed_and_serving_continues() {
+    use nautilus_repro::serve::{DeltaStore, PredictError};
+    let dir = std::env::temp_dir().join(format!("nautilus-serve-truncated-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serving =
+        ServingConfig { delta_store_dir: Some(dir.to_string_lossy().into_owned()), ..ServingConfig::default() };
+    let registry = Arc::new(ModelRegistry::with_config(&serving).unwrap());
+    registry.publish("victim", model(41, 8, 3)).unwrap();
+    let bystander = model(42, 8, 3);
+    registry.publish("bystander", bystander.clone()).unwrap();
+    registry.evict("victim").unwrap();
+
+    let store = DeltaStore::open(&dir).unwrap();
+    let (version, mut delta) = store.get("victim").unwrap();
+    assert_eq!(delta.entries.len(), 2, "hidden + head");
+    delta.entries.pop();
+    store.put("victim", version, &delta).unwrap();
+
+    let err = registry.get("victim").expect_err("a delta missing a trainable node must not fault in");
+    assert!(err.to_string().contains("covers 1 of 2"), "{err}");
+
+    let batcher = Arc::new(MicroBatcher::start(Arc::clone(&registry), &ServingConfig::default()));
+    let b = Arc::clone(&batcher);
+    let victim = within_timeout("victim predict", move || b.predict("victim", vec![0.5; 8]));
+    assert!(matches!(victim, Err(PredictError::Registry(_))), "{victim:?}");
+    let record: Vec<f32> = (0..8).map(|i| i as f32 / 8.0).collect();
+    let want = solo_forward(&bystander, &record);
+    let b = Arc::clone(&batcher);
+    let out = within_timeout("bystander predict", move || b.predict("bystander", record));
+    assert_eq!(out.expect("bystander is served").values, want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Integration: overload. A burst larger than the bounded queue gets some
 // 503s with Retry-After, zero unanswered connections, and a clean drain.
