@@ -1,18 +1,42 @@
 //! Micro-benchmarks for the Nautilus planner: multi-model graph
 //! construction, the materialization MILP (with the group-dedup ablation),
-//! reuse-plan solving, fusion pairing, and the peak-memory estimator.
+//! reuse-plan solving (the fixed-V min-cut), fusion pairing, and the
+//! peak-memory estimator.
+//!
+//! `plan_given_v/pair/FTU-tiny` and `fuse_models/FTU-tiny` are the tiny
+//! FTU workload's 24 candidates with the V its materialization MILP picks
+//! at the tiny preset's `r`: the heaviest planner the end-to-end benchmark
+//! runs.
 
 use nautilus_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nautilus_core::fusion::fuse_models;
-use nautilus_core::mat_opt::{choose_materialization_grouped, plan_given_v};
+use nautilus_core::mat_opt::{
+    choose_materialization, choose_materialization_grouped, plan_given_v,
+};
 use nautilus_core::memory::estimate_peak_memory;
-use nautilus_core::multimodel::MultiModelGraph;
+use nautilus_core::multimodel::{MNodeId, MultiModelGraph};
 use nautilus_core::workloads::{Scale, WorkloadKind, WorkloadSpec};
 use nautilus_core::SystemConfig;
 use std::collections::BTreeSet;
 
 fn paper_candidates(kind: WorkloadKind) -> Vec<nautilus_core::CandidateModel> {
     WorkloadSpec { kind, scale: Scale::Paper }.candidates().expect("workload builds")
+}
+
+/// Tiny FTU: its candidates, merged graph, config and chosen V.
+fn ftu_tiny() -> (
+    Vec<nautilus_core::CandidateModel>,
+    MultiModelGraph,
+    SystemConfig,
+    BTreeSet<MNodeId>,
+) {
+    let cands = WorkloadSpec { kind: WorkloadKind::Ftu, scale: Scale::Tiny }
+        .candidates()
+        .expect("workload builds");
+    let multi = MultiModelGraph::build(&cands);
+    let cfg = SystemConfig::tiny();
+    let v = choose_materialization(&multi, &cands, &cfg, cfg.max_records).materialized;
+    (cands, multi, cfg, v)
 }
 
 fn bench_multimodel_build(c: &mut Criterion) {
@@ -45,13 +69,19 @@ fn bench_mat_milp(c: &mut Criterion) {
 }
 
 fn bench_plan_given_v(c: &mut Criterion) {
+    let mut group = c.benchmark_group("plan_given_v/pair");
     let cfg = SystemConfig::default();
     let cands = paper_candidates(WorkloadKind::Ftr2);
     let multi = MultiModelGraph::build(&cands);
     let v: BTreeSet<_> = multi.mat_candidates().into_iter().collect();
-    c.bench_function("plan_given_v/pair", |b| {
+    group.bench_function(BenchmarkId::from_parameter("FTR-2"), |b| {
         b.iter(|| plan_given_v(&multi, &[0, 1], &v, &cfg))
     });
+    let (_, multi, cfg, v) = ftu_tiny();
+    group.bench_function(BenchmarkId::from_parameter("FTU-tiny"), |b| {
+        b.iter(|| plan_given_v(&multi, &[0, 4], &v, &cfg))
+    });
+    group.finish();
 }
 
 fn bench_fusion(c: &mut Criterion) {
@@ -66,6 +96,10 @@ fn bench_fusion(c: &mut Criterion) {
             b.iter(|| fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, true))
         });
     }
+    let (cands, multi, cfg, v) = ftu_tiny();
+    group.bench_function(BenchmarkId::from_parameter("FTU-tiny"), |b| {
+        b.iter(|| fuse_models(&multi, &cands, &v, &cfg, true))
+    });
     group.finish();
 }
 

@@ -13,6 +13,11 @@
 //! the unit's maximum epochs while each member's backward-pass surcharge
 //! runs only for that member's epochs ([`unit_cost_flops`]).
 //!
+//! Every unit and pair plan is the exact fixed-`V` reuse plan of
+//! [`plan_given_v`]: one min-cut per evaluation, no MILP. Its tie rule
+//! (prune before load, load before compute) makes each plan, and hence the
+//! greedy pairing, a deterministic function of the members and `V`.
+//!
 //! Pair evaluations are cached by unit identity, so each merge only costs
 //! `O(n)` new reuse-plan solves rather than re-evaluating all pairs.
 
@@ -127,10 +132,10 @@ fn build_unit(
     multi: &MultiModelGraph,
     candidates: &[CandidateModel],
     members: Vec<usize>,
-    v: &BTreeSet<MNodeId>,
     cfg: &SystemConfig,
+    plan_of: &impl Fn(&[usize]) -> UnitPlan,
 ) -> TrainUnit {
-    let plan = plan_given_v(multi, &members, v, cfg);
+    let plan = plan_of(&members);
     let batch_size = candidates[members[0]].hyper.batch_size;
     let member_epochs: Vec<usize> =
         members.iter().map(|&m| candidates[m].hyper.epochs).collect();
@@ -156,13 +161,25 @@ pub fn fuse_models(
     enabled: bool,
 ) -> Vec<TrainUnit> {
     let _sp = telemetry::span("planner", "planner.fuse");
+    fuse_with(multi, candidates, cfg, enabled, |members| plan_given_v(multi, members, v, cfg))
+}
+
+/// Algorithm 1 over the reuse plans `plan_of(members)` returns. The
+/// differential tests drive it with the MILP form of [`plan_given_v`].
+pub(crate) fn fuse_with(
+    multi: &MultiModelGraph,
+    candidates: &[CandidateModel],
+    cfg: &SystemConfig,
+    enabled: bool,
+    plan_of: impl Fn(&[usize]) -> UnitPlan,
+) -> Vec<TrainUnit> {
     // Q' := singleton units with their optimal reuse plans.
     let mut next_id = 0u64;
     let mut units: Vec<(u64, TrainUnit)> = (0..candidates.len())
         .map(|i| {
             let id = next_id;
             next_id += 1;
-            (id, build_unit(multi, candidates, vec![i], v, cfg))
+            (id, build_unit(multi, candidates, vec![i], cfg, &plan_of))
         })
         .collect();
     if !enabled || units.len() < 2 {
@@ -187,7 +204,7 @@ pub fn fuse_models(
                     let mut members: Vec<usize> =
                         ua.members.iter().chain(&ub.members).copied().collect();
                     members.sort_unstable();
-                    let fused = build_unit(multi, candidates, members, v, cfg);
+                    let fused = build_unit(multi, candidates, members, cfg, &plan_of);
                     if fused.memory.total() > cfg.memory_budget_bytes {
                         return None;
                     }
@@ -337,18 +354,30 @@ mod tests {
         assert_eq!(generous.len(), 1);
 
         // A budget just above a single unit's need blocks all fusion.
-        let solo_mem = generous_solo_mem(&multi, &cands);
+        let solo_mem = solo_memory(&multi, &cands);
         let tight = tiny_cfg().into_builder().memory_budget_bytes(solo_mem + 1024).build();
         let units = fuse_models(&multi, &cands, &BTreeSet::new(), &tight, true);
         assert_eq!(units.len(), 4, "no pair fits in the tight budget");
-        for u in &units {
-            assert!(u.memory.total() <= tight.memory_budget_bytes + u.memory.total());
+
+        // A budget between one member's need and all four's: fusion stops
+        // short, and every fused unit fits.
+        let mid = tiny_cfg()
+            .into_builder()
+            .memory_budget_bytes((solo_mem + generous[0].memory.total()) / 2)
+            .build();
+        let units = fuse_models(&multi, &cands, &BTreeSet::new(), &mid, true);
+        assert!(units.len() > 1, "the four-member unit exceeds the budget");
+        for u in units.iter().filter(|u| u.members.len() >= 2) {
+            assert!(u.memory.total() <= mid.memory_budget_bytes, "{:?}", u.members);
         }
     }
 
-    fn generous_solo_mem(multi: &MultiModelGraph, cands: &[CandidateModel]) -> u64 {
+    fn solo_memory(multi: &MultiModelGraph, cands: &[CandidateModel]) -> u64 {
         let cfg = tiny_cfg();
-        build_unit(multi, cands, vec![0], &BTreeSet::new(), &cfg).memory.total()
+        let v = BTreeSet::new();
+        build_unit(multi, cands, vec![0], &cfg, &|m: &[usize]| plan_given_v(multi, m, &v, &cfg))
+            .memory
+            .total()
     }
 
     #[test]

@@ -53,26 +53,32 @@ pub fn estimate_peak_memory(
     workspace_bytes: u64,
     optimizer_state_factor: f64,
 ) -> MemoryEstimate {
-    // Present nodes in topological order (MNodeIds are topo-ordered).
-    let present: Vec<MNodeId> = actions
+    // Present nodes in topological order (MNodeIds are topo-ordered), with
+    // their computed flag; `pos_of` maps a merged id to its position.
+    let present: Vec<(MNodeId, bool)> = actions
         .iter()
         .filter(|(_, &a)| a != NodeAction::Pruned)
-        .map(|(&m, _)| m)
+        .map(|(&m, &a)| (m, a == NodeAction::Computed))
         .collect();
-    let pos_of: BTreeMap<MNodeId, usize> =
-        present.iter().enumerate().map(|(i, &m)| (m, i)).collect();
+    let mut pos_of = vec![usize::MAX; multi.nodes.len()];
+    for (i, &(m, _)) in present.iter().enumerate() {
+        pos_of[m.index()] = i;
+    }
     let n = present.len();
 
     // Plan-level gradient-need analysis: gradients flow into a node iff it
     // is computed-and-trainable, or a computed descendant of such a node...
     // equivalently (walking forward): trainable itself, or has a present,
     // computed parent that requires grad.
-    let mut needs_grad: BTreeMap<MNodeId, bool> = BTreeMap::new();
+    let grad_of = |needs_grad: &[bool], p: &MNodeId| {
+        let pp = pos_of[p.index()];
+        pp != usize::MAX && needs_grad[pp]
+    };
+    let mut needs_grad = vec![false; n];
     let mut params_bytes = 0u64;
     let mut trainable_param_bytes = 0u64;
-    for &m in &present {
+    for (i, &(m, computed)) in present.iter().enumerate() {
         let node = multi.node(m);
-        let computed = actions[&m] == NodeAction::Computed;
         if computed {
             params_bytes += node.profile.param_bytes;
         }
@@ -80,41 +86,38 @@ pub fn estimate_peak_memory(
         if trainable {
             trainable_param_bytes += node.profile.param_bytes;
         }
-        let from_parents = computed
-            && node
-                .parents
-                .iter()
-                .any(|p| needs_grad.get(p).copied().unwrap_or(false));
-        needs_grad.insert(m, trainable || from_parents);
+        let from_parents =
+            computed && node.parents.iter().any(|p| grad_of(&needs_grad, p));
+        needs_grad[i] = trainable || from_parents;
     }
 
     // Schedule positions: forward 0..n-1, loss at n, backward nodes at
     // n+1.. in reverse topological order.
     let bwd_pos = |i: usize| n + 1 + (n - 1 - i);
-    let children = multi.children();
 
     // For each forward tensor: birth at its position, death at its last
-    // consumer; retained bytes differ for grad vs non-grad nodes.
-    let mut births: Vec<Vec<u64>> = vec![Vec::new(); 2 * n + 2];
-    let mut deaths: Vec<Vec<u64>> = vec![Vec::new(); 2 * n + 3];
+    // consumer; retained bytes differ for grad vs non-grad nodes. Only the
+    // per-step sums matter (subtracting a sum saturates exactly where
+    // subtracting its terms one by one would).
+    let mut births: Vec<u64> = vec![0; 2 * n + 2];
+    let mut deaths: Vec<u64> = vec![0; 2 * n + 3];
     let mut transient: Vec<u64> = vec![0; 2 * n + 2];
 
-    for (i, &m) in present.iter().enumerate() {
+    for (i, &(m, _)) in present.iter().enumerate() {
         let node = multi.node(m);
-        let grad = needs_grad[&m];
+        let grad = needs_grad[i];
         let retained = if grad { node.profile.internal_bytes } else { node.profile.out_bytes };
         // Transient spike while this node itself executes (composite
         // internals that are not retained).
         transient[i] += node.profile.internal_bytes.saturating_sub(retained);
 
         let mut last = i;
-        for c in &children[m.index()] {
-            if let Some(&cp) = pos_of.get(c) {
-                if actions[c] == NodeAction::Computed {
-                    last = last.max(cp);
-                    if needs_grad[c] {
-                        last = last.max(bwd_pos(cp));
-                    }
+        for c in &node.children {
+            let cp = pos_of[c.index()];
+            if cp != usize::MAX && present[cp].1 {
+                last = last.max(cp);
+                if needs_grad[cp] {
+                    last = last.max(bwd_pos(cp));
                 }
             }
         }
@@ -122,19 +125,15 @@ pub fn estimate_peak_memory(
             last = last.max(bwd_pos(i));
         }
         // Member outputs feed the loss barrier.
-        let is_output = multi
-            .mappings
-            .iter()
-            .any(|map| map.outputs.contains(&m));
-        if is_output {
+        if node.is_output {
             last = last.max(n);
             // ... and their backward nodes are seeded by the loss.
             if grad {
                 last = last.max(bwd_pos(i));
             }
         }
-        births[i].push(retained);
-        deaths[last + 1].push(retained);
+        births[i] += retained;
+        deaths[last + 1] += retained;
 
         // Gradient tensor produced by this node's backward, consumed by the
         // parents' backward nodes.
@@ -143,26 +142,19 @@ pub fn estimate_peak_memory(
             let gpos = bwd_pos(i);
             let mut glast = gpos;
             for p in &node.parents {
-                if let Some(&pp) = pos_of.get(p) {
-                    if needs_grad.get(p).copied().unwrap_or(false) {
-                        glast = glast.max(bwd_pos(pp));
-                    }
+                if grad_of(&needs_grad, p) {
+                    glast = glast.max(bwd_pos(pos_of[p.index()]));
                 }
             }
-            births[gpos].push(gbytes);
-            deaths[glast + 1].push(gbytes);
+            births[gpos] += gbytes;
+            deaths[glast + 1] += gbytes;
         }
     }
 
     let mut live = 0u64;
     let mut peak = 0u64;
     for t in 0..2 * n + 2 {
-        for &d in &deaths[t] {
-            live = live.saturating_sub(d);
-        }
-        for &b in &births[t] {
-            live += b;
-        }
+        live = live.saturating_sub(deaths[t]) + births[t];
         peak = peak.max(live + transient[t]);
     }
 

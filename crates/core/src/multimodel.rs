@@ -48,6 +48,11 @@ pub struct MNode {
     pub is_input: bool,
     /// Parent merged nodes, in layer-argument order.
     pub parents: Vec<MNodeId>,
+    /// Child merged nodes in id order (a child taking this node twice is
+    /// listed twice).
+    pub children: Vec<MNodeId>,
+    /// Some candidate's output head.
+    pub is_output: bool,
     /// Exemplar `(model index, node id)` to fetch kind/params at plan time.
     pub exemplar: (usize, NodeId),
     /// Per-record profile of the exemplar node.
@@ -109,11 +114,14 @@ impl MultiModelGraph {
                     Some(m) => m,
                     None => {
                         let mid = MNodeId(nodes.len());
-                        let parents = node
+                        let parents: Vec<MNodeId> = node
                             .inputs
                             .iter()
                             .map(|p| node_to_merged[p.index()])
                             .collect();
+                        for p in &parents {
+                            nodes[p.index()].children.push(mid);
+                        }
                         nodes.push(MNode {
                             sig,
                             key: format!("mat-{sig:016x}"),
@@ -124,6 +132,8 @@ impl MultiModelGraph {
                                 nautilus_dnn::LayerKind::Input { .. }
                             ),
                             parents,
+                            children: Vec::new(),
+                            is_output: false,
                             exemplar: (mi, id),
                             profile: profile.clone(),
                         });
@@ -135,13 +145,16 @@ impl MultiModelGraph {
                 };
                 node_to_merged.push(mid);
             }
-            let outputs = cand
+            let outputs: Vec<MNodeId> = cand
                 .graph
                 .outputs()
                 .iter()
                 .map(|o| node_to_merged[o.index()])
                 .collect();
-            let graph_sig = graph_signature(&sigs, cand.graph.outputs(), cand.hyper.epochs);
+            for o in &outputs {
+                nodes[o.index()].is_output = true;
+            }
+            let graph_sig = graph_signature(&sigs, cand.graph.outputs());
             mappings.push(ModelMapping { node_to_merged, outputs, graph_sig });
         }
         MultiModelGraph { nodes, mappings }
@@ -178,17 +191,6 @@ impl MultiModelGraph {
         &self.nodes[id.index()]
     }
 
-    /// Children adjacency over merged nodes.
-    pub fn children(&self) -> Vec<Vec<MNodeId>> {
-        let mut ch = vec![Vec::new(); self.nodes.len()];
-        for (i, n) in self.nodes.iter().enumerate() {
-            for &p in &n.parents {
-                ch[p.index()].push(MNodeId(i));
-            }
-        }
-        ch
-    }
-
     /// Merged nodes reachable (via parents) from the outputs of the given
     /// candidate subset, in topological order.
     pub fn reachable_from(&self, members: &[usize]) -> Vec<MNodeId> {
@@ -208,7 +210,7 @@ impl MultiModelGraph {
     }
 }
 
-fn graph_signature(sigs: &[u64], outputs: &[NodeId], _epochs: usize) -> u64 {
+fn graph_signature(sigs: &[u64], outputs: &[NodeId]) -> u64 {
     let mut h = DefaultHasher::new();
     sigs.hash(&mut h);
     for o in outputs {

@@ -109,12 +109,19 @@ fn mat_opt_plans_are_valid_and_never_worse() {
 }
 
 /// Fusion covers every model exactly once, only fuses compatible
-/// hyperparameters, and never increases total planned cost.
+/// hyperparameters, keeps every fused unit within the memory budget, and
+/// never increases total planned cost.
 #[test]
 fn fusion_partitions_and_improves() {
-    prop_check(0x2007_0002, CASES, &workload_gen(), |specs| {
+    // Budgets from below one unit's need (8 MiB workspace + its tensors)
+    // to room for several members.
+    let gen = (workload_gen(), u64s(0..4096));
+    prop_check(0x2007_0002, CASES, &gen, |(specs, mem_kb)| {
         let cands = build_candidates(specs);
-        let cfg = SystemConfig::tiny();
+        let cfg = SystemConfig::tiny()
+            .into_builder()
+            .memory_budget_bytes((8 << 20) + (mem_kb << 10))
+            .build();
         let multi = MultiModelGraph::build(&cands);
         let v = BTreeSet::new();
         let units = fuse_models(&multi, &cands, &v, &cfg, true);
@@ -139,6 +146,13 @@ fn fusion_partitions_and_improves() {
             prop_assert!(
                 u.epochs == u.member_epochs.iter().copied().max().unwrap(),
                 "unit epochs is not the member max"
+            );
+            prop_assert!(
+                u.members.len() < 2 || u.memory.total() <= cfg.memory_budget_bytes,
+                "fused unit {:?} needs {} B > budget {} B",
+                u.members,
+                u.memory.total(),
+                cfg.memory_budget_bytes
             );
             fused_total += u.weighted_cost_flops;
         }
