@@ -151,8 +151,8 @@ fn build_unit(
     TrainUnit { members, plan, batch_size, epochs, member_epochs, weighted_cost_flops, memory }
 }
 
-/// Runs Algorithm 1. With `enabled = false` every candidate stays its own
-/// unit (used by the MAT-only ablation and the baselines).
+/// Runs Algorithm 1 over the fixed-`V` reuse plans. With `enabled = false`
+/// every candidate stays its own unit (the MAT-only ablation).
 pub fn fuse_models(
     multi: &MultiModelGraph,
     candidates: &[CandidateModel],
@@ -165,7 +165,9 @@ pub fn fuse_models(
 }
 
 /// Algorithm 1 over the reuse plans `plan_of(members)` returns. The
-/// differential tests drive it with the MILP form of [`plan_given_v`].
+/// baselines call it unfused over the no-reuse (Current Practice) or
+/// load-everything (MAT-ALL) plans, so every [`TrainUnit`] is built here;
+/// the differential tests drive it with the MILP form of [`plan_given_v`].
 pub(crate) fn fuse_with(
     multi: &MultiModelGraph,
     candidates: &[CandidateModel],

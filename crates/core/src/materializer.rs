@@ -5,8 +5,12 @@
 //! *output materialization graph* — the sub-DAG from raw inputs to the
 //! chosen set `V`, everything computed — over just the new records and
 //! appends the results to the feature store, one chunk per cycle
-//! (incremental feature materialization). Train and validation splits are
-//! kept under separate keys so the trainer can evaluate on features too.
+//! (incremental feature materialization). When a re-plan installs a new
+//! `V`, features of newly chosen nodes are backfilled over the whole
+//! snapshot by the same forward-and-append body
+//! ([`Materializer::materialize`]) run on that subset. Train and validation
+//! splits are kept under separate keys so the trainer can evaluate on
+//! features too.
 
 use crate::backend::Backend;
 use crate::multimodel::{MNodeId, MultiModelGraph};
@@ -217,80 +221,42 @@ impl Materializer {
         Ok(backfill)
     }
 
-    /// Materializes the given subset of `V` (a backfill after a plan
-    /// change) for one split over the full accumulated snapshot.
-    #[allow(clippy::too_many_arguments)]
-    pub fn materialize_subset(
-        &mut self,
-        multi: &MultiModelGraph,
-        candidates: &[CandidateModel],
-        subset: &BTreeSet<MNodeId>,
-        split: &str,
-        data: Option<&Dataset>,
-        n_records: usize,
-        backend: &mut Backend,
-    ) -> Result<(), MatError> {
-        if subset.is_empty() || n_records == 0 {
-            return Ok(());
-        }
-        let _sp = telemetry::span("mat", "mat.subset");
-        debug_assert!(subset.is_subset(&self.v));
-        let mg = build_materialization_graph(multi, candidates, subset)?;
-        if backend.is_real() {
-            let ds = data
-                .ok_or_else(|| MatError::Exec("real backend requires record data".into()))?;
-            let mut inputs = BatchInputs::new();
-            inputs.insert(mg.raw_input, ds.inputs.clone());
-            let start = Instant::now();
-            let fwd = forward(&mg.graph, &inputs, false)
-                .map_err(|e| MatError::Exec(e.to_string()))?;
-            backend.charge_compute(
-                mg.fwd_flops_per_record * n_records as f64,
-                Some(start.elapsed().as_secs_f64()),
-            );
-            let items: Vec<(String, Tensor)> = mg
-                .outputs
-                .iter()
-                .map(|(_, plan_node, key)| {
-                    (format!("{key}:{split}"), fwd.output(*plan_node).clone())
-                })
-                .collect();
-            for bytes in self.store.append_many(&items)? {
-                self.budget.charge(bytes).map_err(MatError::Budget)?;
-            }
-        } else {
-            backend.charge_compute(mg.fwd_flops_per_record * n_records as f64, None);
-            for (m, _, key) in &mg.outputs {
-                let bytes = multi.node(*m).profile.out_bytes * n_records as u64;
-                self.budget.charge(bytes).map_err(MatError::Budget)?;
-                backend.charge_write(&format!("{key}:{split}"), bytes);
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes features for one batch of records under the given
-    /// split (`"train"` / `"valid"`), appending one chunk per key.
+    /// Runs the forward of `nodes` (a subset of `V`) over `n_records`
+    /// records of one split (`"train"` / `"valid"`) and appends one chunk
+    /// per key. All of `V` runs the installed materialization graph (a
+    /// cycle's new batch); a strict subset runs its own sub-DAG (a backfill
+    /// of newly chosen nodes over the snapshot, or a batch for the nodes a
+    /// backfill did not cover).
     ///
     /// On the real backend `data` must carry the records; on the simulated
     /// backend only `n_records` is used.
-    pub fn materialize_batch(
+    #[allow(clippy::too_many_arguments)]
+    pub fn materialize(
         &mut self,
         multi: &MultiModelGraph,
+        candidates: &[CandidateModel],
+        nodes: &BTreeSet<MNodeId>,
         split: &str,
         data: Option<&Dataset>,
         n_records: usize,
         backend: &mut Backend,
     ) -> Result<(), MatError> {
-        let Some(mg) = &self.graph else { return Ok(()) };
-        if n_records == 0 {
+        if nodes.is_empty() || n_records == 0 {
             return Ok(());
         }
         let _sp = telemetry::span("mat", "mat.batch");
+        debug_assert!(nodes.is_subset(&self.v));
+        let built;
+        let mg = match &self.graph {
+            Some(installed) if *nodes == self.v => installed,
+            _ => {
+                built = build_materialization_graph(multi, candidates, nodes)?;
+                &built
+            }
+        };
         if backend.is_real() {
-            let ds = data.ok_or_else(|| {
-                MatError::Exec("real backend requires record data".into())
-            })?;
+            let ds = data
+                .ok_or_else(|| MatError::Exec("real backend requires record data".into()))?;
             let mut inputs = BatchInputs::new();
             inputs.insert(mg.raw_input, ds.inputs.clone());
             let start = Instant::now();
@@ -381,6 +347,19 @@ mod tests {
         v
     }
 
+    /// Materializes one batch of train records for every key of `V`.
+    fn batch(
+        mat: &mut Materializer,
+        multi: &MultiModelGraph,
+        cands: &[CandidateModel],
+        data: Option<&Dataset>,
+        n_records: usize,
+        backend: &mut Backend,
+    ) -> Result<(), MatError> {
+        let v = mat.v().clone();
+        mat.materialize(multi, cands, &v, "train", data, n_records, backend)
+    }
+
     #[test]
     fn materialized_features_match_inline_computation() {
         let cands = vec![candidate()];
@@ -393,7 +372,7 @@ mod tests {
         mat.install_v(&multi, &cands, v.clone(), &mut backend).unwrap();
 
         let ds = token_dataset(6);
-        mat.materialize_batch(&multi, "train", Some(&ds), 6, &mut backend).unwrap();
+        batch(&mut mat, &multi, &cands, Some(&ds), 6, &mut backend).unwrap();
         let key = format!("{}:train", multi.node(*v.iter().next().unwrap()).key);
         let (stored, _) = mat.store.read_all(&key).unwrap();
         assert_eq!(stored.shape().0, vec![6, 8, 32]);
@@ -418,9 +397,9 @@ mod tests {
         let mut mat = Materializer::new(temp_store("incr", io), 64 << 20);
         let v = v_of(&multi, "bert/block3");
         mat.install_v(&multi, &cands, v.clone(), &mut backend).unwrap();
-        mat.materialize_batch(&multi, "train", Some(&token_dataset(4)), 4, &mut backend)
+        batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
-        mat.materialize_batch(&multi, "train", Some(&token_dataset(3)), 3, &mut backend)
+        batch(&mut mat, &multi, &cands, Some(&token_dataset(3)), 3, &mut backend)
             .unwrap();
         let key = format!("{}:train", multi.node(*v.iter().next().unwrap()).key);
         assert_eq!(mat.store.num_records(&key), 7);
@@ -436,7 +415,7 @@ mod tests {
         let mut mat = Materializer::new(temp_store("swap", io), 64 << 20);
         let v1 = v_of(&multi, "bert/block3");
         mat.install_v(&multi, &cands, v1, &mut backend).unwrap();
-        mat.materialize_batch(&multi, "train", Some(&token_dataset(4)), 4, &mut backend)
+        batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
         assert!(mat.feature_bytes() > 0);
         let v2 = v_of(&multi, "bert/block5");
@@ -460,7 +439,7 @@ mod tests {
         let mut mat = Materializer::new(temp_store("sim", io.clone()), 64 << 20);
         let v = v_of(&multi, "bert/block5");
         mat.install_v(&multi, &cands, v, &mut backend).unwrap();
-        mat.materialize_batch(&multi, "train", None, 100, &mut backend).unwrap();
+        batch(&mut mat, &multi, &cands, None, 100, &mut backend).unwrap();
         assert!(backend.elapsed_secs() > 0.0);
         let snap = io.snapshot();
         assert_eq!(snap.disk_write_bytes, 100 * 8 * 32 * 4);
@@ -481,7 +460,7 @@ mod tests {
         v1.extend(&b5);
         mat.install_v(&multi, &cands, v1.clone(), &mut backend).unwrap();
         let snapshot = token_dataset(6);
-        mat.materialize_batch(&multi, "train", Some(&snapshot), 6, &mut backend).unwrap();
+        batch(&mut mat, &multi, &cands, Some(&snapshot), 6, &mut backend).unwrap();
 
         // Swap block3 -> block4 while keeping block5.
         let b4 = v_of(&multi, "bert/block4");
@@ -496,11 +475,11 @@ mod tests {
         assert_eq!(mat.store.num_records(&key(&b5)), 6);
         assert_eq!(mat.store.num_records(&key(&b3)), 0);
         // Backfill the full snapshot for the new node only.
-        mat.materialize_subset(&multi, &cands, &backfill, "train", Some(&snapshot), 6, &mut backend)
+        mat.materialize(&multi, &cands, &backfill, "train", Some(&snapshot), 6, &mut backend)
             .unwrap();
         assert_eq!(mat.store.num_records(&key(&b4)), 6);
         // Subsequent incremental batches cover both keys.
-        mat.materialize_batch(&multi, "train", Some(&token_dataset(3)), 3, &mut backend)
+        batch(&mut mat, &multi, &cands, Some(&token_dataset(3)), 3, &mut backend)
             .unwrap();
         assert_eq!(mat.store.num_records(&key(&b5)), 9);
         assert_eq!(mat.store.num_records(&key(&b4)), 9);
@@ -522,10 +501,9 @@ mod tests {
         let mut mat = Materializer::new(temp_store("budget", io), one_batch_bytes + 16);
         let v = v_of(&multi, "bert/block5");
         mat.install_v(&multi, &cands, v, &mut backend).unwrap();
-        mat.materialize_batch(&multi, "train", Some(&token_dataset(4)), 4, &mut backend)
+        batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
-        let err = mat
-            .materialize_batch(&multi, "train", Some(&token_dataset(4)), 4, &mut backend)
+        let err = batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap_err();
         assert!(matches!(err, MatError::Budget(_)), "{err}");
         assert!(mat.budget_remaining() < one_batch_bytes);
@@ -540,7 +518,7 @@ mod tests {
             Backend::new(BackendKind::Real, SystemConfig::tiny().hardware, io.clone());
         let mut mat = Materializer::new(temp_store("empty", io), 64 << 20);
         mat.install_v(&multi, &cands, BTreeSet::new(), &mut backend).unwrap();
-        mat.materialize_batch(&multi, "train", Some(&token_dataset(4)), 4, &mut backend)
+        batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
         assert_eq!(mat.feature_bytes(), 0);
     }

@@ -12,13 +12,19 @@
 //! session's [`UnitExecutor`]: [`LocalUnits`] by default, or a remote one
 //! (the distributed plane's lease scheduler) set with
 //! [`ModelSelection::set_unit_executor`].
+//!
+//! A plan changes in one place. Whenever its inputs change — the
+//! candidates (`new`, [`ModelSelection::update_workload`], which run the
+//! same init phases), `r` (the backoff in `fit`), or a restored `r`
+//! ([`ModelSelection::restore_state`]) — one re-plan chooses `V`, builds
+//! the units, installs `V` and backfills newly chosen features over the
+//! whole snapshot; `fit` then appends its batch to every other feature.
 
 use crate::backend::{Backend, BackendKind};
 use crate::config::SystemConfig;
-use crate::fusion::{fuse_models, TrainUnit};
+use crate::fusion::{fuse_models, fuse_with, TrainUnit};
 use crate::mat_opt::{choose_materialization, mat_all_plan, no_reuse_plan, MilpRunStats};
 use crate::materializer::{MatError, Materializer};
-use crate::memory::estimate_peak_memory;
 use crate::metrics::{CycleReport, InitReport, RunStats};
 use crate::multimodel::{MNodeId, MultiModelGraph};
 use crate::plan::ExecutablePlan;
@@ -31,6 +37,7 @@ use nautilus_dnn::checkpoint::checkpoint_bytes;
 use nautilus_dnn::graph::GraphError;
 use nautilus_dnn::{ModelGraph, NodeId};
 use nautilus_store::{IoCalibration, IoPolicy, SharedIoStats, StoreError, TensorStore};
+use nautilus_tensor::Shape;
 use nautilus_util::{eventlog, telemetry};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -196,6 +203,8 @@ pub struct ModelSelection {
     best_trained: Option<(usize, ModelGraph)>,
     /// Where `fit` trains the units ([`LocalUnits`] unless replaced).
     executor: Box<dyn UnitExecutor>,
+    /// Checkpoints and the feature store live here.
+    workdir: PathBuf,
 }
 
 /// The borrowed training work of one cycle, handed to a [`UnitExecutor`]:
@@ -253,7 +262,7 @@ impl UnitExecutor for LocalUnits {
         backend: &mut Backend,
     ) -> Result<Vec<UnitOutcome>, SessionError> {
         let train = |(unit, plan): &(TrainUnit, ExecutablePlan), backend: &mut Backend| {
-            crate::trainer::train_unit_retaining(
+            crate::trainer::train_unit(
                 work.multi, plan, unit, work.candidates, &work.data, work.store, backend,
                 work.strategy.full_checkpoints(), work.config.shuffle_each_epoch,
             )
@@ -321,12 +330,33 @@ pub fn open_feature_store(
     Ok(store)
 }
 
+/// The JSON header of a saved session state: the evolving scalars, and
+/// whether a tensor payload (the real backend's snapshot) follows.
+struct StateHeader {
+    version: u32,
+    cycle: usize,
+    n_train: usize,
+    n_valid: usize,
+    max_records: usize,
+    best_so_far: Option<(usize, f32)>,
+    has_data: bool,
+}
+nautilus_util::json_struct!(StateHeader {
+    version,
+    cycle,
+    n_train,
+    n_valid,
+    max_records,
+    best_so_far,
+    has_data
+});
+
 impl ModelSelection {
     /// Initializes a workload: profiles candidates, runs the optimizer for
     /// the chosen strategy, and prepares training units.
     pub fn new(
         candidates: Vec<CandidateModel>,
-        mut config: SystemConfig,
+        config: SystemConfig,
         strategy: Strategy,
         backend_kind: BackendKind,
         workdir: impl Into<PathBuf>,
@@ -344,53 +374,20 @@ impl ModelSelection {
         }
         let _sp_init = telemetry::span("core", "session.init");
         let io = SharedIoStats::new();
-        let mut backend = Backend::new(backend_kind, config.hardware, io.clone());
+        let backend = Backend::new(backend_kind, config.hardware, io.clone());
         let store =
             open_feature_store(&config, backend.is_real(), workdir.join("features"), io.clone())?;
-        let t_init = Instant::now();
 
-        // Phase 1: original model checkpoints (all strategies).
-        let sp = telemetry::span("core", "init.original_checkpoints");
-        let t0 = Instant::now();
-        let c0 = backend.elapsed_secs();
-        for (i, c) in candidates.iter().enumerate() {
-            let bytes = checkpoint_bytes(&c.graph, false);
-            backend.charge_write(&format!("ckpt:init:{i}"), bytes);
-            if backend.is_real() {
-                let path = workdir.join(format!("ckpt-init-{i}.bin"));
-                nautilus_dnn::checkpoint::save(&c.graph, &path)
-                    .map_err(|e| SessionError::Invalid(format!("checkpoint: {e}")))?;
-                io.record_write(bytes);
-            }
-        }
-        let original_checkpoints_secs = end_phase(&mut backend, t0, c0);
-        drop(sp);
-
-        // Phase 2: profiling (optimizer strategies only).
-        let sp = telemetry::span("core", "init.profiling");
-        let t0 = Instant::now();
-        let c0 = backend.elapsed_secs();
-        let multi = MultiModelGraph::build(&candidates);
-        if strategy.runs_optimizer() {
-            // Profiling runs a couple of measurement batches per candidate.
-            for c in &candidates {
-                let profiles = profile_graph(&c.graph);
-                let fwd: u64 = profiles.iter().map(|p| p.fwd_flops).sum();
-                backend.charge_compute(2.0 * fwd as f64 * c.hyper.batch_size as f64, None);
-            }
-        }
-        let profiling_secs = end_phase(&mut backend, t0, c0);
-        drop(sp);
-
-        // Measured I/O calibration (real backend, opt-in): replace the
-        // planner's static disk constant with the machine's actual
-        // sequential read bandwidth before the MILP runs. At startup the
-        // page cache is cold for feature reads, so the blend point is the
-        // raw disk number; re-plans blend in the observed hit curve.
+        // Measured I/O calibration (real backend, opt-in): every plan then
+        // reads the machine's actual sequential bandwidth in place of the
+        // planner's static disk constant, blended with DRAM speed at the
+        // page-cache hit rate observed so far (see `replan`).
         let calibration = if backend.is_real() && config.io.calibrate {
-            match nautilus_store::calibrate::probe(&workdir, config.io.calibrate_probe_bytes) {
-                Ok(cal) => {
-                    config.planner.disk_bytes_per_sec = cal.seq_read_bytes_per_sec;
+            // A failed probe (exotic filesystem, no space) is not fatal:
+            // keep the static constant.
+            nautilus_store::calibrate::probe(&workdir, config.io.calibrate_probe_bytes)
+                .ok()
+                .inspect(|cal| {
                     if telemetry::metrics_enabled() {
                         telemetry::CALIBRATED_SEQ_READ_BPS
                             .set(cal.seq_read_bytes_per_sec as i64);
@@ -402,52 +399,15 @@ impl ModelSelection {
                         "io.calibration",
                         &[
                             ("seq_read_bps", eventlog::Value::F64(cal.seq_read_bytes_per_sec)),
-                            (
-                                "rand_read_bps",
-                                eventlog::Value::F64(cal.rand_read_bytes_per_sec),
-                            ),
+                            ("rand_read_bps", eventlog::Value::F64(cal.rand_read_bytes_per_sec)),
                             ("write_bps", eventlog::Value::F64(cal.write_bytes_per_sec)),
                             ("probe_bytes", eventlog::Value::U64(cal.probe_bytes)),
                         ],
                     );
-                    Some(cal)
-                }
-                // A failed probe (exotic filesystem, no space) is not
-                // fatal: keep the static constant.
-                Err(_) => None,
-            }
+                })
         } else {
             None
         };
-
-        // Phase 3: the optimizer (MILP + fusion).
-        let sp = telemetry::span("core", "init.optimize");
-        let t0 = Instant::now();
-        let c0 = backend.elapsed_secs();
-        let max_records = config.max_records;
-        let (v, milp) = Self::choose_v(&multi, &candidates, &config, strategy, max_records);
-        let units = Self::build_units(&multi, &candidates, &config, strategy, &v)?;
-        let optimize_secs = end_phase(&mut backend, t0, c0);
-        drop(sp);
-
-        // Phase 4: checkpoints for the optimized plans.
-        let sp = telemetry::span("core", "init.plan_checkpoints");
-        let t0 = Instant::now();
-        let c0 = backend.elapsed_secs();
-        if strategy.runs_optimizer() {
-            for (i, (_, plan)) in units.iter().enumerate() {
-                let bytes = checkpoint_bytes(&plan.graph, false);
-                backend.charge_write(&format!("ckpt:plan:{i}"), bytes);
-                if backend.is_real() {
-                    let path = workdir.join(format!("ckpt-plan-{i}.bin"));
-                    nautilus_dnn::checkpoint::save(&plan.graph, &path)
-                        .map_err(|e| SessionError::Invalid(format!("checkpoint: {e}")))?;
-                    io.record_write(bytes);
-                }
-            }
-        }
-        let plan_checkpoints_secs = end_phase(&mut backend, t0, c0);
-        drop(sp);
 
         // MAT-ALL is the paper's unbounded baseline: it materializes every
         // materializable layer "irrespective of whether it is efficient"
@@ -458,43 +418,19 @@ impl ModelSelection {
         } else {
             config.disk_budget_bytes
         };
-        let mut materializer = Materializer::new(store, enforced_budget);
-        // Fresh sessions have no snapshot yet; any backfill set is empty
-        // work (zero records).
-        let _ = materializer.install_v(&multi, &candidates, v, &mut backend)?;
-
-        let init = InitReport {
-            original_checkpoints_secs,
-            profiling_secs,
-            optimize_secs,
-            plan_checkpoints_secs,
-            milp_secs: milp.as_ref().map_or(0.0, |m| m.elapsed.as_secs_f64()),
-            total_secs: match backend_kind {
-                BackendKind::Real => t_init.elapsed().as_secs_f64(),
-                BackendKind::Simulated => backend.elapsed_secs(),
-            },
-            num_units: units.len(),
-            num_materialized: materializer.v().len(),
-            theoretical_speedup: theoretical_speedup(&candidates),
-        };
-
-        let in_shape = {
-            let g = &candidates[0].graph;
-            let inp = g.input_ids()[0];
-            g.shape(inp).0.clone()
-        };
-        Ok(ModelSelection {
+        let in_shape = input_shape(&candidates[0]).0.clone();
+        let mut session = ModelSelection {
+            max_records: config.max_records,
             config,
             strategy,
-            candidates,
-            multi,
-            units,
-            materializer,
+            candidates: Vec::new(),
+            multi: MultiModelGraph::build(&[]),
+            units: Vec::new(),
+            materializer: Materializer::new(store, enforced_budget),
             backend,
             io,
-            init,
-            milp,
-            max_records,
+            init: InitReport::default(),
+            milp: None,
             cycle: 0,
             train_all: Dataset::empty(&in_shape, &[]),
             valid_all: Dataset::empty(&in_shape, &[]),
@@ -504,7 +440,105 @@ impl ModelSelection {
             best_so_far: None,
             best_trained: None,
             executor: Box::new(LocalUnits),
+            workdir,
+        };
+        session.init = session.initialize(candidates)?;
+        Ok(session)
+    }
+
+    /// Runs the four initialization phases (Fig 6B) for `candidates`, for
+    /// a new session and a replaced workload alike: original checkpoints,
+    /// profiling, the optimizer (one [`Self::replan`]) and checkpoints of
+    /// the optimized plans.
+    fn initialize(&mut self, candidates: Vec<CandidateModel>) -> Result<InitReport, SessionError> {
+        let (t_start, c_start) = (Instant::now(), self.backend.elapsed_secs());
+
+        // Phase 1: original model checkpoints (all strategies).
+        let sp = telemetry::span("core", "init.original_checkpoints");
+        let (t0, c0) = (Instant::now(), self.backend.elapsed_secs());
+        let graphs = candidates.iter().map(|c| &c.graph);
+        save_checkpoints(&mut self.backend, &self.workdir, "init", graphs)?;
+        let original_checkpoints_secs = end_phase(&mut self.backend, t0, c0);
+        drop(sp);
+
+        // Phase 2: profiling (optimizer strategies only).
+        let sp = telemetry::span("core", "init.profiling");
+        let (t0, c0) = (Instant::now(), self.backend.elapsed_secs());
+        self.multi = MultiModelGraph::build(&candidates);
+        if self.strategy.runs_optimizer() {
+            // Profiling runs a couple of measurement batches per candidate.
+            for c in &candidates {
+                let profiles = profile_graph(&c.graph);
+                let fwd: u64 = profiles.iter().map(|p| p.fwd_flops).sum();
+                self.backend.charge_compute(2.0 * fwd as f64 * c.hyper.batch_size as f64, None);
+            }
+        }
+        self.candidates = candidates;
+        let profiling_secs = end_phase(&mut self.backend, t0, c0);
+        drop(sp);
+
+        // Phase 3: the optimizer (MILP + fusion).
+        let sp = telemetry::span("core", "init.optimize");
+        let (_, optimize_secs) = self.replan()?;
+        drop(sp);
+
+        // Phase 4: checkpoints for the optimized plans.
+        let sp = telemetry::span("core", "init.plan_checkpoints");
+        let (t0, c0) = (Instant::now(), self.backend.elapsed_secs());
+        if self.strategy.runs_optimizer() {
+            let graphs = self.units.iter().map(|(_, plan)| &plan.graph);
+            save_checkpoints(&mut self.backend, &self.workdir, "plan", graphs)?;
+        }
+        let plan_checkpoints_secs = end_phase(&mut self.backend, t0, c0);
+        drop(sp);
+
+        Ok(InitReport {
+            original_checkpoints_secs,
+            profiling_secs,
+            optimize_secs,
+            plan_checkpoints_secs,
+            milp_secs: self.milp.as_ref().map_or(0.0, |m| m.elapsed.as_secs_f64()),
+            total_secs: match self.backend.kind() {
+                BackendKind::Real => t_start.elapsed().as_secs_f64(),
+                BackendKind::Simulated => self.backend.elapsed_secs() - c_start,
+            },
+            num_units: self.units.len(),
+            num_materialized: self.materializer.v().len(),
+            theoretical_speedup: theoretical_speedup(&self.candidates),
         })
+    }
+
+    /// Re-plans after the plan inputs changed (a new workload, a grown `r`,
+    /// a restored `r`) — the one place a plan changes. Blends the measured
+    /// disk bandwidth with DRAM speed at the page-cache hit rate the store
+    /// has observed, chooses `V`, builds the units, charges the planning
+    /// time, installs `V`, and backfills every newly chosen feature over the
+    /// whole accumulated snapshot. Returns the backfilled set and the
+    /// planning seconds.
+    fn replan(&mut self) -> Result<(BTreeSet<MNodeId>, f64), SessionError> {
+        let t0 = Instant::now();
+        if let Some(cal) = &self.calibration {
+            let hit = self.materializer.store.cache_stats().hit_fraction();
+            self.config.planner.disk_bytes_per_sec =
+                cal.effective_read_bandwidth(hit, self.config.hardware.dram_bytes_per_sec);
+        }
+        let (multi, candidates) = (&self.multi, &self.candidates);
+        let (v, milp) =
+            Self::choose_v(multi, candidates, &self.config, self.strategy, self.max_records);
+        self.milp = milp.or(self.milp.take());
+        self.units = Self::build_units(multi, candidates, &self.config, self.strategy, &v)?;
+        let plan_secs = t0.elapsed().as_secs_f64();
+        self.backend.charge_overhead(plan_secs);
+        let backfill = self.materializer.install_v(multi, candidates, v, &mut self.backend)?;
+        let real = self.backend.is_real();
+        for (split, data, n) in
+            [("train", &self.train_all, self.n_train), ("valid", &self.valid_all, self.n_valid)]
+        {
+            self.materializer.materialize(
+                multi, candidates, &backfill, split, real.then_some(data), n, &mut self.backend,
+            )?;
+        }
+        Ok((backfill, plan_secs))
     }
 
     /// Replaces where `fit` trains the units (default [`LocalUnits`]).
@@ -523,12 +557,10 @@ impl ModelSelection {
         config: &SystemConfig,
         strategy: Strategy,
         max_records: usize,
-    ) -> (BTreeSet<crate::multimodel::MNodeId>, Option<MilpRunStats>) {
+    ) -> (BTreeSet<MNodeId>, Option<MilpRunStats>) {
         match strategy {
             Strategy::CurrentPractice | Strategy::FuseOnly => (BTreeSet::new(), None),
-            Strategy::MatAll => {
-                (multi.mat_candidates().into_iter().collect(), None)
-            }
+            Strategy::MatAll => (multi.mat_candidates().into_iter().collect(), None),
             Strategy::MatOnly | Strategy::Nautilus => {
                 let res = choose_materialization(multi, candidates, config, max_records);
                 (res.materialized, Some(res.milp))
@@ -536,51 +568,28 @@ impl ModelSelection {
         }
     }
 
-    /// Builds the fused training units and their executable plans for a
-    /// chosen `V`. Deterministic in its inputs (greedy fusion iterates in
-    /// fixed order), so a remote worker rebuilding the unit list from the
-    /// same candidates/config/strategy/`V` gets byte-identical plan graphs
-    /// — the foundation of the distributed bit-identity contract.
+    /// Builds the training units and their executable plans for a chosen
+    /// `V`: Algorithm 1 over the fixed-`V` reuse plans, or, for the
+    /// baselines, singleton units over the no-reuse (Current Practice) or
+    /// load-everything (MAT-ALL) plans. Deterministic in its inputs (greedy
+    /// fusion iterates in fixed order), so a remote worker rebuilding the
+    /// unit list from the same candidates/config/strategy/`V` gets
+    /// byte-identical plan graphs — the foundation of the distributed
+    /// bit-identity contract.
     pub fn build_units(
         multi: &MultiModelGraph,
         candidates: &[CandidateModel],
         config: &SystemConfig,
         strategy: Strategy,
-        v: &BTreeSet<crate::multimodel::MNodeId>,
+        v: &BTreeSet<MNodeId>,
     ) -> Result<Vec<(TrainUnit, ExecutablePlan)>, SessionError> {
-        let units: Vec<TrainUnit> = match strategy {
-            Strategy::CurrentPractice | Strategy::MatAll => (0..candidates.len())
-                .map(|i| {
-                    let plan = if strategy == Strategy::MatAll {
-                        mat_all_plan(multi, &[i], config)
-                    } else {
-                        no_reuse_plan(multi, &[i], config)
-                    };
-                    let memory = estimate_peak_memory(
-                        multi,
-                        &plan.actions,
-                        candidates[i].hyper.batch_size,
-                        config.workspace_bytes,
-                        2.0,
-                    );
-                    let weighted_cost_flops = crate::fusion::unit_cost_flops(
-                        multi,
-                        &plan.actions,
-                        candidates,
-                        &[i],
-                        config,
-                    );
-                    TrainUnit {
-                        members: vec![i],
-                        plan,
-                        batch_size: candidates[i].hyper.batch_size,
-                        epochs: candidates[i].hyper.epochs,
-                        member_epochs: vec![candidates[i].hyper.epochs],
-                        weighted_cost_flops,
-                        memory,
-                    }
-                })
-                .collect(),
+        let units = match strategy {
+            Strategy::CurrentPractice => {
+                fuse_with(multi, candidates, config, false, |m| no_reuse_plan(multi, m, config))
+            }
+            Strategy::MatAll => {
+                fuse_with(multi, candidates, config, false, |m| mat_all_plan(multi, m, config))
+            }
             _ => fuse_models(multi, candidates, v, config, strategy.fuse_enabled()),
         };
         units
@@ -685,87 +694,27 @@ impl ModelSelection {
         self.backend.charge_write("raw:valid", rec_bytes * dn_valid as u64);
 
         // 2. Exponential backoff of `r` (§4.2.3): when the snapshot outgrows
-        // the planned maximum, double `r`, re-run the optimizer, and
-        // re-materialize from scratch.
-        let mut full_rematerialize = false;
+        // the planned maximum, double `r` and re-plan. The re-plan backfills
+        // newly chosen features over the whole snapshot, this cycle's batch
+        // included.
+        let mut backfilled = BTreeSet::new();
         if self.n_train + self.n_valid > self.max_records && self.strategy.runs_optimizer() {
             while self.n_train + self.n_valid > self.max_records {
                 self.max_records *= 2;
             }
-            let t0 = Instant::now();
-            // Re-plans see a warm page cache: blend the measured disk
-            // bandwidth with DRAM speed at the hit rate the store has
-            // actually observed so far.
-            if let Some(cal) = &self.calibration {
-                let hit = self.materializer.store.cache_stats().hit_fraction();
-                self.config.planner.disk_bytes_per_sec =
-                    cal.effective_read_bandwidth(hit, self.config.hardware.dram_bytes_per_sec);
-            }
-            let (v, milp) = Self::choose_v(
-                &self.multi,
-                &self.candidates,
-                &self.config,
-                self.strategy,
-                self.max_records,
-            );
-            if let Some(m) = milp {
-                self.milp = Some(m);
-            }
-            self.units =
-                Self::build_units(&self.multi, &self.candidates, &self.config, self.strategy, &v)?;
-            charge_phase(&mut self.backend, t0);
-            let backfill =
-                self.materializer.install_v(&self.multi, &self.candidates, v, &mut self.backend)?;
-            full_rematerialize = !backfill.is_empty();
-            if full_rematerialize {
-                // Newly chosen nodes get the whole snapshot (which already
-                // includes this cycle's batch) ...
-                self.backfill_features(&backfill)?;
-                // ... while *retained* nodes only need this cycle's batch
-                // appended, like any other cycle.
-                let retained: std::collections::BTreeSet<_> = self
-                    .materializer
-                    .v()
-                    .difference(&backfill)
-                    .copied()
-                    .collect();
-                self.materializer.materialize_subset(
-                    &self.multi,
-                    &self.candidates,
-                    &retained,
-                    "train",
-                    new_train.as_ref(),
-                    dn_train,
-                    &mut self.backend,
-                )?;
-                self.materializer.materialize_subset(
-                    &self.multi,
-                    &self.candidates,
-                    &retained,
-                    "valid",
-                    new_valid.as_ref(),
-                    dn_valid,
-                    &mut self.backend,
-                )?;
-            }
+            backfilled = self.replan()?.0;
         }
-        if full_rematerialize {
-            // Handled above (backfill + retained-key appends).
-        } else {
-            // 3. Incremental materialization of just the new records.
-            self.materializer.materialize_batch(
-                &self.multi,
-                "train",
-                new_train.as_ref(),
-                dn_train,
-                &mut self.backend,
-            )?;
-            self.materializer.materialize_batch(
-                &self.multi,
-                "valid",
-                new_valid.as_ref(),
-                dn_valid,
-                &mut self.backend,
+
+        // 3. Incremental materialization: this cycle's batch for every
+        // feature the backfill did not already cover.
+        let fresh: BTreeSet<MNodeId> =
+            self.materializer.v().difference(&backfilled).copied().collect();
+        for (split, data, n) in
+            [("train", new_train.as_ref(), dn_train), ("valid", new_valid.as_ref(), dn_valid)]
+        {
+            let (multi, candidates) = (&self.multi, &self.candidates);
+            self.materializer.materialize(
+                multi, candidates, &fresh, split, data, n, &mut self.backend,
             )?;
         }
         // On the real backend the span's wall clock is the ground truth;
@@ -849,11 +798,12 @@ impl ModelSelection {
     /// "evolving model selection workloads" extension, §2.5: re-run the
     /// optimization and update the materialized layers).
     ///
-    /// The accumulated labeled dataset is kept; profiling, the
-    /// materialization MILP, fusion, and plan checkpoints re-run for the
-    /// new candidate set, and features are re-materialized when the chosen
-    /// set `V` changes. The new candidates must consume the same input
-    /// shape as the old ones.
+    /// The accumulated labeled dataset is kept. The new candidate set goes
+    /// through the same initialization phases as [`ModelSelection::new`]
+    /// (original checkpoints, profiling, the optimizer, plan checkpoints),
+    /// and the re-plan backfills newly chosen features over the snapshot.
+    /// The new candidates must consume the same input shape as the old
+    /// ones.
     pub fn update_workload(
         &mut self,
         candidates: Vec<CandidateModel>,
@@ -861,121 +811,18 @@ impl ModelSelection {
         if candidates.is_empty() {
             return Err(SessionError::Invalid("empty candidate set".into()));
         }
-        let new_in = {
-            let g = &candidates[0].graph;
-            g.shape(g.input_ids()[0]).0.clone()
-        };
-        let old_in = {
-            let g = &self.candidates[0].graph;
-            g.shape(g.input_ids()[0]).0.clone()
-        };
+        let (new_in, old_in) = (input_shape(&candidates[0]), input_shape(&self.candidates[0]));
         if new_in != old_in {
             return Err(SessionError::Invalid(format!(
-                "new workload input shape {new_in:?} != existing {old_in:?}"
+                "new workload input shape {:?} != existing {:?}",
+                new_in.0, old_in.0
             )));
         }
-
-        let t_start = Instant::now();
-        let c_start = self.backend.elapsed_secs();
-
-        // Re-profile.
         let _sp_upd = telemetry::span("core", "session.update_workload");
-        let sp = telemetry::span("core", "init.profiling");
-        let t0 = Instant::now();
-        let c0 = self.backend.elapsed_secs();
-        let multi = MultiModelGraph::build(&candidates);
-        if self.strategy.runs_optimizer() {
-            for c in &candidates {
-                let profiles = profile_graph(&c.graph);
-                let fwd: u64 = profiles.iter().map(|p| p.fwd_flops).sum();
-                self.backend
-                    .charge_compute(2.0 * fwd as f64 * c.hyper.batch_size as f64, None);
-            }
-        }
-        let profiling_secs = end_phase(&mut self.backend, t0, c0);
-        drop(sp);
-
-        // Re-optimize.
-        let sp = telemetry::span("core", "init.optimize");
-        let t0 = Instant::now();
-        let c0 = self.backend.elapsed_secs();
-        let (v, milp) =
-            Self::choose_v(&multi, &candidates, &self.config, self.strategy, self.max_records);
-        let units = Self::build_units(&multi, &candidates, &self.config, self.strategy, &v)?;
-        let optimize_secs = end_phase(&mut self.backend, t0, c0);
-        drop(sp);
-
-        // Re-checkpoint plans.
-        let sp = telemetry::span("core", "init.plan_checkpoints");
-        let t0 = Instant::now();
-        let c0 = self.backend.elapsed_secs();
-        if self.strategy.runs_optimizer() {
-            for (i, (_, plan)) in units.iter().enumerate() {
-                let bytes = checkpoint_bytes(&plan.graph, false);
-                self.backend.charge_write(&format!("ckpt:plan:u{i}"), bytes);
-            }
-        }
-        let plan_checkpoints_secs = end_phase(&mut self.backend, t0, c0);
-        drop(sp);
-
-        let milp_secs = milp.as_ref().map_or(0.0, |m| m.elapsed.as_secs_f64());
-        self.candidates = candidates;
-        self.multi = multi;
-        self.units = units;
-        if let Some(m) = milp {
-            self.milp = Some(m);
-        }
         self.best_so_far = None;
         self.best_trained = None;
-
-        // Swap materialization and backfill any newly chosen features for
-        // the accumulated snapshot.
-        let backfill =
-            self.materializer.install_v(&self.multi, &self.candidates, v, &mut self.backend)?;
-        self.backfill_features(&backfill)?;
-
-        self.init = InitReport {
-            original_checkpoints_secs: 0.0,
-            profiling_secs,
-            optimize_secs,
-            plan_checkpoints_secs,
-            milp_secs,
-            total_secs: match self.backend.kind() {
-                BackendKind::Real => t_start.elapsed().as_secs_f64(),
-                BackendKind::Simulated => self.backend.elapsed_secs() - c_start,
-            },
-            num_units: self.units.len(),
-            num_materialized: self.materializer.v().len(),
-            theoretical_speedup: theoretical_speedup(&self.candidates),
-        };
+        self.init = self.initialize(candidates)?;
         Ok(self.init)
-    }
-
-    /// Materializes the full accumulated snapshot for newly chosen
-    /// features (both splits).
-    fn backfill_features(
-        &mut self,
-        backfill: &std::collections::BTreeSet<crate::multimodel::MNodeId>,
-    ) -> Result<(), SessionError> {
-        self.materializer.materialize_subset(
-            &self.multi,
-            &self.candidates,
-            backfill,
-            "train",
-            if self.backend.is_real() { Some(&self.train_all) } else { None },
-            self.n_train,
-            &mut self.backend,
-        )?;
-        self.materializer.materialize_subset(
-            &self.multi,
-            &self.candidates,
-            backfill,
-            "valid",
-            if self.backend.is_real() { Some(&self.valid_all) } else { None },
-            self.n_valid,
-            &mut self.backend,
-        )?;
-        Ok(())
     }
 
     /// Persists the session's evolving state (cycle counter, accumulated
@@ -985,25 +832,7 @@ impl ModelSelection {
     /// deterministically on resume.
     pub fn save_state(&self, path: &std::path::Path) -> Result<(), SessionError> {
         use nautilus_tensor::ser;
-        struct Header {
-            version: u32,
-            cycle: usize,
-            n_train: usize,
-            n_valid: usize,
-            max_records: usize,
-            best_so_far: Option<(usize, f32)>,
-            has_data: bool,
-        }
-        nautilus_util::json_struct!(Header {
-            version,
-            cycle,
-            n_train,
-            n_valid,
-            max_records,
-            best_so_far,
-            has_data
-        });
-        let header = Header {
+        let header = StateHeader {
             version: 1,
             cycle: self.cycle,
             n_train: self.n_train,
@@ -1031,27 +860,12 @@ impl ModelSelection {
 
     /// Restores state saved by [`ModelSelection::save_state`] into a freshly
     /// constructed session (same candidates, config, strategy, and workdir —
-    /// the feature store under the workdir is reused as-is).
+    /// the feature store under the workdir is reused as-is). Fails closed
+    /// with [`SessionError::Invalid`] when the header's record counts
+    /// disagree with its payload or with any materialized key of either
+    /// split.
     pub fn restore_state(&mut self, path: &std::path::Path) -> Result<(), SessionError> {
         use nautilus_tensor::ser;
-        struct Header {
-            version: u32,
-            cycle: usize,
-            n_train: usize,
-            n_valid: usize,
-            max_records: usize,
-            best_so_far: Option<(usize, f32)>,
-            has_data: bool,
-        }
-        nautilus_util::json_struct!(Header {
-            version,
-            cycle,
-            n_train,
-            n_valid,
-            max_records,
-            best_so_far,
-            has_data
-        });
         let data = std::fs::read(path)
             .map_err(|e| SessionError::Invalid(format!("state read: {e}")))?;
         if data.len() < 8 {
@@ -1061,7 +875,7 @@ impl ModelSelection {
         if data.len() < 8 + hlen {
             return Err(SessionError::Invalid("truncated session state header".into()));
         }
-        let header: Header = nautilus_util::json::from_slice(&data[8..8 + hlen])
+        let header: StateHeader = nautilus_util::json::from_slice(&data[8..8 + hlen])
             .map_err(|e| SessionError::Invalid(format!("state header: {e}")))?;
         if header.version != 1 {
             return Err(SessionError::Invalid(format!(
@@ -1080,10 +894,21 @@ impl ModelSelection {
             let [ti, tl, vi, vl]: [nautilus_tensor::Tensor; 4] = tensors
                 .try_into()
                 .map_err(|_| SessionError::Invalid("state payload count".into()))?;
-            self.train_all = Dataset::new(ti, tl)
+            let train = Dataset::new(ti, tl)
                 .map_err(|e| SessionError::Invalid(format!("state train: {e}")))?;
-            self.valid_all = Dataset::new(vi, vl)
+            let valid = Dataset::new(vi, vl)
                 .map_err(|e| SessionError::Invalid(format!("state valid: {e}")))?;
+            if (train.len(), valid.len()) != (header.n_train, header.n_valid) {
+                return Err(SessionError::Invalid(format!(
+                    "state payload holds {}/{} train/valid records, header says {}/{}",
+                    train.len(),
+                    valid.len(),
+                    header.n_train,
+                    header.n_valid
+                )));
+            }
+            self.train_all = train;
+            self.valid_all = valid;
         }
         self.cycle = header.cycle;
         self.n_train = header.n_train;
@@ -1095,33 +920,22 @@ impl ModelSelection {
         if header.max_records != self.max_records {
             // Re-plan under the persisted (backoff-grown) r.
             self.max_records = header.max_records;
-            let (v, milp) = Self::choose_v(
-                &self.multi,
-                &self.candidates,
-                &self.config,
-                self.strategy,
-                self.max_records,
-            );
-            if let Some(m) = milp {
-                self.milp = Some(m);
-            }
-            self.units =
-                Self::build_units(&self.multi, &self.candidates, &self.config, self.strategy, &v)?;
-            let backfill =
-                self.materializer.install_v(&self.multi, &self.candidates, v, &mut self.backend)?;
-            self.backfill_features(&backfill)?;
+            self.replan()?;
         }
-        // Feature-store consistency: every materialized key must already
-        // hold exactly the snapshot's records.
-        for &m in self.materializer.v().clone().iter() {
-            let key = format!("{}:train", self.multi.node(m).key);
-            if self.backend.is_real() && self.materializer.store.num_records(&key) != self.n_train
-            {
-                return Err(SessionError::Invalid(format!(
-                    "feature store out of sync for '{key}': {} records vs snapshot {}",
-                    self.materializer.store.num_records(&key),
-                    self.n_train
-                )));
+        // Feature-store consistency: every materialized key of both splits
+        // must already hold exactly the snapshot's records.
+        if self.backend.is_real() {
+            for &m in self.materializer.v() {
+                for (split, n) in [("train", self.n_train), ("valid", self.n_valid)] {
+                    let key = format!("{}:{split}", self.multi.node(m).key);
+                    let stored = self.materializer.store.num_records(&key);
+                    if stored != n {
+                        return Err(SessionError::Invalid(format!(
+                            "feature store out of sync for '{key}': {stored} records vs \
+                             snapshot {n}"
+                        )));
+                    }
+                }
             }
         }
         Ok(())
@@ -1202,9 +1016,7 @@ impl ModelSelection {
     }
 
     fn raw_record_bytes(&self) -> u64 {
-        let g = &self.candidates[0].graph;
-        let inp = g.input_ids()[0];
-        g.shape(inp).num_bytes() as u64
+        input_shape(&self.candidates[0]).num_bytes() as u64
     }
 }
 
@@ -1256,9 +1068,28 @@ fn end_phase(backend: &mut Backend, t0: Instant, clock0: f64) -> f64 {
     }
 }
 
-/// Charges a mid-cycle planning phase's wall time (backoff re-planning).
-fn charge_phase(backend: &mut Backend, t0: Instant) -> f64 {
-    let secs = t0.elapsed().as_secs_f64();
-    backend.charge_overhead(secs);
-    secs
+/// Charges one checkpoint write per graph under `ckpt:{tag}:{i}`; on the
+/// real backend also saves it to `ckpt-{tag}-{i}.bin` under `workdir`.
+fn save_checkpoints<'a>(
+    backend: &mut Backend,
+    workdir: &std::path::Path,
+    tag: &str,
+    graphs: impl Iterator<Item = &'a ModelGraph>,
+) -> Result<(), SessionError> {
+    for (i, graph) in graphs.enumerate() {
+        let bytes = checkpoint_bytes(graph, false);
+        backend.charge_write(&format!("ckpt:{tag}:{i}"), bytes);
+        if backend.is_real() {
+            nautilus_dnn::checkpoint::save(graph, &workdir.join(format!("ckpt-{tag}-{i}.bin")))
+                .map_err(|e| SessionError::Invalid(format!("checkpoint: {e}")))?;
+            backend.io.record_write(bytes);
+        }
+    }
+    Ok(())
+}
+
+/// The shape of a candidate's (single) raw input.
+fn input_shape(candidate: &CandidateModel) -> &Shape {
+    let g = &candidate.graph;
+    g.shape(g.input_ids()[0])
 }

@@ -107,60 +107,20 @@ impl From<StoreError> for TrainError {
     }
 }
 
-/// Trains one unit for one cycle and evaluates every member.
-#[allow(clippy::too_many_arguments)]
-pub fn train_unit(
-    multi: &MultiModelGraph,
-    plan: &ExecutablePlan,
-    unit: &TrainUnit,
-    candidates: &[CandidateModel],
-    data: &CycleDataView<'_>,
-    store: &TensorStore,
-    backend: &mut Backend,
-    full_checkpoints: bool,
-) -> Result<Vec<MemberResult>, TrainError> {
-    train_unit_with(multi, plan, unit, candidates, data, store, backend, full_checkpoints, false)
-}
-
-/// [`train_unit`] with explicit control of per-epoch shuffling.
+/// Trains one unit for one cycle, evaluates every member, and hands back
+/// the trained plan graph.
 ///
-/// The permutation is seeded by `(record count, epoch)` only, so every
-/// execution strategy — and every fused/solo arrangement — draws the
-/// *identical* mini-batch sequence, preserving bit-exact equivalence.
-#[allow(clippy::too_many_arguments)]
-pub fn train_unit_with(
-    multi: &MultiModelGraph,
-    plan: &ExecutablePlan,
-    unit: &TrainUnit,
-    candidates: &[CandidateModel],
-    data: &CycleDataView<'_>,
-    store: &TensorStore,
-    backend: &mut Backend,
-    full_checkpoints: bool,
-    shuffle: bool,
-) -> Result<Vec<MemberResult>, TrainError> {
-    train_unit_retaining(
-        multi,
-        plan,
-        unit,
-        candidates,
-        data,
-        store,
-        backend,
-        full_checkpoints,
-        shuffle,
-    )
-    .map(|(results, _)| results)
-}
-
-/// [`train_unit_with`] that also hands back the trained plan graph.
+/// Per-epoch shuffling draws a permutation seeded by `(record count,
+/// epoch)` only, so every execution strategy — and every fused/solo
+/// arrangement — sees the *identical* mini-batch sequence, preserving
+/// bit-exact equivalence.
 ///
 /// On the real backend the returned graph holds the post-training
 /// parameters for every member in the unit (the session maps them back to
 /// per-candidate models for export/serving). The simulated backend trains
 /// nothing, so it returns `None`.
 #[allow(clippy::too_many_arguments)]
-pub fn train_unit_retaining(
+pub fn train_unit(
     multi: &MultiModelGraph,
     plan: &ExecutablePlan,
     unit: &TrainUnit,
@@ -536,8 +496,9 @@ mod tests {
         for unit in &solo_units {
             let plan = ExecutablePlan::build(&multi, &cands, unit).unwrap();
             let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-            let r = train_unit(&multi, &plan, unit, &cands, &data, &store, &mut backend, true)
-                .unwrap();
+            let (r, _) =
+                train_unit(&multi, &plan, unit, &cands, &data, &store, &mut backend, true, false)
+                    .unwrap();
             solo_acc.push((r[0].candidate, r[0].accuracy.unwrap(), r[0].train_loss.unwrap()));
         }
 
@@ -546,7 +507,7 @@ mod tests {
         assert_eq!(fused_units.len(), 1);
         let plan = ExecutablePlan::build(&multi, &cands, &fused_units[0]).unwrap();
         let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-        let fused = train_unit(
+        let (fused, _) = train_unit(
             &multi,
             &plan,
             &fused_units[0],
@@ -554,6 +515,7 @@ mod tests {
             &data,
             &store,
             &mut backend,
+            false,
             false,
         )
         .unwrap();
@@ -590,8 +552,9 @@ mod tests {
         for unit in &solo_units {
             let plan = ExecutablePlan::build(&multi, &cands, unit).unwrap();
             let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-            let r = train_unit(&multi, &plan, unit, &cands, &data, &store, &mut backend, true)
-                .unwrap();
+            let (r, _) =
+                train_unit(&multi, &plan, unit, &cands, &data, &store, &mut backend, true, false)
+                    .unwrap();
             solo.push((r[0].candidate, r[0].accuracy.unwrap(), r[0].train_loss.unwrap()));
         }
 
@@ -600,7 +563,7 @@ mod tests {
         assert_eq!(fused_units[0].member_epochs, vec![2, 4]);
         let plan = ExecutablePlan::build(&multi, &cands, &fused_units[0]).unwrap();
         let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io);
-        let fused = train_unit(
+        let (fused, _) = train_unit(
             &multi,
             &plan,
             &fused_units[0],
@@ -608,6 +571,7 @@ mod tests {
             &data,
             &store,
             &mut backend,
+            false,
             false,
         )
         .unwrap();
@@ -635,8 +599,9 @@ mod tests {
         let units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false);
         let plan = ExecutablePlan::build(&multi, &cands, &units[0]).unwrap();
         let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io);
-        let r = train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, true)
-            .unwrap();
+        let (r, _) =
+            train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, true, false)
+                .unwrap();
         // Token labels are a deterministic function of the token: the model
         // must beat the 1/5 chance rate comfortably.
         assert!(r[0].accuracy.unwrap() > 0.4, "accuracy {:?}", r[0].accuracy);
@@ -660,7 +625,7 @@ mod tests {
             for unit in &units {
                 let plan = ExecutablePlan::build(&multi, &cands, unit).unwrap();
                 let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-                let r = train_unit_with(
+                let (r, _) = train_unit(
                     &multi, &plan, unit, &cands, &data, &store, &mut backend, true, shuffle,
                 )
                 .unwrap();
@@ -694,8 +659,9 @@ mod tests {
         let plan = ExecutablePlan::build(&multi, &cands, &units[0]).unwrap();
         let mut backend = Backend::new(BackendKind::Simulated, cfg.hardware, io.clone());
         let data = CycleDataView::Virtual { n_train: 100, n_valid: 25 };
-        let r = train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, true)
-            .unwrap();
+        let (r, _) =
+            train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, true, false)
+                .unwrap();
         assert_eq!(r.len(), 1);
         assert!(r[0].accuracy.is_none());
         assert!(backend.elapsed_secs() > 0.0);
@@ -719,7 +685,7 @@ mod tests {
             let io = SharedIoStats::new();
             let store = temp_store(&format!("ckpt{full}"), io.clone());
             let mut backend = Backend::new(BackendKind::Simulated, cfg.hardware, io.clone());
-            train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, full)
+            train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, full, false)
                 .unwrap();
             writes.push(io.snapshot().disk_write_bytes);
         }

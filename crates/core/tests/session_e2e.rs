@@ -1,11 +1,17 @@
 //! End-to-end session tests: every strategy over multiple labeling cycles,
 //! on both backends.
 
-use nautilus_core::session::{CycleInput, ModelSelection};
+use nautilus_core::backend::Backend;
+use nautilus_core::multimodel::MNodeId;
+use nautilus_core::session::{
+    CycleInput, CycleWork, LocalUnits, ModelSelection, SessionError, UnitExecutor, UnitOutcome,
+};
 use nautilus_core::workloads::{Scale, WorkloadKind, WorkloadSpec};
 use nautilus_core::{BackendKind, Strategy, SystemConfig};
 use nautilus_data::Dataset;
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn workdir(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!(
@@ -363,4 +369,162 @@ fn feature_store_respects_disk_budget() {
         session.feature_bytes(),
         cfg.disk_budget_bytes
     );
+}
+
+
+/// Trains locally and records the materialized set `V` of every cycle.
+struct RecordV(Arc<Mutex<Vec<BTreeSet<MNodeId>>>>);
+
+impl UnitExecutor for RecordV {
+    fn train_units(
+        &mut self,
+        work: &CycleWork<'_>,
+        backend: &mut Backend,
+    ) -> Result<Vec<UnitOutcome>, SessionError> {
+        self.0.lock().unwrap().push(work.v.clone());
+        LocalUnits.train_units(work, backend)
+    }
+}
+
+/// Cycle `cycle` of a 30-record-per-cycle pool: 24 train, 6 valid.
+fn cycle_input(pool: &Dataset, cycle: usize) -> CycleInput {
+    let batch = pool.range(cycle * 30, (cycle + 1) * 30);
+    let (train, valid) = batch.split_at(24);
+    CycleInput::Real { train, valid }
+}
+
+fn sorted(mut accuracies: Vec<(String, Option<f32>)>) -> Vec<(String, Option<f32>)> {
+    accuracies.sort_by(|a, b| a.0.cmp(&b.0));
+    accuracies
+}
+
+#[test]
+fn backoff_replan_backfills_new_features_and_resumes_identically() {
+    // At r = 40 the budget holds four deep features; at r = 80 the planner
+    // trades them for a set that includes shallower nodes it had not
+    // chosen, so the backoff re-plan must backfill those over the whole
+    // snapshot while the retained ones take only the new batch.
+    let mut cfg = SystemConfig::tiny();
+    cfg.max_records = 40;
+    cfg.disk_budget_bytes = 640 * 1024;
+    let pool = tiny_pool(90);
+    let session = |strategy, dir: &Path, log: &Arc<Mutex<Vec<BTreeSet<MNodeId>>>>| {
+        let mut s =
+            ModelSelection::new(small_candidates(), cfg.clone(), strategy, BackendKind::Real, dir)
+                .unwrap();
+        s.set_unit_executor(Box::new(RecordV(log.clone())));
+        s
+    };
+
+    let cp_log = Arc::new(Mutex::new(Vec::new()));
+    let mut baseline = session(Strategy::CurrentPractice, &workdir("backfill-cp"), &cp_log);
+    let expected: Vec<_> =
+        (0..3).map(|c| sorted(baseline.fit(cycle_input(&pool, c)).unwrap().accuracies)).collect();
+
+    // Uninterrupted: every cycle equals Current Practice bit for bit.
+    let ref_log = Arc::new(Mutex::new(Vec::new()));
+    let mut reference = session(Strategy::Nautilus, &workdir("backfill-ref"), &ref_log);
+    for (c, want) in expected.iter().enumerate() {
+        let got = sorted(reference.fit(cycle_input(&pool, c)).unwrap().accuracies);
+        assert_eq!(&got, want, "cycle {c}");
+    }
+    let ref_v = ref_log.lock().unwrap().clone();
+    assert!(!ref_v[0].is_empty());
+    assert!(
+        ref_v[1].difference(&ref_v[0]).next().is_some(),
+        "the backoff re-plan must choose features it had not materialized: {ref_v:?}"
+    );
+
+    // Interrupted after the backoff: save, resume into a fresh session over
+    // the same workdir (which re-plans under the saved r), run cycle 3.
+    let wd = workdir("backfill-resume");
+    let state =
+        std::env::temp_dir().join(format!("nautilus-backfill-state-{}", std::process::id()));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    {
+        let mut interrupted = session(Strategy::Nautilus, &wd, &log);
+        for c in 0..2 {
+            interrupted.fit(cycle_input(&pool, c)).unwrap();
+        }
+        assert_eq!(interrupted.max_records(), 80);
+        interrupted.save_state(&state).unwrap();
+    }
+    let mut resumed = session(Strategy::Nautilus, &wd, &log);
+    assert_eq!(resumed.max_records(), 40);
+    resumed.restore_state(&state).unwrap();
+    assert_eq!(resumed.max_records(), 80);
+    let r = resumed.fit(cycle_input(&pool, 2)).unwrap();
+    assert_eq!((r.cycle, r.train_records, r.valid_records), (3, 72, 18));
+    assert_eq!(sorted(r.accuracies), expected[2], "resumed cycle must match uninterrupted");
+    assert_eq!(resumed.max_records(), reference.max_records());
+    assert_eq!(*log.lock().unwrap(), ref_v, "same V every cycle");
+    let _ = std::fs::remove_file(&state);
+}
+
+#[test]
+fn restore_rejects_a_header_that_disagrees_with_its_payload() {
+    let wd = workdir("tamper");
+    let state = std::env::temp_dir().join(format!("nautilus-tamper-state-{}", std::process::id()));
+    let new_session = || {
+        ModelSelection::new(
+            small_candidates(),
+            SystemConfig::tiny(),
+            Strategy::Nautilus,
+            BackendKind::Real,
+            &wd,
+        )
+        .unwrap()
+    };
+    {
+        let mut session = new_session();
+        session.fit(cycle_input(&tiny_pool(30), 0)).unwrap();
+        session.save_state(&state).unwrap();
+    }
+    // Rewrite only the header's validation count.
+    let bytes = std::fs::read(&state).unwrap();
+    let hlen = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
+    let header = std::str::from_utf8(&bytes[8..8 + hlen]).unwrap();
+    assert!(header.contains("\"n_valid\":6"), "{header}");
+    let header = header.replace("\"n_valid\":6", "\"n_valid\":7");
+    let mut tampered = (header.len() as u64).to_le_bytes().to_vec();
+    tampered.extend_from_slice(header.as_bytes());
+    tampered.extend_from_slice(&bytes[8 + hlen..]);
+    std::fs::write(&state, tampered).unwrap();
+
+    let err = new_session().restore_state(&state).unwrap_err();
+    assert!(matches!(err, SessionError::Invalid(_)), "{err}");
+    let _ = std::fs::remove_file(&state);
+}
+
+#[test]
+fn update_workload_writes_the_checkpoints_new_writes() {
+    let wd = workdir("evolve-ckpt");
+    let mut session = ModelSelection::new(
+        small_candidates(),
+        SystemConfig::tiny(),
+        Strategy::Nautilus,
+        BackendKind::Real,
+        &wd,
+    )
+    .unwrap();
+    session.fit(cycle_input(&tiny_pool(30), 0)).unwrap();
+    // Clear what `new` wrote, so only the update can produce the files.
+    for entry in std::fs::read_dir(&wd).unwrap() {
+        let path = entry.unwrap().path();
+        if path.file_name().unwrap().to_string_lossy().starts_with("ckpt-") {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let spec = WorkloadSpec { kind: WorkloadKind::Ftr2, scale: Scale::Tiny };
+    let mut new_cands = spec.candidates().unwrap();
+    new_cands.truncate(6);
+    let report = session.update_workload(new_cands).unwrap();
+    for i in 0..6 {
+        assert!(wd.join(format!("ckpt-init-{i}.bin")).exists(), "ckpt-init-{i}.bin");
+    }
+    assert!(report.num_units >= 1);
+    for u in 0..report.num_units {
+        assert!(wd.join(format!("ckpt-plan-{u}.bin")).exists(), "ckpt-plan-{u}.bin");
+    }
+    assert!(report.original_checkpoints_secs > 0.0);
 }

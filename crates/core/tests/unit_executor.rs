@@ -7,7 +7,7 @@ use nautilus_core::metrics::CycleReport;
 use nautilus_core::session::{
     CycleInput, CycleWork, LocalUnits, ModelSelection, SessionError, UnitExecutor, UnitOutcome,
 };
-use nautilus_core::trainer::train_unit_retaining;
+use nautilus_core::trainer::train_unit;
 use nautilus_core::workloads::{Scale, WorkloadKind, WorkloadSpec};
 use nautilus_core::{BackendKind, Strategy, SystemConfig};
 use nautilus_dnn::{ModelGraph, NodeId};
@@ -24,7 +24,7 @@ impl UnitExecutor for Reversed {
     ) -> Result<Vec<UnitOutcome>, SessionError> {
         let mut outcomes: Vec<Option<UnitOutcome>> = work.units.iter().map(|_| None).collect();
         for (i, (unit, plan)) in work.units.iter().enumerate().rev() {
-            outcomes[i] = Some(train_unit_retaining(
+            outcomes[i] = Some(train_unit(
                 work.multi,
                 plan,
                 unit,

@@ -212,7 +212,7 @@ fn train_shard(
 
     let mut backend = Backend::new(BackendKind::Real, spec.config.hardware, io);
     let data = CycleDataView::Real { train: &spec.train, valid: &spec.valid };
-    let (results, trained) = nautilus_core::trainer::train_unit_retaining(
+    let (results, trained) = nautilus_core::trainer::train_unit(
         &multi,
         plan,
         unit,

@@ -58,7 +58,7 @@ fn chunked_materialization_equals_one_shot() {
     inc.install_v(&multi, &cands, v.clone(), &mut backend).unwrap();
     for i in 0..3 {
         let chunk = data.range(i * 10, (i + 1) * 10);
-        inc.materialize_batch(&multi, "train", Some(&chunk), 10, &mut backend).unwrap();
+        inc.materialize(&multi, &cands, &v, "train", Some(&chunk), 10, &mut backend).unwrap();
     }
 
     // One shot: all 30 at once.
@@ -66,8 +66,8 @@ fn chunked_materialization_equals_one_shot() {
     let mut backend2 = Backend::new(BackendKind::Real, cfg.hardware, io2.clone());
     let mut oneshot =
         Materializer::new(TensorStore::open(workdir("oneshot"), io2).unwrap(), 64 << 20);
-    oneshot.install_v(&multi, &cands, v, &mut backend2).unwrap();
-    oneshot.materialize_batch(&multi, "train", Some(&data), 30, &mut backend2).unwrap();
+    oneshot.install_v(&multi, &cands, v.clone(), &mut backend2).unwrap();
+    oneshot.materialize(&multi, &cands, &v, "train", Some(&data), 30, &mut backend2).unwrap();
 
     let (a, _) = inc.store.read_all(&format!("{key}:train")).unwrap();
     let (b, _) = oneshot.store.read_all(&format!("{key}:train")).unwrap();
