@@ -355,12 +355,14 @@ fn bench_store(c: &mut Criterion) {
     let mut store = TensorStore::open(&root, SharedIoStats::new()).unwrap();
     let mut rng = seeded_rng(2);
     let batch = randn([64, 32, 32], 1.0, &mut rng);
-    store.append("warm", &batch).unwrap();
+    store.append_many(&[("warm".to_string(), batch.clone())]).unwrap();
+    let mut item = [(String::new(), batch)];
     group.bench_function("append/64x32x32", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            store.append(&format!("k{i}"), &batch).unwrap()
+            item[0].0 = format!("k{i}");
+            store.append_many(&item).unwrap()
         })
     });
     group.bench_function("scan/64x32x32", |b| b.iter(|| store.read_all("warm").unwrap()));
@@ -385,8 +387,7 @@ fn bench_prefetch(c: &mut Criterion) {
     let keys: Vec<String> = (0..2).map(|k| format!("feat{k}")).collect();
     for key in &keys {
         for _chunk in 0..2 {
-            let batch = randn([128, 32, 32], 1.0, &mut rng);
-            store.append(key, &batch).unwrap();
+            store.append_many(&[(key.clone(), randn([128, 32, 32], 1.0, &mut rng))]).unwrap();
         }
     }
     // Stand-in for a training epoch's compute, sized on the order of the

@@ -188,10 +188,11 @@ pub struct ModelSelection {
     /// Current `r` (grows by exponential backoff).
     max_records: usize,
     cycle: usize,
-    train_all: Dataset,
-    valid_all: Dataset,
     n_train: usize,
     n_valid: usize,
+    /// The accumulated `(train, valid)` records, on the backend that
+    /// executes; the simulated backend keeps the counts only.
+    records: Option<(Dataset, Dataset)>,
     /// Measured I/O bandwidths from the startup micro-probe (real backend
     /// with `config.io.calibrate`); `None` means the planner keeps its
     /// static disk constant.
@@ -251,8 +252,7 @@ pub trait UnitExecutor: Send {
 /// The default executor: trains every unit in this process. On the real
 /// backend independent units run concurrently on the shared pool, each
 /// task with its own accounting backend whose compute is absorbed in unit
-/// order. The simulated backend stays serial: its virtual clock is a
-/// single timeline, and Fig 6/8-style numbers must not change.
+/// order.
 pub struct LocalUnits;
 
 impl UnitExecutor for LocalUnits {
@@ -267,6 +267,8 @@ impl UnitExecutor for LocalUnits {
                 work.strategy.full_checkpoints(), work.config.shuffle_each_epoch,
             )
         };
+        // The simulated backend stays serial: its virtual clock is a single
+        // timeline, so concurrent units would each charge it in turn anyway.
         if !(backend.is_real() && work.units.len() > 1 && nautilus_util::pool::num_threads() > 1)
         {
             return work.units.iter().map(|u| train(u, backend).map_err(Into::into)).collect();
@@ -276,9 +278,8 @@ impl UnitExecutor for LocalUnits {
             .units
             .iter()
             .map(|u| {
-                let io = backend.io.clone();
+                let mut worker = backend.fork();
                 Box::new(move || {
-                    let mut worker = Backend::new(BackendKind::Real, work.config.hardware, io);
                     let outcome = train(u, &mut worker)?;
                     Ok((outcome, worker.busy_secs(), worker.total_flops()))
                 }) as Box<dyn FnOnce() -> UnitOut + Send>
@@ -296,12 +297,11 @@ impl UnitExecutor for LocalUnits {
 
 /// Turns `config` into process and store settings — the one place this
 /// happens, for the session and the remote worker alike: requests the
-/// shared pool's width, applies the GEMM kernel preference (only for a
-/// `real` backend: only real execution computes), and opens the feature
-/// store at `dir` with the configured page-cache size and I/O policy.
+/// shared pool's width, applies the GEMM kernel preference, and opens the
+/// feature store at `dir` with the configured page-cache size and I/O
+/// policy.
 pub fn open_feature_store(
     config: &SystemConfig,
-    real: bool,
     dir: PathBuf,
     io: SharedIoStats,
 ) -> Result<TensorStore, StoreError> {
@@ -310,16 +310,15 @@ pub fn open_feature_store(
         // pool has already been started.
         let _ = nautilus_util::pool::request_threads(config.threads);
     }
-    if real {
-        // The NAUTILUS_GEMM_KERNEL env override still wins inside the
-        // dispatch layer, and unsupported hosts degrade to safe.
-        if let Some(kind) = nautilus_tensor::ops::gemm::KernelKind::parse(&config.gemm_kernel) {
-            nautilus_tensor::ops::gemm::set_kernel_preference(kind);
-        }
+    // The NAUTILUS_GEMM_KERNEL env override still wins inside the dispatch
+    // layer, and unsupported hosts degrade to safe.
+    if let Some(kind) = nautilus_tensor::ops::gemm::KernelKind::parse(&config.gemm_kernel) {
+        nautilus_tensor::ops::gemm::set_kernel_preference(kind);
     }
     let mut store = TensorStore::open(dir, io)?;
-    // The real store models the OS page cache at the size the hardware
-    // profile declares (the simulated backend has its own model).
+    // The store models the OS page cache of its chunk files at the size the
+    // hardware profile declares (the simulated backend reads through its
+    // own per-object model instead).
     store.set_page_cache_bytes(config.hardware.page_cache_bytes);
     store.set_io_policy(IoPolicy {
         prefetch: config.io.prefetch,
@@ -331,7 +330,7 @@ pub fn open_feature_store(
 }
 
 /// The JSON header of a saved session state: the evolving scalars, and
-/// whether a tensor payload (the real backend's snapshot) follows.
+/// whether a tensor payload (the snapshot's records) follows.
 struct StateHeader {
     version: u32,
     cycle: usize,
@@ -375,13 +374,14 @@ impl ModelSelection {
         let _sp_init = telemetry::span("core", "session.init");
         let io = SharedIoStats::new();
         let backend = Backend::new(backend_kind, config.hardware, io.clone());
-        let store =
-            open_feature_store(&config, backend.is_real(), workdir.join("features"), io.clone())?;
+        let store = open_feature_store(&config, workdir.join("features"), io.clone())?;
 
-        // Measured I/O calibration (real backend, opt-in): every plan then
-        // reads the machine's actual sequential bandwidth in place of the
-        // planner's static disk constant, blended with DRAM speed at the
-        // page-cache hit rate observed so far (see `replan`).
+        // Measured I/O calibration (opt-in): every plan then reads the
+        // machine's actual sequential bandwidth in place of the planner's
+        // static disk constant, blended with DRAM speed at the page-cache
+        // hit rate observed so far (see `replan`). Real backend only: the
+        // probe measures this machine's disk, which the simulated device
+        // does not use.
         let calibration = if backend.is_real() && config.io.calibrate {
             // A failed probe (exotic filesystem, no space) is not fatal:
             // keep the static constant.
@@ -418,7 +418,6 @@ impl ModelSelection {
         } else {
             config.disk_budget_bytes
         };
-        let in_shape = input_shape(&candidates[0]).0.clone();
         let mut session = ModelSelection {
             max_records: config.max_records,
             config,
@@ -432,10 +431,9 @@ impl ModelSelection {
             init: InitReport::default(),
             milp: None,
             cycle: 0,
-            train_all: Dataset::empty(&in_shape, &[]),
-            valid_all: Dataset::empty(&in_shape, &[]),
             n_train: 0,
             n_valid: 0,
+            records: None,
             calibration,
             best_so_far: None,
             best_trained: None,
@@ -451,7 +449,7 @@ impl ModelSelection {
     /// profiling, the optimizer (one [`Self::replan`]) and checkpoints of
     /// the optimized plans.
     fn initialize(&mut self, candidates: Vec<CandidateModel>) -> Result<InitReport, SessionError> {
-        let (t_start, c_start) = (Instant::now(), self.backend.elapsed_secs());
+        let c_start = self.backend.elapsed_secs();
 
         // Phase 1: original model checkpoints (all strategies).
         let sp = telemetry::span("core", "init.original_checkpoints");
@@ -498,10 +496,7 @@ impl ModelSelection {
             optimize_secs,
             plan_checkpoints_secs,
             milp_secs: self.milp.as_ref().map_or(0.0, |m| m.elapsed.as_secs_f64()),
-            total_secs: match self.backend.kind() {
-                BackendKind::Real => t_start.elapsed().as_secs_f64(),
-                BackendKind::Simulated => self.backend.elapsed_secs() - c_start,
-            },
+            total_secs: self.backend.elapsed_secs() - c_start,
             num_units: self.units.len(),
             num_materialized: self.materializer.v().len(),
             theoretical_speedup: theoretical_speedup(&self.candidates),
@@ -516,7 +511,7 @@ impl ModelSelection {
     /// whole accumulated snapshot. Returns the backfilled set and the
     /// planning seconds.
     fn replan(&mut self) -> Result<(BTreeSet<MNodeId>, f64), SessionError> {
-        let t0 = Instant::now();
+        let (t0, c0) = (Instant::now(), self.backend.elapsed_secs());
         if let Some(cal) = &self.calibration {
             let hit = self.materializer.store.cache_stats().hit_fraction();
             self.config.planner.disk_bytes_per_sec =
@@ -527,15 +522,15 @@ impl ModelSelection {
             Self::choose_v(multi, candidates, &self.config, self.strategy, self.max_records);
         self.milp = milp.or(self.milp.take());
         self.units = Self::build_units(multi, candidates, &self.config, self.strategy, &v)?;
-        let plan_secs = t0.elapsed().as_secs_f64();
-        self.backend.charge_overhead(plan_secs);
+        let plan_secs = end_phase(&mut self.backend, t0, c0);
         let backfill = self.materializer.install_v(multi, candidates, v, &mut self.backend)?;
-        let real = self.backend.is_real();
-        for (split, data, n) in
-            [("train", &self.train_all, self.n_train), ("valid", &self.valid_all, self.n_valid)]
-        {
+        let records = self.records.as_ref();
+        for (split, data, n) in [
+            ("train", records.map(|(t, _)| t), self.n_train),
+            ("valid", records.map(|(_, v)| v), self.n_valid),
+        ] {
             self.materializer.materialize(
-                multi, candidates, &backfill, split, real.then_some(data), n, &mut self.backend,
+                multi, candidates, &backfill, split, data, n, &mut self.backend,
             )?;
         }
         Ok((backfill, plan_secs))
@@ -646,44 +641,49 @@ impl ModelSelection {
         )
     }
 
-    /// Total bytes of materialized features currently on disk.
+    /// Total bytes of materialized features in the feature store (modeled
+    /// ones on the simulated backend).
     pub fn feature_bytes(&self) -> u64 {
-        if self.backend.is_real() {
-            self.materializer.feature_bytes()
-        } else {
-            self.materializer.bytes_per_record(&self.multi)
-                * (self.n_train + self.n_valid) as u64
+        self.materializer.feature_bytes()
+    }
+
+    /// The one place an input meets the backend: the real backend executes,
+    /// so a batch or a restored snapshot must carry its records; the
+    /// simulated one models, so it takes counts only.
+    fn check_payload(&self, present: bool) -> Result<(), SessionError> {
+        if present != self.backend.is_real() {
+            return Err(SessionError::Invalid("CycleInput kind must match the backend kind".into()));
         }
+        Ok(())
     }
 
     /// Runs one model-selection cycle on a newly labeled batch.
     pub fn fit(&mut self, input: CycleInput) -> Result<CycleReport, SessionError> {
-        self.cycle += 1;
-        let sp_cycle = telemetry::timed_span("core", "cycle.fit");
-        let sp_mat = telemetry::timed_span("core", "cycle.materialize");
-        let t_cycle = self.backend.elapsed_secs();
-
-        // 1. Ingest the new batch.
-        let (new_train, new_valid, dn_train, dn_valid) = match (&input, self.backend.is_real()) {
-            (CycleInput::Real { train, valid }, true) => {
-                (Some(train.clone()), Some(valid.clone()), train.len(), valid.len())
+        // 1. Ingest the new batch, resolved once into its counts and records.
+        let (batch, dn_train, dn_valid) = match input {
+            CycleInput::Real { train, valid } => {
+                let (n_train, n_valid) = (train.len(), valid.len());
+                (Some((train, valid)), n_train, n_valid)
             }
-            (CycleInput::Virtual { n_train, n_valid }, false) => {
-                (None, None, *n_train, *n_valid)
-            }
-            _ => {
-                return Err(SessionError::Invalid(
-                    "CycleInput kind must match the backend kind".into(),
-                ))
-            }
+            CycleInput::Virtual { n_train, n_valid } => (None, n_train, n_valid),
         };
-        if let (Some(t), Some(v)) = (&new_train, &new_valid) {
-            self.train_all
-                .extend(t)
-                .map_err(|e| SessionError::Invalid(format!("train extend: {e}")))?;
-            self.valid_all
-                .extend(v)
-                .map_err(|e| SessionError::Invalid(format!("valid extend: {e}")))?;
+        self.check_payload(batch.is_some())?;
+        self.cycle += 1;
+        let _sp_cycle = telemetry::span("core", "cycle.fit");
+        let sp_mat = telemetry::span("core", "cycle.materialize");
+        let t_cycle = self.backend.elapsed_secs();
+        if let Some((train, valid)) = &batch {
+            match &mut self.records {
+                Some((all_train, all_valid)) => {
+                    all_train
+                        .extend(train)
+                        .map_err(|e| SessionError::Invalid(format!("train extend: {e}")))?;
+                    all_valid
+                        .extend(valid)
+                        .map_err(|e| SessionError::Invalid(format!("valid extend: {e}")))?;
+                }
+                None => self.records = Some((train.clone(), valid.clone())),
+            }
         }
         self.n_train += dn_train;
         self.n_valid += dn_valid;
@@ -709,27 +709,22 @@ impl ModelSelection {
         // feature the backfill did not already cover.
         let fresh: BTreeSet<MNodeId> =
             self.materializer.v().difference(&backfilled).copied().collect();
-        for (split, data, n) in
-            [("train", new_train.as_ref(), dn_train), ("valid", new_valid.as_ref(), dn_valid)]
-        {
+        for (split, data, n) in [
+            ("train", batch.as_ref().map(|(t, _)| t), dn_train),
+            ("valid", batch.as_ref().map(|(_, v)| v), dn_valid),
+        ] {
             let (multi, candidates) = (&self.multi, &self.candidates);
             self.materializer.materialize(
                 multi, candidates, &fresh, split, data, n, &mut self.backend,
             )?;
         }
-        // On the real backend the span's wall clock is the ground truth;
-        // the simulated backend reports its virtual clock.
-        let materialize_secs = if self.backend.is_real() {
-            sp_mat.finish()
-        } else {
-            drop(sp_mat);
-            self.backend.elapsed_secs() - t_cycle
-        };
+        drop(sp_mat);
+        let materialize_secs = self.backend.elapsed_secs() - t_cycle;
 
         // 4. Train every unit on the full snapshot, wherever the executor
         // trains them. Outcomes come back in unit order, so the first-wins
         // best-pick below is the same for every executor.
-        let sp_train = telemetry::timed_span("core", "cycle.train");
+        let sp_train = telemetry::span("core", "cycle.train");
         let t_train = self.backend.elapsed_secs();
         let work = CycleWork {
             multi: &self.multi,
@@ -739,10 +734,10 @@ impl ModelSelection {
             config: &self.config,
             strategy: self.strategy,
             store: &self.materializer.store,
-            data: if self.backend.is_real() {
-                CycleDataView::Real { train: &self.train_all, valid: &self.valid_all }
-            } else {
-                CycleDataView::Virtual { n_train: self.n_train, n_valid: self.n_valid }
+            data: CycleDataView {
+                n_train: self.n_train,
+                n_valid: self.n_valid,
+                records: self.records.as_ref().map(|(train, valid)| (train, valid)),
             },
         };
         let unit_results = self.executor.train_units(&work, &mut self.backend)?;
@@ -776,18 +771,16 @@ impl ModelSelection {
                 self.best_trained = Some((*ci, exported));
             }
         }
+        drop(sp_train);
         let now = self.backend.elapsed_secs();
-        let real = self.backend.is_real();
-        let train_secs = if real { sp_train.finish() } else { drop(sp_train); now - t_train };
-        let cycle_secs = if real { sp_cycle.finish() } else { drop(sp_cycle); now - t_cycle };
 
         Ok(CycleReport {
             cycle: self.cycle,
             train_records: self.n_train,
             valid_records: self.n_valid,
             materialize_secs,
-            train_secs,
-            cycle_secs,
+            train_secs: now - t_train,
+            cycle_secs: now - t_cycle,
             accuracies,
             best: best.map(|(_, n, a)| (n, a)),
             stats: self.stats(),
@@ -839,18 +832,18 @@ impl ModelSelection {
             n_valid: self.n_valid,
             max_records: self.max_records,
             best_so_far: self.best_so_far,
-            has_data: self.backend.is_real(),
+            has_data: self.records.is_some(),
         };
         let header_json = nautilus_util::json::to_vec(&header);
         let mut buf = Vec::new();
         buf.extend_from_slice(&(header_json.len() as u64).to_le_bytes());
         buf.extend_from_slice(&header_json);
-        if self.backend.is_real() {
+        if let Some((train, valid)) = &self.records {
             buf.extend_from_slice(&ser::encode_many(&[
-                self.train_all.inputs.clone(),
-                self.train_all.labels.clone(),
-                self.valid_all.inputs.clone(),
-                self.valid_all.labels.clone(),
+                train.inputs.clone(),
+                train.labels.clone(),
+                valid.inputs.clone(),
+                valid.labels.clone(),
             ]));
         }
         std::fs::write(path, &buf)
@@ -883,11 +876,11 @@ impl ModelSelection {
                 header.version
             )));
         }
-        if header.has_data != self.backend.is_real() {
-            return Err(SessionError::Invalid(
-                "session state backend kind does not match".into(),
-            ));
+        // A state saved before its first cycle carries nothing to check.
+        if header.has_data || header.n_train + header.n_valid > 0 {
+            self.check_payload(header.has_data)?;
         }
+        let mut records = None;
         if header.has_data {
             let tensors = ser::decode_many(&data[8 + hlen..])
                 .map_err(|e| SessionError::Invalid(format!("state payload: {e}")))?;
@@ -907,9 +900,9 @@ impl ModelSelection {
                     header.n_valid
                 )));
             }
-            self.train_all = train;
-            self.valid_all = valid;
+            records = Some((train, valid));
         }
+        self.records = records;
         self.cycle = header.cycle;
         self.n_train = header.n_train;
         self.n_valid = header.n_valid;
@@ -924,17 +917,14 @@ impl ModelSelection {
         }
         // Feature-store consistency: every materialized key of both splits
         // must already hold exactly the snapshot's records.
-        if self.backend.is_real() {
-            for &m in self.materializer.v() {
-                for (split, n) in [("train", self.n_train), ("valid", self.n_valid)] {
-                    let key = format!("{}:{split}", self.multi.node(m).key);
-                    let stored = self.materializer.store.num_records(&key);
-                    if stored != n {
-                        return Err(SessionError::Invalid(format!(
-                            "feature store out of sync for '{key}': {stored} records vs \
-                             snapshot {n}"
-                        )));
-                    }
+        for &m in self.materializer.v() {
+            for (split, n) in [("train", self.n_train), ("valid", self.n_valid)] {
+                let key = format!("{}:{split}", self.multi.node(m).key);
+                let stored = self.materializer.store.num_records(&key);
+                if stored != n {
+                    return Err(SessionError::Invalid(format!(
+                        "feature store out of sync for '{key}': {stored} records vs snapshot {n}"
+                    )));
                 }
             }
         }
@@ -943,14 +933,12 @@ impl ModelSelection {
 
     /// Scores unlabeled records with the best model so far, returning
     /// per-record class-probability vectors for active-learning samplers
-    /// (token probabilities are averaged per record). Real backend only.
+    /// (token probabilities are averaged per record). Needs a trained model,
+    /// so it errors on the simulated backend, which trains none.
     pub fn score_unlabeled(
         &self,
         pool_inputs: &nautilus_tensor::Tensor,
     ) -> Result<Vec<Vec<f32>>, SessionError> {
-        if !self.backend.is_real() {
-            return Err(SessionError::Invalid("scoring requires the real backend".into()));
-        }
         let Some((best, _)) = self.best_so_far else {
             return Err(SessionError::Invalid("no trained model yet".into()));
         };
@@ -990,11 +978,6 @@ impl ModelSelection {
     /// (nothing is actually trained there) and before the first real
     /// `fit` cycle.
     pub fn export_best(&self) -> Result<(usize, ModelGraph), SessionError> {
-        if !self.backend.is_real() {
-            return Err(SessionError::Invalid(
-                "export_best requires the real backend".into(),
-            ));
-        }
         match &self.best_trained {
             Some((ci, g)) => Ok((*ci, g.clone())),
             None => Err(SessionError::Invalid("no trained model yet".into())),
@@ -1054,22 +1037,17 @@ impl Drop for ModelSelection {
     }
 }
 
-/// Ends an initialization phase: charges its measured wall time to the
-/// simulated clock (planning is real CPU work in both modes) and returns
-/// the phase duration on the session's own clock — wall time on the real
-/// backend, virtual-clock delta (charged IO/compute + planning wall) on
-/// the simulated one.
+/// Ends a phase begun at wall instant `t0` and clock reading `clock0`:
+/// charges the phase's measured wall time as overhead (the CPU work of
+/// planning and checkpointing is real on either backend, and the real clock
+/// has already run) and returns the phase's duration on the backend clock.
 fn end_phase(backend: &mut Backend, t0: Instant, clock0: f64) -> f64 {
-    let wall = t0.elapsed().as_secs_f64();
-    backend.charge_overhead(wall);
-    match backend.kind() {
-        BackendKind::Real => wall,
-        BackendKind::Simulated => backend.elapsed_secs() - clock0,
-    }
+    backend.charge_overhead(t0.elapsed().as_secs_f64());
+    backend.elapsed_secs() - clock0
 }
 
-/// Charges one checkpoint write per graph under `ckpt:{tag}:{i}`; on the
-/// real backend also saves it to `ckpt-{tag}-{i}.bin` under `workdir`.
+/// Writes one checkpoint per graph to `ckpt-{tag}-{i}.bin` under `workdir`
+/// through the backend, as object `ckpt:{tag}:{i}`.
 fn save_checkpoints<'a>(
     backend: &mut Backend,
     workdir: &std::path::Path,
@@ -1077,13 +1055,12 @@ fn save_checkpoints<'a>(
     graphs: impl Iterator<Item = &'a ModelGraph>,
 ) -> Result<(), SessionError> {
     for (i, graph) in graphs.enumerate() {
-        let bytes = checkpoint_bytes(graph, false);
-        backend.charge_write(&format!("ckpt:{tag}:{i}"), bytes);
-        if backend.is_real() {
-            nautilus_dnn::checkpoint::save(graph, &workdir.join(format!("ckpt-{tag}-{i}.bin")))
-                .map_err(|e| SessionError::Invalid(format!("checkpoint: {e}")))?;
-            backend.io.record_write(bytes);
-        }
+        let path = workdir.join(format!("ckpt-{tag}-{i}.bin"));
+        backend.write(&format!("ckpt:{tag}:{i}"), checkpoint_bytes(graph, false), || {
+            nautilus_dnn::checkpoint::save(graph, &path)
+                .map(drop)
+                .map_err(|e| SessionError::Invalid(format!("checkpoint: {e}")))
+        })?;
     }
     Ok(())
 }

@@ -241,6 +241,23 @@ fn virtual_input_on_real_backend_is_rejected() {
 }
 
 #[test]
+fn real_input_on_simulated_backend_is_rejected() {
+    let mut session = ModelSelection::new(
+        small_candidates(),
+        SystemConfig::tiny(),
+        Strategy::Nautilus,
+        BackendKind::Simulated,
+        workdir("mismatch-sim"),
+    )
+    .unwrap();
+    let r = session.fit(cycle_input(&tiny_pool(30), 0, BackendKind::Real));
+    assert!(matches!(r, Err(SessionError::Invalid(_))));
+    // The rejected batch changed nothing, not even the cycle counter.
+    let r = session.fit(CycleInput::Virtual { n_train: 24, n_valid: 6 }).unwrap();
+    assert_eq!((r.cycle, r.train_records, r.valid_records), (1, 24, 6));
+}
+
+#[test]
 fn save_and_restore_resumes_identically() {
     let pool = tiny_pool(90);
     let wd_a = workdir("persist-a");
@@ -386,8 +403,12 @@ impl UnitExecutor for RecordV {
     }
 }
 
-/// Cycle `cycle` of a 30-record-per-cycle pool: 24 train, 6 valid.
-fn cycle_input(pool: &Dataset, cycle: usize) -> CycleInput {
+/// Cycle `cycle` of a 30-record-per-cycle pool: 24 train, 6 valid — the
+/// records on the real backend, their counts on the simulated one.
+fn cycle_input(pool: &Dataset, cycle: usize, backend: BackendKind) -> CycleInput {
+    if backend == BackendKind::Simulated {
+        return CycleInput::Virtual { n_train: 24, n_valid: 6 };
+    }
     let batch = pool.range(cycle * 30, (cycle + 1) * 30);
     let (train, valid) = batch.split_at(24);
     CycleInput::Real { train, valid }
@@ -400,33 +421,43 @@ fn sorted(mut accuracies: Vec<(String, Option<f32>)>) -> Vec<(String, Option<f32
 
 #[test]
 fn backoff_replan_backfills_new_features_and_resumes_identically() {
-    // At r = 40 the budget holds four deep features; at r = 80 the planner
-    // trades them for a set that includes shallower nodes it had not
-    // chosen, so the backoff re-plan must backfill those over the whole
-    // snapshot while the retained ones take only the new batch.
+    for backend in [BackendKind::Real, BackendKind::Simulated] {
+        backoff_replan_case(backend);
+    }
+}
+
+/// At r = 40 the budget holds four deep features; at r = 80 the planner
+/// trades them for a set that includes shallower nodes it had not chosen,
+/// so the backoff re-plan must backfill those over the whole snapshot while
+/// the retained ones take only the new batch. Swapping `V` under the tight
+/// budget only fits when dropped features release their bytes, on either
+/// backend.
+fn backoff_replan_case(backend: BackendKind) {
+    let tag = |t: &str| format!("{t}-{backend:?}");
     let mut cfg = SystemConfig::tiny();
     cfg.max_records = 40;
     cfg.disk_budget_bytes = 640 * 1024;
     let pool = tiny_pool(90);
+    let input = |c| cycle_input(&pool, c, backend);
     let session = |strategy, dir: &Path, log: &Arc<Mutex<Vec<BTreeSet<MNodeId>>>>| {
-        let mut s =
-            ModelSelection::new(small_candidates(), cfg.clone(), strategy, BackendKind::Real, dir)
-                .unwrap();
+        let mut s = ModelSelection::new(small_candidates(), cfg.clone(), strategy, backend, dir)
+            .unwrap();
         s.set_unit_executor(Box::new(RecordV(log.clone())));
         s
     };
 
     let cp_log = Arc::new(Mutex::new(Vec::new()));
-    let mut baseline = session(Strategy::CurrentPractice, &workdir("backfill-cp"), &cp_log);
+    let mut baseline = session(Strategy::CurrentPractice, &workdir(&tag("backfill-cp")), &cp_log);
     let expected: Vec<_> =
-        (0..3).map(|c| sorted(baseline.fit(cycle_input(&pool, c)).unwrap().accuracies)).collect();
+        (0..3).map(|c| sorted(baseline.fit(input(c)).unwrap().accuracies)).collect();
 
     // Uninterrupted: every cycle equals Current Practice bit for bit.
     let ref_log = Arc::new(Mutex::new(Vec::new()));
-    let mut reference = session(Strategy::Nautilus, &workdir("backfill-ref"), &ref_log);
+    let mut reference = session(Strategy::Nautilus, &workdir(&tag("backfill-ref")), &ref_log);
     for (c, want) in expected.iter().enumerate() {
-        let got = sorted(reference.fit(cycle_input(&pool, c)).unwrap().accuracies);
-        assert_eq!(&got, want, "cycle {c}");
+        let got = reference.fit(input(c));
+        let got = sorted(got.unwrap_or_else(|e| panic!("{backend:?} cycle {c}: {e}")).accuracies);
+        assert_eq!(&got, want, "{backend:?} cycle {c}");
     }
     let ref_v = ref_log.lock().unwrap().clone();
     assert!(!ref_v[0].is_empty());
@@ -434,17 +465,18 @@ fn backoff_replan_backfills_new_features_and_resumes_identically() {
         ref_v[1].difference(&ref_v[0]).next().is_some(),
         "the backoff re-plan must choose features it had not materialized: {ref_v:?}"
     );
+    assert!(reference.feature_bytes() > 0);
 
     // Interrupted after the backoff: save, resume into a fresh session over
     // the same workdir (which re-plans under the saved r), run cycle 3.
-    let wd = workdir("backfill-resume");
-    let state =
-        std::env::temp_dir().join(format!("nautilus-backfill-state-{}", std::process::id()));
+    let wd = workdir(&tag("backfill-resume"));
+    let state = std::env::temp_dir()
+        .join(format!("nautilus-backfill-state-{backend:?}-{}", std::process::id()));
     let log = Arc::new(Mutex::new(Vec::new()));
     {
         let mut interrupted = session(Strategy::Nautilus, &wd, &log);
         for c in 0..2 {
-            interrupted.fit(cycle_input(&pool, c)).unwrap();
+            interrupted.fit(input(c)).unwrap();
         }
         assert_eq!(interrupted.max_records(), 80);
         interrupted.save_state(&state).unwrap();
@@ -453,10 +485,11 @@ fn backoff_replan_backfills_new_features_and_resumes_identically() {
     assert_eq!(resumed.max_records(), 40);
     resumed.restore_state(&state).unwrap();
     assert_eq!(resumed.max_records(), 80);
-    let r = resumed.fit(cycle_input(&pool, 2)).unwrap();
+    let r = resumed.fit(input(2)).unwrap();
     assert_eq!((r.cycle, r.train_records, r.valid_records), (3, 72, 18));
     assert_eq!(sorted(r.accuracies), expected[2], "resumed cycle must match uninterrupted");
     assert_eq!(resumed.max_records(), reference.max_records());
+    assert_eq!(resumed.feature_bytes(), reference.feature_bytes(), "{backend:?}");
     assert_eq!(*log.lock().unwrap(), ref_v, "same V every cycle");
     let _ = std::fs::remove_file(&state);
 }
@@ -477,7 +510,7 @@ fn restore_rejects_a_header_that_disagrees_with_its_payload() {
     };
     {
         let mut session = new_session();
-        session.fit(cycle_input(&tiny_pool(30), 0)).unwrap();
+        session.fit(cycle_input(&tiny_pool(30), 0, BackendKind::Real)).unwrap();
         session.save_state(&state).unwrap();
     }
     // Rewrite only the header's validation count.
@@ -497,6 +530,46 @@ fn restore_rejects_a_header_that_disagrees_with_its_payload() {
 }
 
 #[test]
+fn saved_state_restores_only_on_its_own_backend() {
+    let pool = tiny_pool(30);
+    let state = |backend: BackendKind| {
+        let path = std::env::temp_dir()
+            .join(format!("nautilus-kind-state-{backend:?}-{}", std::process::id()));
+        let mut session = ModelSelection::new(
+            small_candidates(),
+            SystemConfig::tiny(),
+            Strategy::Nautilus,
+            backend,
+            workdir(&format!("kind-save-{backend:?}")),
+        )
+        .unwrap();
+        session.fit(cycle_input(&pool, 0, backend)).unwrap();
+        session.save_state(&path).unwrap();
+        path
+    };
+    let (real, sim) = (state(BackendKind::Real), state(BackendKind::Simulated));
+    for (path, backend, ok) in [
+        (&real, BackendKind::Real, true),
+        (&real, BackendKind::Simulated, false),
+        (&sim, BackendKind::Simulated, true),
+        (&sim, BackendKind::Real, false),
+    ] {
+        let mut fresh = ModelSelection::new(
+            small_candidates(),
+            SystemConfig::tiny(),
+            Strategy::CurrentPractice,
+            backend,
+            workdir(&format!("kind-restore-{backend:?}")),
+        )
+        .unwrap();
+        let restored = fresh.restore_state(path);
+        assert_eq!(restored.is_ok(), ok, "{path:?} on {backend:?}: {restored:?}");
+    }
+    let _ = std::fs::remove_file(real);
+    let _ = std::fs::remove_file(sim);
+}
+
+#[test]
 fn update_workload_writes_the_checkpoints_new_writes() {
     let wd = workdir("evolve-ckpt");
     let mut session = ModelSelection::new(
@@ -507,7 +580,7 @@ fn update_workload_writes_the_checkpoints_new_writes() {
         &wd,
     )
     .unwrap();
-    session.fit(cycle_input(&tiny_pool(30), 0)).unwrap();
+    session.fit(cycle_input(&tiny_pool(30), 0, BackendKind::Real)).unwrap();
     // Clear what `new` wrote, so only the update can produce the files.
     for entry in std::fs::read_dir(&wd).unwrap() {
         let path = entry.unwrap().path();

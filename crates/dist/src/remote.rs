@@ -20,7 +20,6 @@ use nautilus_core::backend::Backend;
 use nautilus_core::config::DistConfig;
 use nautilus_core::plan::ExecutablePlan;
 use nautilus_core::session::{CycleWork, SessionError, UnitExecutor, UnitOutcome};
-use nautilus_core::trainer::CycleDataView;
 use nautilus_dnn::checkpoint;
 use nautilus_store::TensorStore;
 use nautilus_util::http;
@@ -207,7 +206,7 @@ impl UnitExecutor for RemoteUnits {
         work: &CycleWork<'_>,
         backend: &mut Backend,
     ) -> Result<Vec<UnitOutcome>, SessionError> {
-        let CycleDataView::Real { train, valid } = work.data else {
+        let Some((train, valid)) = work.data.records else {
             return Err(SessionError::Invalid("remote units need the real backend".into()));
         };
         let fail = |e: DistError| SessionError::Executor(Box::new(e));

@@ -191,7 +191,7 @@ fn train_shard(
     // thus identical prefetch/read behavior).
     let io = SharedIoStats::new();
     let dir = state.workdir.join(format!("shard-{seq}"));
-    let mut store = open_feature_store(&spec.config, true, dir, io.clone())
+    let mut store = open_feature_store(&spec.config, dir, io.clone())
         .map_err(|e| (500u16, format!("store: {e}")))?;
 
     // Rebuild the deterministic unit list from the shipped inputs; the
@@ -205,13 +205,11 @@ fn train_shard(
             format!("unit index {} out of range ({} units)", spec.unit_index, units.len()),
         ));
     };
-    for (key, tensor) in &spec.features {
-        store.append(key, tensor).map_err(|e| (500u16, format!("store append: {e}")))?;
-    }
+    store.append_many(&spec.features).map_err(|e| (500u16, format!("store append: {e}")))?;
     store.flush_writes().map_err(|e| (500u16, format!("store flush: {e}")))?;
 
     let mut backend = Backend::new(BackendKind::Real, spec.config.hardware, io);
-    let data = CycleDataView::Real { train: &spec.train, valid: &spec.valid };
+    let data = CycleDataView::records(&spec.train, &spec.valid);
     let (results, trained) = nautilus_core::trainer::train_unit(
         &multi,
         plan,

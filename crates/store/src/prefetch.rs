@@ -553,7 +553,7 @@ mod tests {
     fn populate(store: &mut TensorStore, key: &str, chunks: usize, seed: u64) {
         let mut rng = seeded_rng(seed);
         for _ in 0..chunks {
-            store.append(key, &randn([4, 6], 1.0, &mut rng)).unwrap();
+            store.append_many(&[(key.to_string(), randn([4, 6], 1.0, &mut rng))]).unwrap();
         }
     }
 

@@ -34,7 +34,7 @@ fn find_chunk(root: &PathBuf) -> PathBuf {
 fn truncated_chunk_is_reported() {
     let root = temp_root("truncated");
     let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
-    s.append("k", &Tensor::ones([4, 8])).unwrap();
+    s.append_many(&[("k".to_string(), Tensor::ones([4, 8]))]).unwrap();
     let chunk = find_chunk(&root);
     let data = std::fs::read(&chunk).unwrap();
     std::fs::write(&chunk, &data[..data.len() / 2]).unwrap();
@@ -49,7 +49,7 @@ fn truncated_chunk_is_reported() {
 fn garbage_chunk_is_reported() {
     let root = temp_root("garbage");
     let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
-    s.append("k", &Tensor::ones([2, 2])).unwrap();
+    s.append_many(&[("k".to_string(), Tensor::ones([2, 2]))]).unwrap();
     let chunk = find_chunk(&root);
     std::fs::write(&chunk, b"not a tensor at all").unwrap();
     assert!(matches!(s.read_all("k"), Err(StoreError::BadChunk(_))));
@@ -61,7 +61,7 @@ fn corrupted_manifest_fails_open() {
     let root = temp_root("manifest");
     {
         let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
-        s.append("k", &Tensor::ones([2, 2])).unwrap();
+        s.append_many(&[("k".to_string(), Tensor::ones([2, 2]))]).unwrap();
     }
     std::fs::write(root.join("manifest.json"), b"{ definitely not json").unwrap();
     assert!(matches!(
@@ -75,7 +75,7 @@ fn corrupted_manifest_fails_open() {
 fn missing_chunk_file_is_io_error() {
     let root = temp_root("missing");
     let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
-    s.append("k", &Tensor::ones([2, 2])).unwrap();
+    s.append_many(&[("k".to_string(), Tensor::ones([2, 2]))]).unwrap();
     std::fs::remove_file(find_chunk(&root)).unwrap();
     assert!(matches!(s.read_all("k"), Err(StoreError::Io(_))));
     std::fs::remove_dir_all(&root).unwrap();

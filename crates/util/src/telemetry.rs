@@ -251,65 +251,6 @@ impl Drop for Span {
     }
 }
 
-/// A span that **always** measures wall time (one `Instant` read at open
-/// and close) and reports it to the caller, recording a trace event only
-/// when collection is enabled. For the handful of coarse per-cycle phases
-/// whose duration feeds reports ([`crate::bench`]-independent), not for
-/// hot loops — use [`span`] there.
-pub struct TimedSpan {
-    name: &'static str,
-    cat: &'static str,
-    start: Instant,
-    /// Participates in the trace (captured at open so a mid-span toggle
-    /// cannot unbalance the parent stack).
-    emit: bool,
-    start_us: u64,
-    finished: bool,
-}
-
-/// Opens a [`TimedSpan`].
-pub fn timed_span(cat: &'static str, name: &'static str) -> TimedSpan {
-    let emit = enabled();
-    let start_us = if emit {
-        let us = now_us();
-        with_local(|local| local.stack.borrow_mut().push(name));
-        us
-    } else {
-        0
-    };
-    TimedSpan { name, cat, start: Instant::now(), emit, start_us, finished: false }
-}
-
-impl TimedSpan {
-    /// Elapsed seconds so far, without closing the span.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Closes the span, recording it when collection is enabled, and
-    /// returns its wall-clock duration in seconds.
-    pub fn finish(mut self) -> f64 {
-        self.close();
-        self.start.elapsed().as_secs_f64()
-    }
-
-    fn close(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        if self.emit {
-            record_event(self.name, self.cat, self.start_us, now_us());
-        }
-    }
-}
-
-impl Drop for TimedSpan {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
 /// A named metric: monotonic counter or gauge, relaxed atomics throughout.
 /// Declare as a `static` and bump with [`Counter::add`]; the first touch
 /// while collection is enabled registers it for export.
@@ -1393,9 +1334,6 @@ mod tests {
                 let _inner = span("test", "t.inner");
             }
         }
-        let timed = timed_span("test", "t.timed");
-        let secs = timed.finish();
-        assert!(secs >= 0.0);
         FLOPS.add(7);
         let c = counter("test.dynamic");
         c.add(3);
@@ -1428,7 +1366,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
             .collect();
-        assert!(xs.len() >= 4, "outer + 2 inner + timed events");
+        assert!(xs.len() >= 3, "outer + 2 inner events");
         // The inner span's recorded parent is the outer span.
         let inner_ev = xs
             .iter()

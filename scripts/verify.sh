@@ -49,6 +49,33 @@ if [ "$bad" -ne 0 ]; then
     exit 1
 fi
 
+# Guard: the session, materializer and trainer run one path on both
+# backends; only the device in `backend.rs` knows which one it is. Count the
+# places outside it (and outside `#[cfg(test)]` modules) that still branch
+# on the backend kind or on which kind of input a cycle carries. A site is
+# a run of matching lines no more than 12 lines apart in one file (one
+# `if` or `match`). Three are expected, each commented: `LocalUnits`'
+# fan-out (the virtual clock is one timeline), the calibration probe, and
+# ingest's check that an input matches its backend.
+max_backend_sites=3
+backend_sites=$(
+    for f in crates/core/src/*.rs; do
+        [ "$f" = crates/core/src/backend.rs ] && continue
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            /is_real\(\)|backend\.kind\(\)|BackendKind::|CycleInput::(Real|Virtual)|CycleDataView::/ {
+                print f ":" FNR ":" $0 }' "$f"
+    done
+)
+n_backend_sites=$(printf '%s\n' "$backend_sites" | awk -F: 'NF > 1 {
+        if ($1 != file || $2 - line > 12) sites++
+        file = $1; line = $2 }
+    END { print sites + 0 }')
+if [ "$n_backend_sites" -gt "$max_backend_sites" ]; then
+    printf '%s\n' "$backend_sites" >&2
+    echo "error: $n_backend_sites backend-kind decision sites in crates/core/src (max $max_backend_sites)" >&2
+    exit 1
+fi
+
 cargo build --release --offline
 cargo test -q --offline
 

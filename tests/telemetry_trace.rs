@@ -78,6 +78,7 @@ fn traced_session_exports_valid_chrome_trace() {
     assert!(!events.is_empty(), "trace must contain events");
 
     let mut cats: BTreeSet<String> = BTreeSet::new();
+    let mut names: BTreeSet<String> = BTreeSet::new();
     let mut counters: BTreeSet<String> = BTreeSet::new();
     // (tid, ts, end) for nesting validation.
     let mut spans: Vec<(i128, i128, i128)> = Vec::new();
@@ -91,7 +92,7 @@ fn traced_session_exports_valid_chrome_trace() {
                 assert!(dur >= 0, "negative duration");
                 assert_eq!(get_int(e, "pid"), Some(1));
                 let tid = get_int(e, "tid").expect("X event has tid");
-                assert!(get_str(e, "name").is_some(), "X event has a name");
+                names.insert(get_str(e, "name").expect("X event has a name").to_string());
                 cats.insert(get_str(e, "cat").expect("X event has cat").to_string());
                 spans.push((tid, ts, ts + dur));
             }
@@ -113,6 +114,10 @@ fn traced_session_exports_valid_chrome_trace() {
 
     for want in ["core", "store", "dnn", "milp", "pool"] {
         assert!(cats.contains(want), "missing spans from subsystem {want:?}; got {cats:?}");
+    }
+    // The session's per-cycle phases.
+    for want in ["cycle.fit", "cycle.materialize", "cycle.train"] {
+        assert!(names.contains(want), "missing span {want:?}");
     }
     for want in
         ["flops", "disk_read_bytes", "cached_read_bytes", "disk_write_bytes", "pool.steals"]
