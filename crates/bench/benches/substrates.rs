@@ -425,22 +425,32 @@ fn bench_prefetch(c: &mut Criterion) {
 
 fn bench_pagecache_ablation(c: &mut Criterion) {
     // MAT-ALL's repeated epoch reads: with a cache that fits the working
-    // set vs one that thrashes (the Fig 6A mechanism).
+    // set vs one that thrashes (the Fig 6A mechanism), through the store's
+    // ledger of modeled 4 MiB chunks and the simulated clock over it.
     let mut group = c.benchmark_group("pagecache_epoch_reads");
     for (label, cache_bytes) in [("fits", 1u64 << 30), ("thrashes", 1u64 << 20)] {
+        let root = std::env::temp_dir()
+            .join(format!("nautilus-bench-pagecache-{label}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let hw = HardwareProfile { page_cache_bytes: cache_bytes, ..Default::default() };
+        let backend = Backend::new(BackendKind::Simulated, hw, SharedIoStats::new());
+        let mut store = TensorStore::open(&root, backend.io.clone()).unwrap();
+        store.set_page_cache_bytes(cache_bytes);
+        let keys: Vec<String> = (0..8).map(|k| format!("feat{k}")).collect();
+        let items: Vec<_> = keys.iter().map(|k| (k.clone(), vec![1 << 10], 1 << 10)).collect();
+        store.append_modeled(&items).unwrap();
         group.bench_function(label, |b| {
             b.iter(|| {
-                let hw = HardwareProfile { page_cache_bytes: cache_bytes, ..Default::default() };
-                let mut backend =
-                    Backend::new(BackendKind::Simulated, hw, SharedIoStats::new());
                 for _epoch in 0..5 {
-                    for k in 0..8 {
-                        backend.charge_read(&format!("feat{k}"), 4 << 20);
+                    for k in &keys {
+                        store.scan(k).unwrap();
                     }
                 }
                 backend.elapsed_secs()
             })
         });
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
     }
     group.finish();
 }

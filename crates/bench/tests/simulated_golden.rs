@@ -150,29 +150,29 @@ fn simulated_accounting_matches_golden_at_paper_scale() {
 
 #[rustfmt::skip]
 const GOLDEN: [Golden; 25] = [
-    (36, 0, 0x43764428e7954aea, 0x40d395e9dfb77bf0, 145058199840, 2117376000, 161765336368, 0, &[591.5120150308313, 962.8252989793974, 1334.319122074324, 1705.6324060237266, 2077.1262291254243, 2448.4395130770936, 2819.9333361731206, 3191.246620123751, 3562.7404432234143, 3934.053727180628]), // FTR-1 current-practice
-    (36, 16, 0x43554c643543f6ca, 0x40b2bbf96701a4de, 529231899924, 1934039391756, 65935586176, 37355520000, &[265.36548353899786, 367.39531251739584, 469.9249517266611, 638.8382562486577, 758.0919719152189, 876.8702364350229, 997.0086881017696, 1116.0818646294347, 1235.11439629702, 1353.8926608188212]), // FTR-1 mat-all
-    (36, 5, 0x4358c0605aaaf6ca, 0x40b5c5891db06afb, 229211433644, 1155173014516, 39485823424, 9830400000, &[279.1771368945181, 387.51551064494146, 500.0724595712052, 615.8671112251157, 729.0438543080597, 841.4202640869262, 1018.5797410141681, 1140.5431908033688, 1262.3185397306943, 1384.2082615122572]), // FTR-1 nautilus-w/o-fuse
-    (2, 0, 0x4359cd75e565f6ca, 0x40b6b2397abc31dc, 1958591248, 17630393232, 29448824256, 0, &[120.918336858672, 223.12509418948173, 328.99314925614703, 434.8506651769485, 540.7187202436314, 646.5762361643635, 752.4442912310151, 858.3018071518109, 964.1698622193367, 1070.0273781404003]), // FTR-1 nautilus-w/o-mat
-    (6, 5, 0x435673118e33f6ca, 0x40b3bf2ccb7dd227, 20579723808, 175571759232, 38768869312, 9830400000, &[124.93439139691188, 215.8520145939669, 309.49406800682806, 403.105582273848, 496.7476356867239, 590.3591499536676, 684.0012033666444, 777.6127176336759, 872.6017165820754, 966.2132308503033]), // FTR-1 nautilus
-    (24, 0, 0x437123cdb7f1bf6e, 0x40ce271b0f76b668, 109939872960, 1407744000, 121093858144, 0, &[437.22948735082605, 722.3677446465981, 1007.6263708132599, 1292.7646281096186, 1578.0232542782728, 1863.1615115775776, 2148.4201377464424, 2433.558395046148, 2718.8170212143905, 3003.955278510686]), // FTR-2 current-practice
-    (24, 15, 0x434d2f39d97df1b8, 0x40a9abc2869cf351, 380884932924, 1533983424516, 54670240768, 35389440000, &[179.00831764299372, 249.43700692412565, 320.14570061822326, 390.9645736120249, 526.4801793071015, 609.9709041309136, 693.5819978241975, 777.0727226477543, 861.8634643437344, 945.3541891708137]), // FTR-2 mat-all
-    (24, 4, 0x43520b7561eaf8dc, 0x40afbea32b5a246a, 151167316872, 951308282808, 27655489792, 7864320000, &[191.70357443829332, 271.79675413174294, 355.00654736311895, 437.28025045430525, 519.0363614216642, 601.0264617171192, 683.2965664246681, 824.0386757728756, 913.3652819967565, 1002.4977913477669]), // FTR-2 nautilus-w/o-fuse
-    (2, 0, 0x435318a06346f8dc, 0x40b0cc14d3d91c51, 1618037024, 14565405216, 20149576448, 0, &[92.14981206121544, 167.58897093560645, 246.0507181008133, 324.5020963951838, 402.96384356034775, 481.4152218546485, 559.8769690199324, 638.3283473143165, 716.7900944795197, 795.2414727738924]), // FTR-2 nautilus-w/o-mat
-    (2, 4, 0x434f7c7cc08bf1b8, 0x40abb214620a43c6, 9755221152, 90156286368, 27315208576, 7864320000, &[76.8226702141759, 140.01014514552332, 204.91022860769664, 269.7999431990402, 334.7000266612057, 399.58974125251757, 464.4898247146882, 529.3795393060263, 594.2796227681965, 659.169337359534]), // FTR-2 nautilus
-    (12, 0, 0x436afdc6ac0033d0, 0x40c7bde73eb29587, 55731486744, 1980438216, 62333370256, 0, &[308.33218851513664, 534.4502907812731, 758.8879717673843, 983.2353123787525, 1207.67299336602, 1432.0203339793188, 1656.458014967453, 1880.8053555819215, 2105.2430365708733, 2329.5903771832272]), // FTR-3 current-practice
-    (12, 14, 0x434aa43c0883e7ca, 0x40a76f24475c4e14, 203995581744, 3018622570416, 44084606272, 33423360000, &[129.34319520189513, 195.53889727496525, 261.96676497769124, 328.23337967791895, 394.5194221260183, 460.7860368265128, 527.0720792748871, 593.2677813494192, 805.5352637975298, 888.2460378707838]), // FTR-3 mat-all
-    (12, 1, 0x43577d30645df3e5, 0x40b4a941cb48529b, 9707486204, 809557470436, 13648064320, 1966080000, &[166.07233601349665, 266.48783432216806, 367.91523679543985, 469.2522988937832, 570.6797013676935, 672.0167634655834, 773.4441659379991, 874.7812280368516, 976.8998033589787, 1077.5456926156512]), // FTR-3 nautilus-w/o-fuse
-    (2, 0, 0x4357a8fdf72bf3e5, 0x40b4cfc95b8b7096, 861922188, 12595042772, 11530039552, 0, &[112.24486109303486, 208.20784055222293, 305.7856644887599, 403.34314805039344, 500.92097198698116, 598.4784555486685, 696.0562794851057, 793.6137630467847, 891.1915869833051, 988.7490705455484]), // FTR-3 nautilus-w/o-mat
-    (2, 1, 0x4350fe6e1431f3e5, 0x40ade55b7da0a619, 9159334712, 174420575528, 12797431680, 1966080000, &[83.9516487236953, 154.09601723254826, 224.84567870125352, 295.5749997949817, 366.3246612636094, 437.0539823574197, 507.80364382608514, 578.5329649201253, 649.2826263888192, 720.0119474826597]), // FTR-3 nautilus
-    (24, 0, 0x4370aab8ad786030, 0x40cd52187d45c46b, 104508154560, 1407744000, 114948858016, 0, &[427.3108181279148, 704.703450203083, 982.2160945067897, 1259.6087265818715, 1537.121370887608, 1814.5140029669692, 2092.026647271503, 2369.4192793533985, 2646.9319236589054, 2924.324555736548]), // ATR current-practice
-    (24, 12, 0x43570c3a8237775c, 0x40b445e55ad671b7, 155023084256, 952227399904, 36015596032, 23592960000, &[212.21522894073163, 311.4807718639536, 413.8861116478496, 518.8676473533667, 621.4886522849154, 724.0975563228508, 826.5028961068779, 987.7706236671943, 1097.6224914564418, 1207.575531013139]), // ATR mat-all
-    (24, 4, 0x43570c3a8237775c, 0x40b445e55ad671b7, 153341603124, 953908881036, 20286956032, 7864320000, &[211.51422532323116, 311.48077186395705, 413.8861116478496, 518.3284057233834, 620.8955600024465, 723.5583146928507, 826.0176101443776, 987.7706236670215, 1097.6224914564418, 1207.2806190131378]), // ATR nautilus-w/o-fuse
-    (2, 0, 0x435b2d25c36d775c, 0x40b7e79258efd1f2, 2549152160, 22945441440, 13234698176, 0, &[125.6751806136643, 232.4585358667989, 344.00996364844565, 455.5513792015547, 567.1028069832071, 678.6442225364192, 790.1956503180845, 901.7370658712257, 1013.2884936539194, 1124.829909207171]), // ATR nautilus-w/o-mat
-    (2, 4, 0x435832d7fe9b775c, 0x40b5490acba0ae8c, 10743039584, 99046652256, 20457036800, 7864320000, &[112.03202934582424, 208.02796532312448, 307.58831274891827, 407.13864794617734, 506.6989953720579, 606.2493305693517, 705.809677994976, 805.3600131922435, 904.9203606186279, 1004.4706958164434]), // ATR nautilus
-    (24, 0, 0x4347273abe3cb270, 0x40a45da56ba9da10, 13547520000, 1659319981440, 7204901184, 0, &[164.56041569203373, 220.75491721013424, 277.069542445915, 333.2640439636883, 389.57866919958485, 445.7731707175242, 502.0877959537381, 558.2822974717501, 614.5969227076866, 670.7914242265101]), // FTU current-practice
-    (24, 15, 0x4335bc8ffb2da4e0, 0x40931ea41041f526, 19397648104, 539428602776, 47258422912, 41144320000, &[136.52825477107527, 165.16313871222692, 193.9181463712486, 222.55303031193398, 251.6947196709042, 280.3296036113934, 309.08461127027704, 337.74652252619285, 366.5518392115291, 395.18672315315325]), // FTU mat-all
-    (24, 4, 0x4335bc8ffb2da4e0, 0x40931ea41041f526, 18063360000, 540762890880, 10128182912, 4014080000, &[136.52825477107314, 165.16313871223352, 193.91814637126402, 222.55303031193432, 251.30803797090311, 279.9429219115283, 308.69792957027653, 337.3328135111924, 366.0878211710108, 394.72270511315674]), // FTU nautilus-w/o-fuse
-    (2, 0, 0x43383f1f4fbe64e0, 0x409553d7afad6e38, 13784124912, 127987549328, 6135019648, 0, &[35.472115008592006, 61.08281521519847, 87.14727334979519, 113.20160776640844, 139.2660659010205, 165.32040031757725, 191.38485845208197, 217.43919286867424, 243.50365100331373, 269.5579854199143]), // FTU nautilus-w/o-mat
-    (2, 4, 0x4336f072643594e0, 0x40942d75786a5df7, 7007418736, 65190857744, 10146134272, 4014080000, &[33.91321843003204, 57.694202330080095, 81.92342007811385, 106.14251410816755, 130.3717318561806, 154.59082588620691, 178.8200436341807, 203.03913766421624, 227.26835541236164, 251.4874494424821]), // FTU nautilus
+    (36, 0, 0x43764428e7954aea, 0x40d395e9dfb77bf0, 167186498820, 4235412240, 161770254198, 0, &[595.9406313028425, 967.2592353734478, 1338.7583785902277, 1710.076982661461, 2081.5761258854855, 2452.8947299588053, 2824.3938731771013, 3195.71247724963, 3567.211620471924, 3938.53022455077]), // FTR-1 current-practice
+    (36, 16, 0x43554c643543f6ca, 0x40b2bbf96701a4de, 530815404408, 1934585777712, 65938665198, 37355531520, &[263.3485422274914, 367.5647227739567, 469.9395673784644, 640.3322893086597, 759.2959379637614, 878.0790474709934, 997.3376081932424, 1116.1944457717482, 1235.4581933345844, 1354.2692432543154]), // FTR-1 mat-all
+    (36, 5, 0x4358c0605aaaf6ca, 0x40b5c5891db06afb, 218027590614, 1168486832766, 39488933448, 9830403600, &[275.1439977367624, 385.68156760924495, 496.39967662739366, 610.97534529461, 721.6934543129098, 841.4494280828949, 1018.9086853161598, 1140.8769800134223, 1262.6571737127706, 1384.2568282662496]), // FTR-1 nautilus-w/o-fuse
+    (2, 0, 0x4359cd75e565f6ca, 0x40b6b2397abc31dc, 0, 19707644740, 29451930676, 0, &[117.26790380792178, 223.1252086127311, 328.9930525634028, 434.8503573681918, 540.7182013188824, 646.5755061236289, 752.4433500742662, 858.3006548790595, 964.168498830521, 1070.0258036356481]), // FTR-1 nautilus-w/o-mat
+    (6, 5, 0x435673118e33f6ca, 0x40b3bf2ccb7dd227, 2873535564, 193633143696, 38771943620, 9830403600, &[122.24135720966177, 215.11591815272087, 308.0210182415876, 400.89557918460787, 493.8006792734732, 586.6752402164161, 679.5803403053974, 772.4549012484235, 868.0539409290541, 960.928501873299]), // FTR-1 nautilus
+    (24, 0, 0x437123cdb7f1bf6e, 0x40ce271b0f76b668, 111654157020, 2815926480, 121098228738, 0, &[437.57359445482416, 722.7155585686269, 1007.9778915532395, 1293.1198556676159, 1578.3821886532373, 1863.524152771568, 2148.78648575812, 2433.9284498760735, 2719.1907828622916, 3004.3327469764863]), // FTR-2 current-practice
+    (24, 15, 0x434d2f39d97df1b8, 0x40a9abc2869cf351, 381014025276, 1535274260844, 54673152282, 35389450800, &[177.69920153499461, 245.71027311065853, 320.38599324433767, 390.9775453598072, 527.6760399820973, 611.1699947978225, 694.7843184835588, 778.2809616662585, 861.9008562401373, 945.713726642397]), // FTR-2 mat-all
+    (24, 4, 0x43520b7561eaf8dc, 0x40afbea32b5a246a, 136434414120, 967461206400, 27658428702, 7864322880, &[190.04031143979512, 270.3286875402582, 350.73743251119055, 431.0258086115988, 511.4345535836512, 594.0631354916959, 683.3192437006792, 824.1383300083758, 913.6893502877515, 1002.8250896347627]), // FTR-2 nautilus-w/o-fuse
+    (2, 0, 0x435318a06346f8dc, 0x40b0cc14d3d91c51, 0, 16302029340, 20152519556, 0, &[89.13790263396584, 167.58906981235373, 246.05060586156532, 324.5017730399345, 402.9633090891108, 481.4144762673984, 559.8760123166678, 638.3271794950642, 716.788715544269, 795.2398827226416]), // FTR-2 nautilus-w/o-mat
+    (2, 4, 0x434f7c7cc08bf1b8, 0x40abb214620a43c6, 0, 100030003960, 27318116990, 7864322880, &[75.12073376367607, 139.6420772510217, 204.17378960919672, 268.6951330965403, 333.22684545471634, 397.7481889420178, 462.2799013001875, 526.8012447875255, 591.3329571456952, 655.8543006330319]), // FTR-2 nautilus
+    (12, 0, 0x436afdc6ac0033d0, 0x40c7bde73eb29587, 50998689828, 7761939252, 62336860932, 0, &[299.48094138063635, 534.4549105532932, 758.8944930533846, 983.2437351786289, 1207.6833176800083, 1432.0325598067598, 1656.472142309427, 1880.821384437113, 2105.2609669407902, 2329.6102090672866]), // FTR-3 current-practice
+    (12, 14, 0x434aa43c0883e7ca, 0x40a76f24475c4e14, 199220652792, 3024445498008, 44087357628, 33423370080, &[128.77829441289498, 193.50181810197105, 258.3156821657566, 323.8901738094247, 394.60429488601824, 460.8032428675208, 527.0921471713666, 593.2907111024292, 805.9035112340389, 889.5071658707843]), // FTR-3 mat-all
+    (12, 1, 0x43577d30645df3e5, 0x40b4a941cb48529b, 0, 820313139600, 13650876948, 1966080720, &[165.15318519849689, 266.12398891316855, 367.18513300246786, 468.155936716694, 569.2170808066853, 670.1878845208421, 771.2490286090083, 872.2198323233824, 973.2809764195163, 1074.2517801346485]), // FTR-3 nautilus-w/o-fuse
+    (2, 0, 0x4357a8fdf72bf3e5, 0x40b4cfc95b8b7096, 0, 13688155380, 11532826214, 0, &[110.65090871378544, 208.20843722947316, 305.7863061200103, 403.3438346356379, 500.92170352623293, 598.4792320419185, 696.0571009323589, 793.6146294480313, 891.1924983385557, 988.7500268547938]), // FTR-3 nautilus-w/o-mat
+    (2, 1, 0x4350fe6e1431f3e5, 0x40ade55b7da0a619, 0, 183811014560, 12800181664, 1966080720, &[83.36724112269548, 153.72844719254573, 224.10999363725557, 294.4711997069897, 364.8527461516088, 435.21395222141996, 505.59549866608245, 575.9567047361256, 646.3382511808177, 716.6994572506565]), // FTR-3 nautilus
+    (24, 0, 0x4370aab8ad786030, 0x40cd52187d45c46b, 104521286820, 2815926480, 114953202198, 0, &[427.3146906479146, 704.7110295411392, 982.2273806627909, 1259.623719555897, 1537.1400706791533, 1814.5364095769655, 2092.0527606997066, 2369.4490995993074, 2646.9654507227897, 2924.3617896176584]), // ATR current-practice
+    (24, 12, 0x43570c3a8237775c, 0x40b445e55ad671b7, 146362615236, 962308053444, 36018561318, 23592968640, &[209.19871491873042, 310.0127092264713, 410.9467157623516, 514.9962374074239, 615.9302439434716, 724.1170409506667, 826.52560802689, 988.1652246118615, 1097.946594395482, 1207.6079519441137]), // ATR mat-all
+    (24, 4, 0x43570c3a8237775c, 0x40b445e55ad671b7, 134103344472, 974567324208, 20289915558, 7864322880, &[209.19871491873042, 310.01270922647143, 410.9467157623516, 511.7607100699239, 612.6947166059717, 716.7442382506665, 817.6782447868895, 987.8703125443622, 1097.946594395481, 1207.6079519441137]), // ATR nautilus-w/o-fuse
+    (2, 0, 0x435b2d25c36d775c, 0x40b7e79258efd1f2, 0, 25613428420, 13237695624, 0, &[120.91744037491334, 232.45864481204936, 344.0098614776999, 455.5510659148048, 567.1022825804575, 678.6434870176688, 790.1947036833362, 901.7359081204759, 1013.2871247871708, 1124.8283292244196]), // ATR nautilus-w/o-mat
+    (2, 4, 0x435832d7fe9b775c, 0x40b5490acba0ae8c, 0, 109908446480, 20460003742, 7864322880, &[108.47794416282406, 207.6599082561242, 306.85188457792276, 406.03384867117757, 505.22582499305713, 604.4077890863516, 703.599765407977, 802.7817295012437, 901.9737058235505, 1001.1556699174425]), // ATR nautilus
+    (24, 0, 0x4347273abe3cb270, 0x40a45da56ba9da10, 0, 1672879917000, 7205843692, 0, &[164.56062013453254, 220.19066800463645, 275.94083959244756, 331.57088746218267, 387.3210590500954, 442.9511069200282, 498.70127850818153, 554.3313263782334, 610.0814979661955, 665.7115458361668]), // FTU current-practice
+    (24, 15, 0x4335bc8ffb2da4e0, 0x40931ea41041f526, 15534390600, 543303856080, 47258980472, 41144333200, &[136.5283663185733, 164.41063661173266, 192.41303062276603, 220.2953009154894, 248.76178813890726, 280.4072617316258, 309.16229640227834, 337.79720735518686, 366.5522420263453, 395.18715298114057]), // FTU mat-all
+    (24, 4, 0x4335bc8ffb2da4e0, 0x40931ea41041f526, 0, 558838246680, 10128730792, 4014083520, &[136.5283663185733, 164.4106366117326, 192.41303062276592, 220.29530091548935, 248.2976949264072, 276.17996521912596, 304.1823592297783, 332.0646295226868, 360.0670235338457, 387.9492938286403]), // FTU nautilus-w/o-fuse
+    (2, 0, 0x43383f1f4fbe64e0, 0x409553d7afad6e38, 0, 141773093020, 6135583950, 0, &[35.02857179134203, 60.51842840394883, 86.01840873454411, 111.5082653471585, 137.00824567777045, 162.49810229034387, 187.99808262083172, 213.4879392334243, 238.98791956406433, 264.47777617666384]), // FTU nautilus-w/o-mat
+    (2, 4, 0x4336f072643594e0, 0x40942d75786a5df7, 0, 72199676300, 10146693938, 4014083520, &[33.47519780378205, 57.41205402983067, 81.35903397386137, 105.29589019991931, 129.24287014393065, 153.1797263699633, 177.12670631393053, 201.0635625399657, 225.01054248407036, 248.94739871023307]), // FTU nautilus
 ];

@@ -1,25 +1,27 @@
-//! Execution backends: the device a session runs on.
+//! Execution backends: the clock a session runs on.
 //!
 //! The session, materializer and trainer run one code path on both
 //! backends and report every duration as a difference of
-//! [`Backend::elapsed_secs`]. What differs is the device behind it:
+//! [`Backend::elapsed_secs`]. Every byte either backend moves or models is
+//! counted by the feature store ([`nautilus_store::TensorStore`], the one
+//! IO ledger); what differs is the device behind the clock:
 //!
 //! * the **real** backend is this machine. Its clock is wall time, the
-//!   program executes tensor math over real records, and `charge_*` calls
-//!   only update counters (IO and overheads already cost real time);
+//!   program executes tensor math over real records, and IO and overheads
+//!   already cost real time;
 //! * the **simulated** backend is a clock and a cost model. Records carry
 //!   counts but no payload, so nothing executes; instead a virtual clock
-//!   advances by compute at the achieved-FLOPs rate, reads through the
-//!   [`PageCacheModel`] (disk on miss, DRAM on hit, keyed per object),
-//!   writes at disk rate, the fixed session/epoch/batch overheads from the
-//!   [`HardwareProfile`], and the measured wall time of CPU work the
-//!   program really does on either backend, such as planning.
+//!   advances by compute at the achieved-FLOPs rate, the fixed
+//!   session/epoch/batch overheads from the [`HardwareProfile`], the
+//!   measured wall time of CPU work the program really does on either
+//!   backend (such as planning), and the ledger's IO: disk reads and
+//!   writes at disk rate, cached reads at DRAM rate.
 //!
 //! The busy-time counter divided by elapsed time is the paper's GPU
 //! utilization metric (Fig 11).
 
 use crate::config::HardwareProfile;
-use nautilus_store::{PageCacheModel, SharedIoStats};
+use nautilus_store::SharedIoStats;
 use nautilus_util::telemetry;
 use std::time::Instant;
 
@@ -32,28 +34,27 @@ pub enum BackendKind {
     Simulated,
 }
 
-/// The accounting backend.
+/// The session's clock.
 #[derive(Debug)]
 pub struct Backend {
     kind: BackendKind,
     hw: HardwareProfile,
     started: Instant,
-    /// Virtual clock, seconds (simulated only).
+    /// Virtual compute and overhead seconds (simulated only).
     sim_clock: f64,
     /// Seconds attributed to useful compute.
     busy_secs: f64,
     /// Total FLOPs charged.
     flops: f64,
-    /// Shared IO counters (also wired into the real stores).
+    /// The ledger's counters, shared with the session's stores.
     pub io: SharedIoStats,
-    cache: PageCacheModel,
 }
 
 impl Backend {
-    /// Creates a backend of the given kind.
+    /// Creates a backend of the given kind over the ledger counters `io`.
     pub fn new(kind: BackendKind, hw: HardwareProfile, io: SharedIoStats) -> Self {
-        let cache = PageCacheModel::new(hw.page_cache_bytes);
-        Backend { kind, hw, started: Instant::now(), sim_clock: 0.0, busy_secs: 0.0, flops: 0.0, io, cache }
+        let started = Instant::now();
+        Backend { kind, hw, started, sim_clock: 0.0, busy_secs: 0.0, flops: 0.0, io }
     }
 
     /// A fresh backend of the same kind and hardware sharing this one's IO
@@ -68,11 +69,17 @@ impl Backend {
         self.kind == BackendKind::Real
     }
 
-    /// Elapsed seconds: wall time (real) or virtual clock (simulated).
+    /// Elapsed seconds: wall time (real), or the virtual clock plus the
+    /// ledger's IO time (simulated).
     pub fn elapsed_secs(&self) -> f64 {
         match self.kind {
             BackendKind::Real => self.started.elapsed().as_secs_f64(),
-            BackendKind::Simulated => self.sim_clock,
+            BackendKind::Simulated => {
+                let io = self.io.snapshot();
+                self.sim_clock
+                    + (io.disk_read_bytes + io.disk_write_bytes) as f64 / self.hw.disk_bytes_per_sec
+                    + io.cached_read_bytes as f64 / self.hw.dram_bytes_per_sec
+            }
         }
     }
 
@@ -117,57 +124,6 @@ impl Backend {
         }
     }
 
-    /// Charges a read of `bytes` of object `key`.
-    ///
-    /// Simulated: page-cache model decides disk vs. DRAM time and updates
-    /// the IO counters. Real: the store already did the IO and counted it;
-    /// this is a no-op.
-    pub fn charge_read(&mut self, key: &str, bytes: u64) {
-        if self.kind == BackendKind::Real {
-            return;
-        }
-        let outcome = self.cache.read(key, bytes);
-        if outcome.miss_bytes > 0 {
-            self.io.record_disk_read(outcome.miss_bytes);
-            self.sim_clock += outcome.miss_bytes as f64 / self.hw.disk_bytes_per_sec;
-        }
-        if outcome.hit_bytes > 0 {
-            self.io.record_cached_read(outcome.hit_bytes);
-            self.sim_clock += outcome.hit_bytes as f64 / self.hw.dram_bytes_per_sec;
-        }
-    }
-
-    /// A write of `bytes` to object `key` that the program performs: the
-    /// real device runs `save` and counts its bytes; the simulated device
-    /// charges the modeled write instead and skips `save`.
-    pub fn write<E>(
-        &mut self,
-        key: &str,
-        bytes: u64,
-        save: impl FnOnce() -> Result<(), E>,
-    ) -> Result<(), E> {
-        match self.kind {
-            BackendKind::Real => {
-                save()?;
-                self.io.record_write(bytes);
-            }
-            BackendKind::Simulated => self.charge_write(key, bytes),
-        }
-        Ok(())
-    }
-
-    /// Charges a modeled write of `bytes` to object `key` (simulated only:
-    /// real stores count their own writes, and writes only the simulated
-    /// device models, such as the raw snapshot, cost nothing here).
-    pub fn charge_write(&mut self, key: &str, bytes: u64) {
-        if self.kind == BackendKind::Real {
-            return;
-        }
-        self.cache.write(key, bytes);
-        self.io.record_write(bytes);
-        self.sim_clock += bytes as f64 / self.hw.disk_bytes_per_sec;
-    }
-
     /// Charges fixed overhead seconds (simulated only — on the real
     /// backend overheads are real time).
     pub fn charge_overhead(&mut self, secs: f64) {
@@ -190,16 +146,12 @@ impl Backend {
     pub fn charge_batch_overhead(&mut self) {
         self.charge_overhead(self.hw.batch_overhead_secs);
     }
-
-    /// Invalidate a cached object (dropped materialization).
-    pub fn invalidate_cache(&mut self, key: &str) {
-        self.cache.invalidate(key);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nautilus_store::TensorStore;
 
     fn sim() -> Backend {
         let hw = HardwareProfile {
@@ -223,24 +175,43 @@ mod tests {
         assert_eq!(b.total_flops(), 2e9);
     }
 
+    /// A fresh store at a per-test path, counting into `b`'s ledger.
+    fn store(b: &Backend, tag: &str) -> (TensorStore, std::path::PathBuf) {
+        let dir = format!("nautilus-backend-{tag}-{}", std::process::id());
+        let root = std::env::temp_dir().join(dir);
+        let _ = std::fs::remove_dir_all(&root);
+        (TensorStore::open(&root, b.io.clone()).unwrap(), root)
+    }
+
+    /// A modeled `[n]` record batch of `20 + 4 n` encoded bytes.
+    fn modeled(n: usize) -> [(String, Vec<usize>, usize); 1] {
+        [("x".to_string(), Vec::new(), n)]
+    }
+
     #[test]
     fn first_read_is_disk_second_is_dram() {
-        let mut b = sim();
-        b.charge_read("x", 1000);
+        let b = sim();
+        let (mut s, root) = store(&b, "reads");
+        s.append_modeled(&modeled(245)).unwrap(); // 1000 B at disk rate
+        drop(s);
+        // Reopened, the store's page-cache model starts cold.
+        let s = TensorStore::open(&root, b.io.clone()).unwrap();
+        s.scan("x").unwrap();
         let after_miss = b.elapsed_secs();
-        assert!((after_miss - 1e-3).abs() < 1e-9, "{after_miss}");
-        b.charge_read("x", 1000);
+        assert!((after_miss - 2e-3).abs() < 1e-12, "{after_miss}");
+        s.scan("x").unwrap();
         let delta = b.elapsed_secs() - after_miss;
-        assert!((delta - 1e-6).abs() < 1e-9, "{delta}");
+        assert!((delta - 1e-6).abs() < 1e-12, "{delta}");
         let io = b.io.snapshot();
-        assert_eq!(io.disk_read_bytes, 1000);
-        assert_eq!(io.cached_read_bytes, 1000);
+        assert_eq!((io.disk_read_bytes, io.cached_read_bytes), (1000, 1000));
+        std::fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
     fn writes_and_overheads() {
         let mut b = sim();
-        b.charge_write("w", 2000);
+        let (mut s, root) = store(&b, "writes");
+        s.append_modeled(&modeled(495)).unwrap(); // 2000 B
         assert!((b.elapsed_secs() - 2e-3).abs() < 1e-9);
         b.charge_session_overhead();
         b.charge_epoch_overhead();
@@ -248,6 +219,7 @@ mod tests {
         assert!((b.elapsed_secs() - (2e-3 + 1.6)).abs() < 1e-9);
         assert_eq!(b.io.snapshot().disk_write_bytes, 2000);
         assert_eq!(b.busy_secs(), 0.0, "IO and overhead are not busy compute");
+        std::fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
@@ -257,21 +229,9 @@ mod tests {
             HardwareProfile::default(),
             SharedIoStats::new(),
         );
-        b.charge_read("x", 1_000_000);
-        b.charge_write("y", 1_000_000);
         b.charge_overhead(1000.0);
         b.charge_compute(1e12, Some(0.25));
         assert!(b.elapsed_secs() < 10.0, "wall clock, not charged time");
-        assert_eq!(b.io.snapshot().disk_read_bytes, 0);
         assert!((b.busy_secs() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn invalidation_forces_disk_again() {
-        let mut b = sim();
-        b.charge_read("x", 1000);
-        b.invalidate_cache("x");
-        b.charge_read("x", 1000);
-        assert_eq!(b.io.snapshot().disk_read_bytes, 2000);
     }
 }

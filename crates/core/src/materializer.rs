@@ -8,14 +8,13 @@
 //! (incremental feature materialization). When a re-plan installs a new
 //! `V`, features of newly chosen nodes are backfilled over the whole
 //! snapshot by the same forward-and-append body
-//! ([`Materializer::materialize`]) run on that subset. Train and validation
-//! splits are kept under separate keys so the trainer can evaluate on
-//! features too.
+//! ([`Materializer::materialize`]) run on that subset, over the snapshot's
+//! inputs read back from the store. Train and validation splits are kept
+//! under separate keys so the trainer can evaluate on features too.
 
 use crate::backend::Backend;
 use crate::multimodel::{MNodeId, MultiModelGraph};
 use crate::spec::CandidateModel;
-use nautilus_data::Dataset;
 use nautilus_dnn::exec::{forward, BatchInputs};
 use nautilus_dnn::graph::{GraphError, ModelGraph, NodeId, ParamInit};
 use nautilus_store::{DiskBudget, StoreError, TensorStore};
@@ -170,9 +169,12 @@ impl Materializer {
         &self.v
     }
 
-    /// Total feature bytes on disk.
+    /// Bytes of the installed `V`'s features, both splits (the store's
+    /// snapshot and checkpoints count toward neither this nor `Bdisk`).
     pub fn feature_bytes(&self) -> u64 {
-        self.store.total_bytes()
+        let keys = self.graph.iter().flat_map(|g| &g.outputs);
+        let splits = keys.flat_map(|(_, _, key)| ["train", "valid"].map(|s| format!("{key}:{s}")));
+        splits.map(|key| self.store.bytes(&key)).sum()
     }
 
     /// Installs a (new) materialized set: drops features that are no longer
@@ -186,7 +188,6 @@ impl Materializer {
         multi: &MultiModelGraph,
         candidates: &[CandidateModel],
         v: BTreeSet<MNodeId>,
-        backend: &mut Backend,
     ) -> Result<BTreeSet<MNodeId>, MatError> {
         let _sp = telemetry::span("mat", "mat.install_v");
         if v == self.v && self.graph.is_some() {
@@ -195,7 +196,6 @@ impl Materializer {
         for &m in self.v.difference(&v) {
             for split in ["train", "valid"] {
                 let key = format!("{}:{split}", multi.node(m).key);
-                backend.invalidate_cache(&key);
                 let freed = self.store.delete(&key)?;
                 self.budget.release(freed);
             }
@@ -221,10 +221,10 @@ impl Materializer {
     /// of newly chosen nodes over the snapshot, or a batch for the nodes a
     /// backfill did not cover).
     ///
-    /// With the records (`data`), the forward executes and its outputs are
+    /// With the records' `inputs`, the forward executes and its outputs are
     /// stored; without them (the simulated backend) each key records a
-    /// modeled chunk of its profiled size. Either way the backend is
-    /// charged the same compute and writes, and the budget the same bytes.
+    /// modeled chunk of the same shape. Either way the backend is charged
+    /// the same compute, and the store and the budget the same bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn materialize(
         &mut self,
@@ -232,7 +232,7 @@ impl Materializer {
         candidates: &[CandidateModel],
         nodes: &BTreeSet<MNodeId>,
         split: &str,
-        data: Option<&Dataset>,
+        inputs: Option<&Tensor>,
         n_records: usize,
         backend: &mut Backend,
     ) -> Result<(), MatError> {
@@ -250,12 +250,12 @@ impl Materializer {
             }
         };
         let keys = mg.outputs.iter().map(|(m, node, key)| (*m, *node, format!("{key}:{split}")));
-        let (measured, sizes) = match data {
-            Some(ds) => {
-                let mut inputs = BatchInputs::new();
-                inputs.insert(mg.raw_input, ds.inputs.clone());
+        let (measured, sizes) = match inputs {
+            Some(inputs) => {
+                let mut feeds = BatchInputs::new();
+                feeds.insert(mg.raw_input, inputs.clone());
                 let start = Instant::now();
-                let fwd = forward(&mg.graph, &inputs, false)
+                let fwd = forward(&mg.graph, &feeds, false)
                     .map_err(|e| MatError::Exec(e.to_string()))?;
                 let secs = start.elapsed().as_secs_f64();
                 let items: Vec<(String, Tensor)> =
@@ -264,28 +264,25 @@ impl Materializer {
             }
             None => {
                 let items: Vec<_> = keys
-                    .map(|(m, _, key)| {
-                        let node = multi.node(m);
-                        let bytes = node.profile.out_bytes * n_records as u64;
-                        (key, node.out_shape().0.clone(), n_records, bytes)
-                    })
+                    .map(|(m, _, key)| (key, multi.node(m).out_shape().0.clone(), n_records))
                     .collect();
                 (None, self.store.append_modeled(&items)?)
             }
         };
         backend.charge_compute(mg.fwd_flops_per_record * n_records as f64, measured);
-        for ((_, _, key), bytes) in mg.outputs.iter().zip(sizes) {
+        for bytes in sizes {
             self.budget.charge(bytes).map_err(MatError::Budget)?;
-            backend.charge_write(&format!("{key}:{split}"), bytes);
         }
         Ok(())
     }
+
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
+    use nautilus_data::Dataset;
     use crate::spec::Hyper;
     use crate::SystemConfig;
     use nautilus_dnn::{OptimizerSpec, TaskKind};
@@ -346,7 +343,7 @@ mod tests {
         backend: &mut Backend,
     ) -> Result<(), MatError> {
         let v = mat.v().clone();
-        mat.materialize(multi, cands, &v, "train", data, n_records, backend)
+        mat.materialize(multi, cands, &v, "train", data.map(|d| &d.inputs), n_records, backend)
     }
 
     #[test]
@@ -358,7 +355,7 @@ mod tests {
             Backend::new(BackendKind::Real, SystemConfig::tiny().hardware, io.clone());
         let mut mat = Materializer::new(temp_store("match", io), 64 << 20);
         let v = v_of(&multi, "bert/block5");
-        mat.install_v(&multi, &cands, v.clone(), &mut backend).unwrap();
+        mat.install_v(&multi, &cands, v.clone()).unwrap();
 
         let ds = token_dataset(6);
         batch(&mut mat, &multi, &cands, Some(&ds), 6, &mut backend).unwrap();
@@ -385,7 +382,7 @@ mod tests {
             Backend::new(BackendKind::Real, SystemConfig::tiny().hardware, io.clone());
         let mut mat = Materializer::new(temp_store("incr", io), 64 << 20);
         let v = v_of(&multi, "bert/block3");
-        mat.install_v(&multi, &cands, v.clone(), &mut backend).unwrap();
+        mat.install_v(&multi, &cands, v.clone()).unwrap();
         batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
         batch(&mut mat, &multi, &cands, Some(&token_dataset(3)), 3, &mut backend)
@@ -403,17 +400,16 @@ mod tests {
             Backend::new(BackendKind::Real, SystemConfig::tiny().hardware, io.clone());
         let mut mat = Materializer::new(temp_store("swap", io), 64 << 20);
         let v1 = v_of(&multi, "bert/block3");
-        mat.install_v(&multi, &cands, v1, &mut backend).unwrap();
+        mat.install_v(&multi, &cands, v1).unwrap();
         batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
         assert!(mat.feature_bytes() > 0);
         let v2 = v_of(&multi, "bert/block5");
-        let backfill = mat.install_v(&multi, &cands, v2.clone(), &mut backend).unwrap();
+        let backfill = mat.install_v(&multi, &cands, v2.clone()).unwrap();
         assert_eq!(backfill, v2, "new nodes need backfill");
         assert_eq!(mat.feature_bytes(), 0, "old features dropped");
         // Reinstalling the same V is a no-op.
-        let backfill = mat
-            .install_v(&multi, &cands, v_of(&multi, "bert/block5"), &mut backend)
+        let backfill = mat.install_v(&multi, &cands, v_of(&multi, "bert/block5"))
             .unwrap();
         assert!(backfill.is_empty());
     }
@@ -428,10 +424,12 @@ mod tests {
         let budget = 64 << 20;
         let mut mat = Materializer::new(temp_store("sim", io.clone()), budget);
         let v = v_of(&multi, "bert/block5");
-        mat.install_v(&multi, &cands, v.clone(), &mut backend).unwrap();
+        mat.install_v(&multi, &cands, v.clone()).unwrap();
         batch(&mut mat, &multi, &cands, None, 100, &mut backend).unwrap();
         assert!(backend.elapsed_secs() > 0.0);
-        let bytes = 100 * 8 * 32 * 4;
+        // The exact encoded size of the `[100, 8, 32]` chunk: NTSR header
+        // plus payload.
+        let bytes = 36 + 100 * 8 * 32 * 4;
         assert_eq!(io.snapshot().disk_write_bytes, bytes);
         // The store is the ledger on this backend too: the modeled chunk is
         // recorded with its size, but it has no payload to read.
@@ -442,7 +440,7 @@ mod tests {
         assert!(matches!(mat.store.read_all(&key), Err(StoreError::NoPayload(_))));
         // Swapping V drops the old key and releases its budget.
         let v2 = v_of(&multi, "bert/block3");
-        let backfill = mat.install_v(&multi, &cands, v2.clone(), &mut backend).unwrap();
+        let backfill = mat.install_v(&multi, &cands, v2.clone()).unwrap();
         assert_eq!(backfill, v2);
         assert_eq!(mat.feature_bytes(), 0);
         assert_eq!(mat.budget_remaining(), budget);
@@ -461,7 +459,7 @@ mod tests {
         let b5 = v_of(&multi, "bert/block5");
         let mut v1 = b3.clone();
         v1.extend(&b5);
-        mat.install_v(&multi, &cands, v1.clone(), &mut backend).unwrap();
+        mat.install_v(&multi, &cands, v1.clone()).unwrap();
         let snapshot = token_dataset(6);
         batch(&mut mat, &multi, &cands, Some(&snapshot), 6, &mut backend).unwrap();
 
@@ -469,7 +467,7 @@ mod tests {
         let b4 = v_of(&multi, "bert/block4");
         let mut v2 = b4.clone();
         v2.extend(&b5);
-        let backfill = mat.install_v(&multi, &cands, v2, &mut backend).unwrap();
+        let backfill = mat.install_v(&multi, &cands, v2).unwrap();
         assert_eq!(backfill, b4, "only the new node needs backfill");
         // Retained key intact; removed key gone.
         let key = |m: &BTreeSet<MNodeId>| {
@@ -478,7 +476,7 @@ mod tests {
         assert_eq!(mat.store.num_records(&key(&b5)), 6);
         assert_eq!(mat.store.num_records(&key(&b3)), 0);
         // Backfill the full snapshot for the new node only.
-        mat.materialize(&multi, &cands, &backfill, "train", Some(&snapshot), 6, &mut backend)
+        mat.materialize(&multi, &cands, &backfill, "train", Some(&snapshot.inputs), 6, &mut backend)
             .unwrap();
         assert_eq!(mat.store.num_records(&key(&b4)), 6);
         // Subsequent incremental batches cover both keys.
@@ -503,7 +501,7 @@ mod tests {
         let one_batch_bytes = 4u64 * 8 * 32 * 4 + 64; // records x seq x dim x f32 + header
         let mut mat = Materializer::new(temp_store("budget", io), one_batch_bytes + 16);
         let v = v_of(&multi, "bert/block5");
-        mat.install_v(&multi, &cands, v, &mut backend).unwrap();
+        mat.install_v(&multi, &cands, v).unwrap();
         batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
         let err = batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
@@ -520,7 +518,7 @@ mod tests {
         let mut backend =
             Backend::new(BackendKind::Real, SystemConfig::tiny().hardware, io.clone());
         let mut mat = Materializer::new(temp_store("empty", io), 64 << 20);
-        mat.install_v(&multi, &cands, BTreeSet::new(), &mut backend).unwrap();
+        mat.install_v(&multi, &cands, BTreeSet::new()).unwrap();
         batch(&mut mat, &multi, &cands, Some(&token_dataset(4)), 4, &mut backend)
             .unwrap();
         assert_eq!(mat.feature_bytes(), 0);

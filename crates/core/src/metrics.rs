@@ -14,8 +14,8 @@ pub struct RunStats {
     pub flops: f64,
     /// Bytes read from disk (page-cache misses on either backend).
     pub disk_read_bytes: u64,
-    /// Bytes served from the page cache: the simulated backend's cache
-    /// model, or the real store's model of the OS page cache.
+    /// Bytes served from the page cache (the feature store's model of the
+    /// OS page cache, on either backend).
     pub cached_read_bytes: u64,
     /// Bytes written.
     pub disk_write_bytes: u64,

@@ -178,7 +178,7 @@ impl ExecutablePlan {
     /// Checkpoint size of this plan's trainable state (what Nautilus writes
     /// after training, vs. Current Practice's full-model checkpoints).
     pub fn trainable_checkpoint_bytes(&self) -> u64 {
-        nautilus_dnn::checkpoint::checkpoint_bytes(&self.graph, true)
+        nautilus_dnn::checkpoint::encoded_len(&self.graph, true)
     }
 }
 
@@ -275,7 +275,7 @@ mod tests {
         let cfg = SystemConfig::tiny();
         let units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false);
         let plan = ExecutablePlan::build(&multi, &cands, &units[0]).unwrap();
-        let full = nautilus_dnn::checkpoint::checkpoint_bytes(&cands[0].graph, false);
+        let full = nautilus_dnn::checkpoint::encoded_len(&cands[0].graph, false);
         assert!(plan.trainable_checkpoint_bytes() < full);
     }
 }

@@ -19,6 +19,14 @@
 //! ([`ModelSelection::restore_state`]) — one re-plan chooses `V`, builds
 //! the units, installs `V` and backfills newly chosen features over the
 //! whole snapshot; `fit` then appends its batch to every other feature.
+//!
+//! Everything the session keeps between cycles lives in the feature store,
+//! the one IO ledger on both backends: the labeled snapshot (`raw:{split}`
+//! inputs and `labels:{split}` labels, appended each cycle), the
+//! materialized features, and the checkpoints (`ckpt:init:{candidate}`,
+//! `ckpt:plan:{unit}`, and each unit's trained `ckpt:out:{first member}`).
+//! The real backend writes and reads their bytes; the simulated one records
+//! modeled entries of the same exact sizes.
 
 use crate::backend::{Backend, BackendKind};
 use crate::config::SystemConfig;
@@ -31,12 +39,12 @@ use crate::plan::ExecutablePlan;
 use crate::profiler::profile_graph;
 use crate::spec::CandidateModel;
 use crate::speedup::theoretical_speedup;
-use crate::trainer::{CycleDataView, MemberResult, TrainError};
+use crate::trainer::{snapshot_items, CycleDataView, MemberResult, TrainError};
 use nautilus_data::Dataset;
-use nautilus_dnn::checkpoint::checkpoint_bytes;
+use nautilus_dnn::checkpoint;
 use nautilus_dnn::graph::GraphError;
 use nautilus_dnn::{ModelGraph, NodeId};
-use nautilus_store::{IoCalibration, IoPolicy, SharedIoStats, StoreError, TensorStore};
+use nautilus_store::{IoCalibration, IoPolicy, Object, SharedIoStats, StoreError, TensorStore};
 use nautilus_tensor::Shape;
 use nautilus_util::{eventlog, telemetry};
 use std::collections::BTreeSet;
@@ -181,18 +189,16 @@ pub struct ModelSelection {
     multi: MultiModelGraph,
     units: Vec<(TrainUnit, ExecutablePlan)>,
     materializer: Materializer,
+    /// The clock, holding the ledger's counters the store records into.
     backend: Backend,
-    io: SharedIoStats,
     init: InitReport,
     milp: Option<MilpRunStats>,
     /// Current `r` (grows by exponential backoff).
     max_records: usize,
     cycle: usize,
+    /// Records of the snapshot (which lives in the feature store).
     n_train: usize,
     n_valid: usize,
-    /// The accumulated `(train, valid)` records, on the backend that
-    /// executes; the simulated backend keeps the counts only.
-    records: Option<(Dataset, Dataset)>,
     /// Measured I/O bandwidths from the startup micro-probe (real backend
     /// with `config.io.calibrate`); `None` means the planner keeps its
     /// static disk constant.
@@ -204,14 +210,12 @@ pub struct ModelSelection {
     best_trained: Option<(usize, ModelGraph)>,
     /// Where `fit` trains the units ([`LocalUnits`] unless replaced).
     executor: Box<dyn UnitExecutor>,
-    /// Checkpoints and the feature store live here.
-    workdir: PathBuf,
 }
 
 /// The borrowed training work of one cycle, handed to a [`UnitExecutor`]:
 /// the session's plan, its *effective* configuration (after I/O
 /// calibration and the re-plan blend), the installed `V`, the feature
-/// store holding it, and the accumulated snapshot.
+/// store holding it and the snapshot, and the snapshot's record counts.
 pub struct CycleWork<'a> {
     /// The multi-model graph.
     pub multi: &'a MultiModelGraph,
@@ -225,10 +229,11 @@ pub struct CycleWork<'a> {
     pub config: &'a SystemConfig,
     /// Execution strategy.
     pub strategy: Strategy,
-    /// The feature store the units' plans load from.
+    /// The feature store holding the snapshot, the features the units'
+    /// plans load and their start checkpoints.
     pub store: &'a TensorStore,
-    /// The accumulated snapshot.
-    pub data: CycleDataView<'a>,
+    /// The accumulated snapshot's record counts.
+    pub data: CycleDataView,
 }
 
 /// One unit's training outcome: per-member results in `unit.members`
@@ -261,22 +266,21 @@ impl UnitExecutor for LocalUnits {
         work: &CycleWork<'_>,
         backend: &mut Backend,
     ) -> Result<Vec<UnitOutcome>, SessionError> {
-        let train = |(unit, plan): &(TrainUnit, ExecutablePlan), backend: &mut Backend| {
+        let train = |index: usize, backend: &mut Backend| {
+            let (unit, plan) = &work.units[index];
             crate::trainer::train_unit(
-                work.multi, plan, unit, work.candidates, &work.data, work.store, backend,
-                work.strategy.full_checkpoints(), work.config.shuffle_each_epoch,
+                work.multi, plan, unit, index, work.candidates, &work.data, work.store, backend,
+                work.strategy, work.config.shuffle_each_epoch,
             )
         };
         // The simulated backend stays serial: its virtual clock is a single
         // timeline, so concurrent units would each charge it in turn anyway.
         if !(backend.is_real() && work.units.len() > 1 && nautilus_util::pool::num_threads() > 1)
         {
-            return work.units.iter().map(|u| train(u, backend).map_err(Into::into)).collect();
+            return (0..work.units.len()).map(|u| train(u, backend).map_err(Into::into)).collect();
         }
         type UnitOut = Result<(UnitOutcome, f64, f64), TrainError>;
-        let tasks: Vec<Box<dyn FnOnce() -> UnitOut + Send>> = work
-            .units
-            .iter()
+        let tasks: Vec<Box<dyn FnOnce() -> UnitOut + Send>> = (0..work.units.len())
             .map(|u| {
                 let mut worker = backend.fork();
                 Box::new(move || {
@@ -329,8 +333,8 @@ pub fn open_feature_store(
     Ok(store)
 }
 
-/// The JSON header of a saved session state: the evolving scalars, and
-/// whether a tensor payload (the snapshot's records) follows.
+/// The JSON header of a saved session state: the evolving scalars (the
+/// snapshot itself lives in the feature store).
 struct StateHeader {
     version: u32,
     cycle: usize,
@@ -338,7 +342,6 @@ struct StateHeader {
     n_valid: usize,
     max_records: usize,
     best_so_far: Option<(usize, f32)>,
-    has_data: bool,
 }
 nautilus_util::json_struct!(StateHeader {
     version,
@@ -346,9 +349,12 @@ nautilus_util::json_struct!(StateHeader {
     n_train,
     n_valid,
     max_records,
-    best_so_far,
-    has_data
+    best_so_far
 });
+
+/// The current [`StateHeader`] version: 2 keeps the snapshot in the store
+/// (version 1 carried it in the state file and no longer restores).
+const STATE_VERSION: u32 = 2;
 
 impl ModelSelection {
     /// Initializes a workload: profiles candidates, runs the optimizer for
@@ -372,9 +378,8 @@ impl ModelSelection {
             telemetry::enable_to(path.clone());
         }
         let _sp_init = telemetry::span("core", "session.init");
-        let io = SharedIoStats::new();
-        let backend = Backend::new(backend_kind, config.hardware, io.clone());
-        let store = open_feature_store(&config, workdir.join("features"), io.clone())?;
+        let backend = Backend::new(backend_kind, config.hardware, SharedIoStats::new());
+        let store = open_feature_store(&config, workdir.join("features"), backend.io.clone())?;
 
         // Measured I/O calibration (opt-in): every plan then reads the
         // machine's actual sequential bandwidth in place of the planner's
@@ -427,18 +432,15 @@ impl ModelSelection {
             units: Vec::new(),
             materializer: Materializer::new(store, enforced_budget),
             backend,
-            io,
             init: InitReport::default(),
             milp: None,
             cycle: 0,
             n_train: 0,
             n_valid: 0,
-            records: None,
             calibration,
             best_so_far: None,
             best_trained: None,
             executor: Box::new(LocalUnits),
-            workdir,
         };
         session.init = session.initialize(candidates)?;
         Ok(session)
@@ -454,8 +456,11 @@ impl ModelSelection {
         // Phase 1: original model checkpoints (all strategies).
         let sp = telemetry::span("core", "init.original_checkpoints");
         let (t0, c0) = (Instant::now(), self.backend.elapsed_secs());
-        let graphs = candidates.iter().map(|c| &c.graph);
-        save_checkpoints(&mut self.backend, &self.workdir, "init", graphs)?;
+        let originals = candidates.iter().enumerate();
+        let objects = originals.map(|(i, c)| {
+            (format!("ckpt:init:{i}"), Self::checkpoint(&self.backend, &c.graph, false))
+        });
+        self.materializer.store.put_objects(objects)?;
         let original_checkpoints_secs = end_phase(&mut self.backend, t0, c0);
         drop(sp);
 
@@ -483,10 +488,7 @@ impl ModelSelection {
         // Phase 4: checkpoints for the optimized plans.
         let sp = telemetry::span("core", "init.plan_checkpoints");
         let (t0, c0) = (Instant::now(), self.backend.elapsed_secs());
-        if self.strategy.runs_optimizer() {
-            let graphs = self.units.iter().map(|(_, plan)| &plan.graph);
-            save_checkpoints(&mut self.backend, &self.workdir, "plan", graphs)?;
-        }
+        self.save_plan_checkpoints()?;
         let plan_checkpoints_secs = end_phase(&mut self.backend, t0, c0);
         drop(sp);
 
@@ -523,17 +525,31 @@ impl ModelSelection {
         self.milp = milp.or(self.milp.take());
         self.units = Self::build_units(multi, candidates, &self.config, self.strategy, &v)?;
         let plan_secs = end_phase(&mut self.backend, t0, c0);
-        let backfill = self.materializer.install_v(multi, candidates, v, &mut self.backend)?;
-        let records = self.records.as_ref();
-        for (split, data, n) in [
-            ("train", records.map(|(t, _)| t), self.n_train),
-            ("valid", records.map(|(_, v)| v), self.n_valid),
-        ] {
-            self.materializer.materialize(
-                multi, candidates, &backfill, split, data, n, &mut self.backend,
-            )?;
+        let backfill = self.materializer.install_v(multi, candidates, v)?;
+        for (split, n) in [("train", self.n_train), ("valid", self.n_valid)] {
+            if backfill.is_empty() || n == 0 {
+                continue;
+            }
+            // The snapshot's inputs, read back through the ledger.
+            let mat = &mut self.materializer;
+            let inputs = mat.store.scan(&format!("raw:{split}"))?;
+            let backend = &mut self.backend;
+            mat.materialize(multi, candidates, &backfill, split, inputs.as_ref(), n, backend)?;
         }
         Ok((backfill, plan_secs))
+    }
+
+    /// Checkpoints every unit's plan as `ckpt:plan:{unit}` (optimizer
+    /// strategies only: Current Practice units start from the original
+    /// checkpoints) — after every re-plan, before any unit trains.
+    fn save_plan_checkpoints(&mut self) -> Result<(), SessionError> {
+        if self.strategy.runs_optimizer() {
+            let objects = self.units.iter().enumerate().map(|(u, (_, plan))| {
+                (format!("ckpt:plan:{u}"), Self::checkpoint(&self.backend, &plan.graph, false))
+            });
+            self.materializer.store.put_objects(objects)?;
+        }
+        Ok(())
     }
 
     /// Replaces where `fit` trains the units (default [`LocalUnits`]).
@@ -637,19 +653,31 @@ impl ModelSelection {
             self.backend.elapsed_secs(),
             self.backend.busy_secs(),
             self.backend.total_flops(),
-            self.io.snapshot(),
+            self.backend.io.snapshot(),
         )
     }
 
-    /// Total bytes of materialized features in the feature store (modeled
-    /// ones on the simulated backend).
+    /// Total bytes of the installed materialized features in the feature
+    /// store (modeled ones on the simulated backend); the snapshot and the
+    /// checkpoints are not features.
     pub fn feature_bytes(&self) -> u64 {
         self.materializer.feature_bytes()
     }
 
-    /// The one place an input meets the backend: the real backend executes,
-    /// so a batch or a restored snapshot must carry its records; the
-    /// simulated one models, so it takes counts only.
+    /// A checkpoint of `graph` as the store keeps it, without frozen
+    /// parameters when `trainable_only`: its bytes on the real backend, its
+    /// exact size on the simulated one (see [`Self::check_payload`]).
+    fn checkpoint(backend: &Backend, graph: &ModelGraph, trainable_only: bool) -> Object {
+        if backend.is_real() {
+            Object::Bytes(checkpoint::save_to_bytes_with(graph, trainable_only))
+        } else {
+            Object::Modeled(checkpoint::encoded_len(graph, trainable_only))
+        }
+    }
+
+    /// The one place what the session stores meets the backend: a batch or
+    /// a restored snapshot must carry records exactly when the backend
+    /// executes (and checkpoints are bytes exactly then).
     fn check_payload(&self, present: bool) -> Result<(), SessionError> {
         if present != self.backend.is_real() {
             return Err(SessionError::Invalid("CycleInput kind must match the backend kind".into()));
@@ -672,26 +700,27 @@ impl ModelSelection {
         let _sp_cycle = telemetry::span("core", "cycle.fit");
         let sp_mat = telemetry::span("core", "cycle.materialize");
         let t_cycle = self.backend.elapsed_secs();
-        if let Some((train, valid)) = &batch {
-            match &mut self.records {
-                Some((all_train, all_valid)) => {
-                    all_train
-                        .extend(train)
-                        .map_err(|e| SessionError::Invalid(format!("train extend: {e}")))?;
-                    all_valid
-                        .extend(valid)
-                        .map_err(|e| SessionError::Invalid(format!("valid extend: {e}")))?;
-                }
-                None => self.records = Some((train.clone(), valid.clone())),
+        // The labeled snapshot is stored: the batch's records, or modeled
+        // chunks of the same shapes.
+        let store = &mut self.materializer.store;
+        match &batch {
+            Some((train, valid)) => store.append_many(&snapshot_items(train, valid))?,
+            None => {
+                let (input, label) = record_shapes(&self.candidates[0]);
+                let items: Vec<_> = [("train", dn_train), ("valid", dn_valid)]
+                    .into_iter()
+                    .flat_map(|(split, n)| {
+                        [
+                            (format!("raw:{split}"), input.clone(), n),
+                            (format!("labels:{split}"), label.clone(), n),
+                        ]
+                    })
+                    .collect();
+                store.append_modeled(&items)?
             }
-        }
+        };
         self.n_train += dn_train;
         self.n_valid += dn_valid;
-
-        // Raw dataset persistence (the labeled snapshot is stored).
-        let rec_bytes = self.raw_record_bytes();
-        self.backend.charge_write("raw:train", rec_bytes * dn_train as u64);
-        self.backend.charge_write("raw:valid", rec_bytes * dn_valid as u64);
 
         // 2. Exponential backoff of `r` (§4.2.3): when the snapshot outgrows
         // the planned maximum, double `r` and re-plan. The re-plan backfills
@@ -703,6 +732,7 @@ impl ModelSelection {
                 self.max_records *= 2;
             }
             backfilled = self.replan()?.0;
+            self.save_plan_checkpoints()?;
         }
 
         // 3. Incremental materialization: this cycle's batch for every
@@ -710,8 +740,8 @@ impl ModelSelection {
         let fresh: BTreeSet<MNodeId> =
             self.materializer.v().difference(&backfilled).copied().collect();
         for (split, data, n) in [
-            ("train", batch.as_ref().map(|(t, _)| t), dn_train),
-            ("valid", batch.as_ref().map(|(_, v)| v), dn_valid),
+            ("train", batch.as_ref().map(|(t, _)| &t.inputs), dn_train),
+            ("valid", batch.as_ref().map(|(_, v)| &v.inputs), dn_valid),
         ] {
             let (multi, candidates) = (&self.multi, &self.candidates);
             self.materializer.materialize(
@@ -734,11 +764,7 @@ impl ModelSelection {
             config: &self.config,
             strategy: self.strategy,
             store: &self.materializer.store,
-            data: CycleDataView {
-                n_train: self.n_train,
-                n_valid: self.n_valid,
-                records: self.records.as_ref().map(|(train, valid)| (train, valid)),
-            },
+            data: CycleDataView { n_train: self.n_train, n_valid: self.n_valid },
         };
         let unit_results = self.executor.train_units(&work, &mut self.backend)?;
         if unit_results.len() != self.units.len() {
@@ -748,6 +774,16 @@ impl ModelSelection {
                 self.units.len()
             )));
         }
+        // Each unit's trained checkpoint, in unit order whatever the
+        // executor: full under Current Practice, trainable-only otherwise.
+        // The simulated backend trains nothing and models the plan's.
+        let trainable_only = !self.strategy.full_checkpoints();
+        let trained = self.units.iter().zip(&unit_results).map(|((unit, plan), (_, trained))| {
+            let graph = trained.as_ref().unwrap_or(&plan.graph);
+            let object = Self::checkpoint(&self.backend, graph, trainable_only);
+            (format!("ckpt:out:{}", unit.members[0]), object)
+        });
+        self.materializer.store.put_objects(trained)?;
         let mut accuracies: Vec<(String, Option<f32>)> = Vec::new();
         let mut best: Option<(usize, String, f32)> = None;
         let mut best_unit = 0usize;
@@ -818,34 +854,23 @@ impl ModelSelection {
         Ok(self.init)
     }
 
-    /// Persists the session's evolving state (cycle counter, accumulated
-    /// labeled snapshot, backoff-adjusted `r`) to `path` so a labeling
-    /// campaign can survive a process restart. Materialized features
-    /// already live on disk in the feature store; plans are recomputed
+    /// Persists the session's evolving state (cycle counter, snapshot record
+    /// counts, backoff-adjusted `r`) to `path` so a labeling campaign can
+    /// survive a process restart. The snapshot and the materialized
+    /// features already live in the feature store; plans are recomputed
     /// deterministically on resume.
     pub fn save_state(&self, path: &std::path::Path) -> Result<(), SessionError> {
-        use nautilus_tensor::ser;
         let header = StateHeader {
-            version: 1,
+            version: STATE_VERSION,
             cycle: self.cycle,
             n_train: self.n_train,
             n_valid: self.n_valid,
             max_records: self.max_records,
             best_so_far: self.best_so_far,
-            has_data: self.records.is_some(),
         };
         let header_json = nautilus_util::json::to_vec(&header);
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(header_json.len() as u64).to_le_bytes());
+        let mut buf = (header_json.len() as u64).to_le_bytes().to_vec();
         buf.extend_from_slice(&header_json);
-        if let Some((train, valid)) = &self.records {
-            buf.extend_from_slice(&ser::encode_many(&[
-                train.inputs.clone(),
-                train.labels.clone(),
-                valid.inputs.clone(),
-                valid.labels.clone(),
-            ]));
-        }
         std::fs::write(path, &buf)
             .map_err(|e| SessionError::Invalid(format!("state write: {e}")))?;
         Ok(())
@@ -855,54 +880,42 @@ impl ModelSelection {
     /// constructed session (same candidates, config, strategy, and workdir —
     /// the feature store under the workdir is reused as-is). Fails closed
     /// with [`SessionError::Invalid`] when the header's record counts
-    /// disagree with its payload or with any materialized key of either
-    /// split.
+    /// disagree with the store's snapshot or with any materialized key of
+    /// either split, or when the snapshot is not this backend's.
     pub fn restore_state(&mut self, path: &std::path::Path) -> Result<(), SessionError> {
-        use nautilus_tensor::ser;
         let data = std::fs::read(path)
             .map_err(|e| SessionError::Invalid(format!("state read: {e}")))?;
         if data.len() < 8 {
             return Err(SessionError::Invalid("truncated session state".into()));
         }
         let hlen = u64::from_le_bytes(data[..8].try_into().expect("8 bytes")) as usize;
-        if data.len() < 8 + hlen {
-            return Err(SessionError::Invalid("truncated session state header".into()));
+        if data.len() != 8 + hlen {
+            return Err(SessionError::Invalid("session state length mismatch".into()));
         }
-        let header: StateHeader = nautilus_util::json::from_slice(&data[8..8 + hlen])
+        let header: StateHeader = nautilus_util::json::from_slice(&data[8..])
             .map_err(|e| SessionError::Invalid(format!("state header: {e}")))?;
-        if header.version != 1 {
+        if header.version != STATE_VERSION {
             return Err(SessionError::Invalid(format!(
                 "unsupported session state version {}",
                 header.version
             )));
         }
-        // A state saved before its first cycle carries nothing to check.
-        if header.has_data || header.n_train + header.n_valid > 0 {
-            self.check_payload(header.has_data)?;
-        }
-        let mut records = None;
-        if header.has_data {
-            let tensors = ser::decode_many(&data[8 + hlen..])
-                .map_err(|e| SessionError::Invalid(format!("state payload: {e}")))?;
-            let [ti, tl, vi, vl]: [nautilus_tensor::Tensor; 4] = tensors
-                .try_into()
-                .map_err(|_| SessionError::Invalid("state payload count".into()))?;
-            let train = Dataset::new(ti, tl)
-                .map_err(|e| SessionError::Invalid(format!("state train: {e}")))?;
-            let valid = Dataset::new(vi, vl)
-                .map_err(|e| SessionError::Invalid(format!("state valid: {e}")))?;
-            if (train.len(), valid.len()) != (header.n_train, header.n_valid) {
-                return Err(SessionError::Invalid(format!(
-                    "state payload holds {}/{} train/valid records, header says {}/{}",
-                    train.len(),
-                    valid.len(),
-                    header.n_train,
-                    header.n_valid
-                )));
+        let store = &self.materializer.store;
+        for (split, n) in [("train", header.n_train), ("valid", header.n_valid)] {
+            for key in [format!("raw:{split}"), format!("labels:{split}")] {
+                if store.num_records(&key) != n {
+                    return Err(SessionError::Invalid(format!(
+                        "snapshot out of sync for '{key}': {} records vs state {n}",
+                        store.num_records(&key)
+                    )));
+                }
             }
-            records = Some((train, valid));
         }
-        self.records = records;
+        // A state saved before its first cycle carries nothing to check.
+        if header.n_train + header.n_valid > 0 {
+            let chunks = store.chunk_plan("raw:train")?.chunks;
+            self.check_payload(chunks.iter().all(|c| c.path.is_some()))?;
+        }
         self.cycle = header.cycle;
         self.n_train = header.n_train;
         self.n_valid = header.n_valid;
@@ -914,6 +927,7 @@ impl ModelSelection {
             // Re-plan under the persisted (backoff-grown) r.
             self.max_records = header.max_records;
             self.replan()?;
+            self.save_plan_checkpoints()?;
         }
         // Feature-store consistency: every materialized key of both splits
         // must already hold exactly the snapshot's records.
@@ -997,10 +1011,6 @@ impl ModelSelection {
             .map_err(|e| SessionError::Invalid(e.to_string()))?;
         Ok((ci, g, quant))
     }
-
-    fn raw_record_bytes(&self) -> u64 {
-        input_shape(&self.candidates[0]).num_bytes() as u64
-    }
 }
 
 /// Maps the trained plan graph's parameters back onto candidate `ci`'s own
@@ -1046,27 +1056,17 @@ fn end_phase(backend: &mut Backend, t0: Instant, clock0: f64) -> f64 {
     backend.elapsed_secs() - clock0
 }
 
-/// Writes one checkpoint per graph to `ckpt-{tag}-{i}.bin` under `workdir`
-/// through the backend, as object `ckpt:{tag}:{i}`.
-fn save_checkpoints<'a>(
-    backend: &mut Backend,
-    workdir: &std::path::Path,
-    tag: &str,
-    graphs: impl Iterator<Item = &'a ModelGraph>,
-) -> Result<(), SessionError> {
-    for (i, graph) in graphs.enumerate() {
-        let path = workdir.join(format!("ckpt-{tag}-{i}.bin"));
-        backend.write(&format!("ckpt:{tag}:{i}"), checkpoint_bytes(graph, false), || {
-            nautilus_dnn::checkpoint::save(graph, &path)
-                .map(drop)
-                .map_err(|e| SessionError::Invalid(format!("checkpoint: {e}")))
-        })?;
-    }
-    Ok(())
-}
-
 /// The shape of a candidate's (single) raw input.
 fn input_shape(candidate: &CandidateModel) -> &Shape {
     let g = &candidate.graph;
     g.shape(g.input_ids()[0])
+}
+
+/// Per-record shapes of a candidate's inputs and labels: a label per
+/// output row, i.e. the output's shape without its class dimension
+/// (`[seq]` for token tagging, `[]` for classification).
+fn record_shapes(candidate: &CandidateModel) -> (Vec<usize>, Vec<usize>) {
+    let g = &candidate.graph;
+    let out = &g.shape(g.outputs()[0]).0;
+    (input_shape(candidate).0.clone(), out[..out.len().saturating_sub(1)].to_vec())
 }

@@ -8,18 +8,21 @@
 //! which makes fused training step-for-step identical to training each
 //! member alone — the property the accuracy-equivalence tests pin down.
 //!
-//! Every cycle retrains from the initial checkpoints (the paper's
+//! Every cycle retrains from the unit's start checkpoint (the paper's
 //! `g(M, φ, D_k)` trains the candidate from its adapted initial state on
-//! the full current snapshot).
+//! the full current snapshot). Everything a unit reads — that checkpoint,
+//! the snapshot's inputs and labels, materialized features — comes from
+//! the feature store, which accounts every read on both backends.
 
 use crate::backend::Backend;
 use crate::fusion::TrainUnit;
 use crate::multimodel::MultiModelGraph;
 use crate::plan::{ExecutablePlan, PlanFeed};
 use crate::profiler::{profile_graph, total_fwd_flops};
+use crate::session::Strategy;
 use crate::spec::CandidateModel;
 use nautilus_data::Dataset;
-use nautilus_dnn::checkpoint::checkpoint_bytes;
+use nautilus_dnn::checkpoint;
 use nautilus_dnn::exec::{backward, forward, BatchInputs};
 use nautilus_dnn::{ModelGraph, NodeId, Optimizer};
 use nautilus_store::{EpochPrefetcher, StoreError, TensorStore};
@@ -28,24 +31,14 @@ use nautilus_util::telemetry;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// The data visible to one cycle: the snapshot's record counts, plus the
-/// records themselves when the backend executes.
+/// The record counts of the snapshot one cycle trains on (the records
+/// themselves live in the feature store).
 #[derive(Debug, Clone, Copy)]
-pub struct CycleDataView<'a> {
+pub struct CycleDataView {
     /// Accumulated training records.
     pub n_train: usize,
     /// Accumulated validation records.
     pub n_valid: usize,
-    /// The accumulated `(train, valid)` records; `None` on the simulated
-    /// backend, which charges the same work without executing it.
-    pub records: Option<(&'a Dataset, &'a Dataset)>,
-}
-
-impl<'a> CycleDataView<'a> {
-    /// A view over records.
-    pub fn records(train: &'a Dataset, valid: &'a Dataset) -> Self {
-        CycleDataView { n_train: train.len(), n_valid: valid.len(), records: Some((train, valid)) }
-    }
 }
 
 /// Outcome of training one member for one cycle.
@@ -90,40 +83,77 @@ impl From<StoreError> for TrainError {
     }
 }
 
-/// Trains one unit for one cycle, evaluates every member, and hands back
-/// the trained plan graph.
+/// The store items of a labeled batch: inputs under `raw:{split}`, labels
+/// under `labels:{split}`, train split first.
+pub fn snapshot_items(train: &Dataset, valid: &Dataset) -> Vec<(String, Tensor)> {
+    [("train", train), ("valid", valid)]
+        .into_iter()
+        .flat_map(|(split, d)| {
+            [
+                (format!("raw:{split}"), d.inputs.clone()),
+                (format!("labels:{split}"), d.labels.clone()),
+            ]
+        })
+        .collect()
+}
+
+/// The store object unit `index` starts from, and the candidate whose
+/// original model it holds when it is not the unit's plan: the plan
+/// checkpoint `ckpt:plan:{index}` under the optimizer strategies, the
+/// single member's original checkpoint `ckpt:init:{candidate}` under
+/// Current Practice.
+pub fn start_checkpoint(
+    strategy: Strategy,
+    index: usize,
+    unit: &TrainUnit,
+) -> (String, Option<usize>) {
+    if strategy.runs_optimizer() {
+        (format!("ckpt:plan:{index}"), None)
+    } else {
+        (format!("ckpt:init:{}", unit.members[0]), Some(unit.members[0]))
+    }
+}
+
+/// Trains unit `index` for one cycle, evaluates every member, and hands
+/// back the trained plan graph.
 ///
-/// One loop serves both backends: it charges the session, epoch and batch
-/// overheads, the feed reads and the compute in the same order either way,
-/// and executes each step only when the cycle carries records. Per-epoch
-/// shuffling draws a permutation seeded by `(record count, epoch)` only, so
-/// every execution strategy — and every fused/solo arrangement — sees the
-/// *identical* mini-batch sequence, preserving bit-exact equivalence.
+/// One loop serves both backends: it reads the unit's start checkpoint
+/// ([`start_checkpoint`]) and every epoch's feeds through the store, and
+/// charges the session, epoch and batch overheads and the compute in the
+/// same order either way. A step executes only when the start checkpoint
+/// holds weights: on the simulated backend it and the snapshot are
+/// modeled entries, read through the ledger without data. Per-epoch
+/// shuffling draws a permutation seeded by `(record count, epoch)` only,
+/// so every execution strategy — and every fused/solo arrangement — sees
+/// the *identical* mini-batch sequence, preserving bit-exact equivalence.
 ///
-/// With records, the returned graph holds the post-training parameters for
+/// With weights, the returned graph holds the post-training parameters for
 /// every member in the unit (the session maps them back to per-candidate
-/// models for export/serving). Without them nothing is trained, so the
-/// graph, accuracies and losses are `None`.
+/// models for export/serving, and checkpoints it). Without them nothing is
+/// trained, so the graph, accuracies and losses are `None`.
 #[allow(clippy::too_many_arguments)]
 pub fn train_unit(
     multi: &MultiModelGraph,
     plan: &ExecutablePlan,
     unit: &TrainUnit,
+    index: usize,
     candidates: &[CandidateModel],
-    data: &CycleDataView<'_>,
+    data: &CycleDataView,
     store: &TensorStore,
     backend: &mut Backend,
-    full_checkpoints: bool,
+    strategy: Strategy,
     shuffle: bool,
 ) -> Result<(Vec<MemberResult>, Option<ModelGraph>), TrainError> {
     let _sp = telemetry::span("train", "train.unit");
     backend.charge_session_overhead();
 
-    // Initial checkpoint read: the whole plan (frozen shared parameters are
+    // The start checkpoint: the whole plan (frozen shared parameters are
     // read once per unit; Current Practice units are singletons, so this is
     // exactly one full model read there).
-    let init_ckpt = checkpoint_bytes(&plan.graph, false);
-    backend.charge_read(&format!("ckpt:init:{}", unit.members[0]), init_ckpt);
+    let (key, original) = start_checkpoint(strategy, index, unit);
+    let start = store.get_object(&key)?.map(|bytes| start_graph(multi, plan, original, &bytes));
+    let start = start.transpose()?;
+    let mut exec = start.map(|graph| Execution::new(plan, candidates, graph, data, shuffle));
 
     let (n_train, n_valid) = (data.n_train, data.n_valid);
     let batch = unit.batch_size.max(1);
@@ -150,14 +180,21 @@ pub fn train_unit(
         })
         .collect();
 
-    let mut exec = data
-        .records
-        .map(|(train, valid)| Execution::new(plan, unit, candidates, store, train, valid, shuffle))
-        .transpose()?;
+    // Every epoch reads the feeds and the labels, streamed from the store
+    // through the epoch prefetcher: generation e+1 (and, during the last
+    // epoch, the validation split) is read and decoded on I/O threads while
+    // epoch e computes, with all accounting on this thread in the
+    // synchronous order.
+    let mut reads = EpochPrefetcher::new(
+        store,
+        &feed_keys(plan, "train"),
+        &feed_keys(plan, "valid"),
+        unit.epochs,
+    )?;
     for epoch in 0..unit.epochs {
         let _sp_epoch = telemetry::span("train", "train.epoch");
         backend.charge_epoch_overhead();
-        charge_feed_reads(multi, plan, "train", n_train, backend);
+        let feeds = reads.epoch(epoch)?;
         let active: Vec<bool> = unit.member_epochs.iter().map(|&e| epoch < e).collect();
         let active_sum = |per_member: &[f64]| -> f64 {
             per_member.iter().zip(&active).filter(|(_, &a)| a).map(|(&x, _)| x).sum()
@@ -165,7 +202,7 @@ pub fn train_unit(
         let (active_extra, active_updates) =
             (active_sum(&member_extras), active_sum(&member_update_flops));
         if let Some(exec) = &mut exec {
-            exec.begin_epoch(epoch)?;
+            exec.begin_epoch(epoch, feeds)?;
         }
         for b in 0..batches_per_epoch {
             let _sp_step = telemetry::span("train", "train.step");
@@ -183,9 +220,9 @@ pub fn train_unit(
     }
 
     // Validation: one forward pass over the valid split (member heads are
-    // shared in the fused graph, so it is one pass total), its features
+    // shared in the fused graph, so it is one pass total), its feeds
     // prefetched alongside the last training epoch.
-    charge_feed_reads(multi, plan, "valid", n_valid, backend);
+    let feeds = reads.valid()?;
     let mut results: Vec<MemberResult> = unit
         .members
         .iter()
@@ -197,34 +234,62 @@ pub fn train_unit(
         })
         .collect();
     let t0 = Instant::now();
-    let trained = exec.map(|exec| exec.finish(&mut results, &unit.member_epochs)).transpose()?;
+    let trained =
+        exec.map(|exec| exec.finish(feeds, &mut results, &unit.member_epochs)).transpose()?;
     backend.charge_compute(fwd_flops_per_record * n_valid as f64, Some(t0.elapsed().as_secs_f64()));
-
-    // Trained-model checkpoint write: full models under Current Practice,
-    // pruned (trainable-only) plans under Nautilus.
-    let out_ckpt = checkpoint_bytes(&plan.graph, !full_checkpoints);
-    let out_key = format!("ckpt:out:{}", unit.members[0]);
-    backend.write(&out_key, out_ckpt, || Ok::<_, TrainError>(()))?;
-
     Ok((results, trained))
 }
 
-/// The executed side of one unit's training, present only when the cycle
-/// carries records: fresh parameters (every cycle retrains from the initial
-/// checkpoints), one optimizer per member, the feature prefetcher, and the
-/// current epoch's feeds, record order and per-member losses.
+/// Decodes a unit's start weights: a plan checkpoint is the plan graph
+/// itself; an original checkpoint (`original` candidate's whole model) is
+/// mapped onto the plan's nodes through the merged graph.
+fn start_graph(
+    multi: &MultiModelGraph,
+    plan: &ExecutablePlan,
+    original: Option<usize>,
+    bytes: &[u8],
+) -> Result<ModelGraph, TrainError> {
+    let bad = |e: String| TrainError::Data(format!("start checkpoint: {e}"));
+    let mut ckpt = checkpoint::load_from_bytes(bytes).map_err(|e| bad(e.to_string()))?;
+    let graph = match original {
+        None => ckpt,
+        Some(ci) => {
+            let mut graph = plan.graph.clone();
+            for id in graph.ids().collect::<Vec<_>>() {
+                graph.node_mut(id).params.clear();
+            }
+            for (i, m) in multi.mappings[ci].node_to_merged.iter().enumerate() {
+                if let Some(&p) = plan.merged_to_plan.get(m) {
+                    graph.node_mut(p).params = std::mem::take(&mut ckpt.node_mut(NodeId(i)).params);
+                }
+            }
+            graph
+        }
+    };
+    let fits = graph.len() == plan.graph.len()
+        && graph.nodes().iter().zip(plan.graph.nodes()).all(|(x, y)| {
+            x.param_shapes == y.param_shapes && x.params.len() == y.param_shapes.len()
+        });
+    if !fits {
+        return Err(bad("weights do not fit the unit's plan".into()));
+    }
+    Ok(graph)
+}
+
+/// The executed side of one unit's training, present only when the unit's
+/// start checkpoint holds weights: the parameters it starts from, one
+/// optimizer per member, and the current epoch's feeds, record order and
+/// per-member losses.
 struct Execution<'a> {
     plan: &'a ExecutablePlan,
     candidates: &'a [CandidateModel],
-    train: &'a Dataset,
-    valid: &'a Dataset,
+    data: CycleDataView,
     shuffle: bool,
     graph: ModelGraph,
     optimizers: Vec<Optimizer>,
-    prefetcher: EpochPrefetcher<'a>,
-    train_targets: Vec<i64>,
+    feeds: Feeds,
+    targets: Vec<i64>,
     targets_per_record: usize,
-    feeds: Vec<(NodeId, Tensor)>,
     order: Vec<usize>,
     /// Summed training loss per epoch, per member.
     epoch_loss: Vec<Vec<f32>>,
@@ -233,52 +298,36 @@ struct Execution<'a> {
 impl<'a> Execution<'a> {
     fn new(
         plan: &'a ExecutablePlan,
-        unit: &TrainUnit,
         candidates: &'a [CandidateModel],
-        store: &'a TensorStore,
-        train: &'a Dataset,
-        valid: &'a Dataset,
+        graph: ModelGraph,
+        data: &CycleDataView,
         shuffle: bool,
-    ) -> Result<Self, TrainError> {
-        let train_targets = train.targets();
-        // Materialized feeds stream from the store through the epoch
-        // prefetcher: generation e+1 (and, during the last epoch, the
-        // validation split) is read and decoded on I/O threads while epoch
-        // e computes. The prefetcher keeps all accounting on this thread in
-        // the synchronous order, so results and IO counters are
-        // bit-identical to synchronous reads.
-        let prefetcher = EpochPrefetcher::new(
-            store,
-            &mat_feed_keys(plan, "train"),
-            &mat_feed_keys(plan, "valid"),
-            unit.epochs,
-        )?;
-        Ok(Execution {
+    ) -> Self {
+        Execution {
             plan,
             candidates,
-            train,
-            valid,
+            data: *data,
             shuffle,
-            graph: plan.graph.clone(),
+            graph,
             optimizers: plan
                 .member_trainables
                 .iter()
                 .map(|(mi, nodes)| candidates[*mi].hyper.optimizer.build(nodes))
                 .collect(),
-            prefetcher,
-            targets_per_record: train_targets.len().checked_div(train.len()).unwrap_or(0),
-            train_targets,
             feeds: Vec::new(),
+            targets: Vec::new(),
+            targets_per_record: 0,
             order: Vec::new(),
             epoch_loss: Vec::new(),
-        })
+        }
     }
 
-    /// Takes epoch `epoch`'s feeds from the prefetcher and draws its record
-    /// order.
-    fn begin_epoch(&mut self, epoch: usize) -> Result<(), TrainError> {
-        self.feeds = assemble_feeds(self.plan, self.prefetcher.epoch(epoch)?, "train", self.train)?;
-        let n = self.train.len();
+    /// Takes epoch `epoch`'s feeds and labels from the store and draws its
+    /// record order.
+    fn begin_epoch(&mut self, epoch: usize, tensors: Vec<Tensor>) -> Result<(), TrainError> {
+        let n = self.data.n_train;
+        (self.feeds, self.targets) = assemble_feeds(self.plan, tensors, "train", n)?;
+        self.targets_per_record = self.targets.len().checked_div(n).unwrap_or(0);
         self.order = (0..n).collect();
         if self.shuffle {
             use nautilus_util::rng::SliceRandom;
@@ -304,7 +353,7 @@ impl<'a> Execution<'a> {
         let per = self.targets_per_record;
         let batch_targets: Vec<i64> = idx
             .iter()
-            .flat_map(|&r| self.train_targets[r * per..(r + 1) * per].iter().copied())
+            .flat_map(|&r| self.targets[r * per..(r + 1) * per].iter().copied())
             .collect();
         let epoch_loss = self.epoch_loss.last_mut().expect("begin_epoch ran");
         let mut out_grads: HashMap<NodeId, Tensor> = HashMap::new();
@@ -327,23 +376,24 @@ impl<'a> Execution<'a> {
         Ok(())
     }
 
-    /// Evaluates every member on the validation split, filling its accuracy
-    /// and its last active epoch's mean training loss into `results`, and
-    /// returns the trained graph.
+    /// Evaluates every member on the validation split's feeds and labels,
+    /// filling its accuracy and its last active epoch's mean training loss
+    /// into `results`, and returns the trained graph.
     fn finish(
-        mut self,
+        self,
+        tensors: Vec<Tensor>,
         results: &mut [MemberResult],
         member_epochs: &[usize],
     ) -> Result<ModelGraph, TrainError> {
-        let feeds = assemble_feeds(self.plan, self.prefetcher.valid()?, "valid", self.valid)?;
-        let valid_targets = self.valid.targets();
+        let (feeds, valid_targets) =
+            assemble_feeds(self.plan, tensors, "valid", self.data.n_valid)?;
         let mut inputs = BatchInputs::new();
         for (node, tensor) in feeds {
             inputs.insert(node, tensor);
         }
         let fwd =
             forward(&self.graph, &inputs, false).map_err(|err| TrainError::Exec(err.to_string()))?;
-        let n_train = self.train.len().max(1) as f32;
+        let n_train = self.data.n_train.max(1) as f32;
         for (k, (mi, out_node)) in self.plan.member_outputs.iter().enumerate() {
             let acc = self.candidates[*mi]
                 .task
@@ -357,74 +407,48 @@ impl<'a> Execution<'a> {
     }
 }
 
-/// Modeled per-epoch data reads: every feed key (raw data / materialized
-/// features) is read in full through the simulated device's page-cache
-/// model (a no-op on the real backend, whose store counts its own reads).
-fn charge_feed_reads(
-    multi: &MultiModelGraph,
-    plan: &ExecutablePlan,
-    split: &str,
-    records: usize,
-    backend: &mut Backend,
-) {
-    for feed in &plan.feeds {
-        match feed {
-            PlanFeed::Raw { merged, .. } => {
-                let bytes = multi.node(*merged).profile.out_bytes * records as u64;
-                backend.charge_read(&format!("raw:{split}"), bytes);
-            }
-            PlanFeed::Materialized { merged, key, .. } => {
-                let bytes = multi.node(*merged).profile.out_bytes * records as u64;
-                backend.charge_read(&format!("{key}:{split}"), bytes);
-            }
-        }
-    }
+/// Store keys a plan reads per split, in feed order: `raw:{split}` for the
+/// raw input, `{key}:{split}` for each materialized feature, then
+/// `labels:{split}`.
+fn feed_keys(plan: &ExecutablePlan, split: &str) -> Vec<String> {
+    let feeds = plan.feeds.iter().map(|feed| match feed {
+        PlanFeed::Raw { .. } => format!("raw:{split}"),
+        PlanFeed::Materialized { key, .. } => format!("{key}:{split}"),
+    });
+    feeds.chain([format!("labels:{split}")]).collect()
 }
 
-/// Store keys for the plan's materialized feeds, in feed order.
-fn mat_feed_keys(plan: &ExecutablePlan, split: &str) -> Vec<String> {
-    plan.feeds
-        .iter()
-        .filter_map(|feed| match feed {
-            PlanFeed::Raw { .. } => None,
-            PlanFeed::Materialized { key, .. } => Some(format!("{key}:{split}")),
-        })
-        .collect()
-}
+/// A plan's input nodes with the tensors fed to them.
+type Feeds = Vec<(NodeId, Tensor)>;
 
-/// Real per-epoch data feeds: raw feeds slice the in-memory dataset,
-/// materialized feeds take the tensors produced for this generation by the
-/// [`EpochPrefetcher`] (chunk-granular store reads, one tensor per
-/// materialized feed in feed order).
+/// Pairs one split's tensors (in [`feed_keys`] order) with the plan's
+/// input nodes, and turns its labels into integer targets; every tensor
+/// must hold the split's `records`.
 fn assemble_feeds(
     plan: &ExecutablePlan,
-    mats: Vec<Tensor>,
+    mut tensors: Vec<Tensor>,
     split: &str,
-    data: &Dataset,
-) -> Result<Vec<(NodeId, Tensor)>, TrainError> {
-    let mut mats = mats.into_iter();
-    let mut feeds = Vec::with_capacity(plan.feeds.len());
-    for feed in &plan.feeds {
-        match feed {
-            PlanFeed::Raw { plan_node, .. } => {
-                feeds.push((*plan_node, data.inputs.clone()));
-            }
-            PlanFeed::Materialized { plan_node, key, .. } => {
-                let tensor = mats.next().ok_or_else(|| {
-                    TrainError::Data(format!("missing prefetched feed '{key}:{split}'"))
-                })?;
-                if tensor.shape().dim(0) != data.len() {
-                    return Err(TrainError::Data(format!(
-                        "feature '{key}:{split}' has {} records, dataset has {}",
-                        tensor.shape().dim(0),
-                        data.len()
-                    )));
-                }
-                feeds.push((*plan_node, tensor));
-            }
-        }
+    records: usize,
+) -> Result<(Feeds, Vec<i64>), TrainError> {
+    if tensors.len() != plan.feeds.len() + 1 {
+        return Err(TrainError::Data(format!(
+            "{} {split} feeds read for {} plan inputs and the labels",
+            tensors.len(),
+            plan.feeds.len()
+        )));
     }
-    Ok(feeds)
+    if let Some(t) = tensors.iter().find(|t| t.shape().dim(0) != records) {
+        return Err(TrainError::Data(format!(
+            "a {split} feed holds {} records, the snapshot {records}",
+            t.shape().dim(0)
+        )));
+    }
+    let labels = tensors.pop().expect("labels read last");
+    let targets = labels.data().iter().map(|&x| x as i64).collect();
+    let nodes = plan.feeds.iter().map(|feed| match feed {
+        PlanFeed::Raw { plan_node, .. } | PlanFeed::Materialized { plan_node, .. } => *plan_node,
+    });
+    Ok((nodes.zip(tensors).collect(), targets))
 }
 
 fn gather_records(t: &Tensor, indices: &[usize]) -> Tensor {
@@ -447,7 +471,7 @@ mod tests {
     use nautilus_dnn::{OptimizerSpec, TaskKind};
     use nautilus_models::bert::{feature_transfer_model, BertConfig, FeatureStrategy};
     use nautilus_models::BuildScale;
-    use nautilus_store::SharedIoStats;
+    use nautilus_store::{Object, SharedIoStats};
     use std::collections::BTreeSet;
 
     fn candidate(lr: f32) -> CandidateModel {
@@ -483,46 +507,54 @@ mod tests {
         TensorStore::open(p, io).unwrap()
     }
 
+    /// A store holding the `(train, valid)` snapshot, and its counts.
+    fn snapshot(tag: &str, train: &Dataset, valid: &Dataset) -> (TensorStore, CycleDataView) {
+        let mut store = temp_store(tag, SharedIoStats::new());
+        store.append_many(&snapshot_items(train, valid)).unwrap();
+        (store, CycleDataView { n_train: train.len(), n_valid: valid.len() })
+    }
+
+    /// Checkpoints `plan` as unit 0's plan and trains the unit from it on
+    /// the real backend.
+    fn run_unit(
+        multi: &MultiModelGraph,
+        cands: &[CandidateModel],
+        unit: &TrainUnit,
+        store: &mut TensorStore,
+        data: &CycleDataView,
+        shuffle: bool,
+    ) -> (Vec<MemberResult>, Option<ModelGraph>, Backend) {
+        let plan = ExecutablePlan::build(multi, cands, unit).unwrap();
+        let bytes = checkpoint::save_to_bytes(&plan.graph);
+        store.put_objects(vec![("ckpt:plan:0".into(), Object::Bytes(bytes))]).unwrap();
+        let cfg = SystemConfig::tiny();
+        let mut backend = Backend::new(BackendKind::Real, cfg.hardware, SharedIoStats::new());
+        let (r, trained) = train_unit(
+            multi, &plan, unit, 0, cands, data, store, &mut backend, Strategy::Nautilus, shuffle,
+        )
+        .unwrap();
+        (r, trained, backend)
+    }
+
     #[test]
     fn fused_training_equals_solo_training() {
         let cfg = SystemConfig::tiny();
         let cands = vec![candidate(0.3), candidate(0.1)];
         let multi = MultiModelGraph::build(&cands);
-        let train = token_dataset(12, 1);
-        let valid = token_dataset(6, 2);
-        let data = CycleDataView::records(&train, &valid);
-        let io = SharedIoStats::new();
-        let store = temp_store("equiv", io.clone());
+        let (mut store, data) = snapshot("equiv", &token_dataset(12, 1), &token_dataset(6, 2));
 
         // Solo units.
         let solo_units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false);
         let mut solo_acc = Vec::new();
         for unit in &solo_units {
-            let plan = ExecutablePlan::build(&multi, &cands, unit).unwrap();
-            let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-            let (r, _) =
-                train_unit(&multi, &plan, unit, &cands, &data, &store, &mut backend, true, false)
-                    .unwrap();
+            let (r, _, _) = run_unit(&multi, &cands, unit, &mut store, &data, false);
             solo_acc.push((r[0].candidate, r[0].accuracy.unwrap(), r[0].train_loss.unwrap()));
         }
 
         // Fused unit.
         let fused_units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, true);
         assert_eq!(fused_units.len(), 1);
-        let plan = ExecutablePlan::build(&multi, &cands, &fused_units[0]).unwrap();
-        let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-        let (fused, _) = train_unit(
-            &multi,
-            &plan,
-            &fused_units[0],
-            &cands,
-            &data,
-            &store,
-            &mut backend,
-            false,
-            false,
-        )
-        .unwrap();
+        let (fused, _, _) = run_unit(&multi, &cands, &fused_units[0], &mut store, &data, false);
 
         for r in &fused {
             let (_, sa, sl) =
@@ -545,40 +577,19 @@ mod tests {
         b.name = "long".into();
         let cands = vec![a, b];
         let multi = MultiModelGraph::build(&cands);
-        let train = token_dataset(12, 5);
-        let valid = token_dataset(6, 6);
-        let data = CycleDataView::records(&train, &valid);
-        let io = SharedIoStats::new();
-        let store = temp_store("mixed", io.clone());
+        let (mut store, data) = snapshot("mixed", &token_dataset(12, 5), &token_dataset(6, 6));
 
         let solo_units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false);
         let mut solo = Vec::new();
         for unit in &solo_units {
-            let plan = ExecutablePlan::build(&multi, &cands, unit).unwrap();
-            let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-            let (r, _) =
-                train_unit(&multi, &plan, unit, &cands, &data, &store, &mut backend, true, false)
-                    .unwrap();
+            let (r, _, _) = run_unit(&multi, &cands, unit, &mut store, &data, false);
             solo.push((r[0].candidate, r[0].accuracy.unwrap(), r[0].train_loss.unwrap()));
         }
 
         let fused_units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, true);
         assert_eq!(fused_units.len(), 1, "2- and 4-epoch members must fuse");
         assert_eq!(fused_units[0].member_epochs, vec![2, 4]);
-        let plan = ExecutablePlan::build(&multi, &cands, &fused_units[0]).unwrap();
-        let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io);
-        let (fused, _) = train_unit(
-            &multi,
-            &plan,
-            &fused_units[0],
-            &cands,
-            &data,
-            &store,
-            &mut backend,
-            false,
-            false,
-        )
-        .unwrap();
+        let (fused, _, _) = run_unit(&multi, &cands, &fused_units[0], &mut store, &data, false);
         for r in &fused {
             let (_, sa, sl) =
                 solo.iter().find(|(c, _, _)| *c == r.candidate).copied().unwrap();
@@ -595,17 +606,9 @@ mod tests {
         c.hyper.epochs = 12;
         let cands = vec![c];
         let multi = MultiModelGraph::build(&cands);
-        let train = token_dataset(64, 3);
-        let valid = token_dataset(16, 4);
-        let data = CycleDataView::records(&train, &valid);
-        let io = SharedIoStats::new();
-        let store = temp_store("learn", io.clone());
+        let (mut store, data) = snapshot("learn", &token_dataset(64, 3), &token_dataset(16, 4));
         let units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false);
-        let plan = ExecutablePlan::build(&multi, &cands, &units[0]).unwrap();
-        let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io);
-        let (r, _) =
-            train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, true, false)
-                .unwrap();
+        let (r, _, backend) = run_unit(&multi, &cands, &units[0], &mut store, &data, false);
         // Token labels are a deterministic function of the token: the model
         // must beat the 1/5 chance rate comfortably.
         assert!(r[0].accuracy.unwrap() > 0.4, "accuracy {:?}", r[0].accuracy);
@@ -617,22 +620,14 @@ mod tests {
         let cfg = SystemConfig::tiny();
         let cands = vec![candidate(0.3), candidate(0.1)];
         let multi = MultiModelGraph::build(&cands);
-        let train = token_dataset(13, 7); // ragged final batch on purpose
-        let valid = token_dataset(6, 8);
-        let data = CycleDataView::records(&train, &valid);
-        let io = SharedIoStats::new();
-        let store = temp_store("shuffle", io.clone());
+        // A ragged final batch on purpose.
+        let (mut store, data) = snapshot("shuffle", &token_dataset(13, 7), &token_dataset(6, 8));
 
-        let run = |fuse: bool, shuffle: bool| -> Vec<(usize, f32, f32)> {
+        let mut run = |fuse: bool, shuffle: bool| -> Vec<(usize, f32, f32)> {
             let units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, fuse);
             let mut out = Vec::new();
             for unit in &units {
-                let plan = ExecutablePlan::build(&multi, &cands, unit).unwrap();
-                let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
-                let (r, _) = train_unit(
-                    &multi, &plan, unit, &cands, &data, &store, &mut backend, true, shuffle,
-                )
-                .unwrap();
+                let (r, _, _) = run_unit(&multi, &cands, unit, &mut store, &data, shuffle);
                 for m in r {
                     out.push((m.candidate, m.accuracy.unwrap(), m.train_loss.unwrap()));
                 }
@@ -658,41 +653,83 @@ mod tests {
         let cands = vec![candidate(0.1)];
         let multi = MultiModelGraph::build(&cands);
         let io = SharedIoStats::new();
-        let store = temp_store("virt", io.clone());
+        let mut store = temp_store("virt", io.clone());
         let units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false);
         let plan = ExecutablePlan::build(&multi, &cands, &units[0]).unwrap();
+        // The simulated snapshot and start checkpoint: modeled entries.
+        let (n_train, n_valid) = (100, 25);
+        let items: Vec<_> = [("train", n_train), ("valid", n_valid)]
+            .into_iter()
+            .flat_map(|(split, n)| {
+                [(format!("raw:{split}"), vec![8], n), (format!("labels:{split}"), vec![8], n)]
+            })
+            .collect();
+        let snapshot: u64 = store.append_modeled(&items).unwrap().iter().sum();
+        let ckpt = checkpoint::encoded_len(&cands[0].graph, false);
+        store.put_objects(vec![("ckpt:init:0".into(), Object::Modeled(ckpt))]).unwrap();
+        let written = io.snapshot();
+        assert_eq!(written.disk_write_bytes, snapshot + ckpt);
+
         let mut backend = Backend::new(BackendKind::Simulated, cfg.hardware, io.clone());
-        let data = CycleDataView { n_train: 100, n_valid: 25, records: None };
-        let (r, _) =
-            train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, true, false)
-                .unwrap();
+        let data = CycleDataView { n_train, n_valid };
+        let (r, trained) = train_unit(
+            &multi, &plan, &units[0], 0, &cands, &data, &store, &mut backend,
+            Strategy::CurrentPractice, false,
+        )
+        .unwrap();
         assert_eq!(r.len(), 1);
-        assert!(r[0].accuracy.is_none());
+        assert!(r[0].accuracy.is_none() && trained.is_none(), "nothing executes");
         assert!(backend.elapsed_secs() > 0.0);
         assert!(backend.total_flops() > 0.0);
+        // The start checkpoint once, the train split's inputs and labels
+        // every epoch, the valid split once; the unit writes nothing.
+        let split =
+            |s: &str| store.bytes(&format!("raw:{s}")) + store.bytes(&format!("labels:{s}"));
+        let reads = ckpt + 2 * split("train") + split("valid");
         let snap = io.snapshot();
-        assert!(snap.disk_read_bytes > 0); // raw data + checkpoint reads
-        assert!(snap.disk_write_bytes > 0); // checkpoint write
+        assert_eq!(snap.total_read_bytes(), reads);
+        assert_eq!(snap.disk_write_bytes, written.disk_write_bytes);
     }
 
     #[test]
     fn full_checkpoints_write_more_than_pruned() {
+        // The session checkpoints a trained unit full under Current
+        // Practice and trainable-only otherwise; the modeled sizes are
+        // exactly what the trained graph encodes to.
         let cfg = SystemConfig::tiny();
         let cands = vec![candidate(0.1)];
         let multi = MultiModelGraph::build(&cands);
+        let (mut store, data) = snapshot("ckpt", &token_dataset(8, 9), &token_dataset(4, 10));
         let units = fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false);
         let plan = ExecutablePlan::build(&multi, &cands, &units[0]).unwrap();
-        let data = CycleDataView { n_train: 50, n_valid: 10, records: None };
+        let (_, trained, _) = run_unit(&multi, &cands, &units[0], &mut store, &data, false);
+        let trained = trained.unwrap();
+        let sizes: Vec<u64> = [true, false]
+            .into_iter()
+            .map(|full| {
+                let bytes = checkpoint::save_to_bytes_with(&trained, !full).len() as u64;
+                assert_eq!(bytes, checkpoint::encoded_len(&plan.graph, !full));
+                bytes
+            })
+            .collect();
+        assert!(sizes[0] > sizes[1], "full {} <= pruned {}", sizes[0], sizes[1]);
+    }
 
-        let mut writes = Vec::new();
-        for full in [true, false] {
-            let io = SharedIoStats::new();
-            let store = temp_store(&format!("ckpt{full}"), io.clone());
-            let mut backend = Backend::new(BackendKind::Simulated, cfg.hardware, io.clone());
-            train_unit(&multi, &plan, &units[0], &cands, &data, &store, &mut backend, full, false)
-                .unwrap();
-            writes.push(io.snapshot().disk_write_bytes);
+    #[test]
+    fn original_checkpoint_maps_onto_the_plan_bit_for_bit() {
+        let cfg = SystemConfig::tiny();
+        let cands = vec![candidate(0.3), candidate(0.1)];
+        let multi = MultiModelGraph::build(&cands);
+        for unit in fuse_models(&multi, &cands, &BTreeSet::new(), &cfg, false) {
+            let plan = ExecutablePlan::build(&multi, &cands, &unit).unwrap();
+            let ci = unit.members[0];
+            let bytes = checkpoint::save_to_bytes(&cands[ci].graph);
+            let start = start_graph(&multi, &plan, Some(ci), &bytes).unwrap();
+            let plan_bytes = checkpoint::save_to_bytes(&plan.graph);
+            assert_eq!(checkpoint::save_to_bytes(&start), plan_bytes, "candidate {ci}");
+            // A checkpoint of another shape fails closed.
+            let pruned = checkpoint::save_to_bytes_with(&cands[ci].graph, true);
+            assert!(start_graph(&multi, &plan, Some(ci), &pruned).is_err());
         }
-        assert!(writes[0] > writes[1], "full {} <= pruned {}", writes[0], writes[1]);
     }
 }

@@ -13,6 +13,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+mod twins;
+
 fn workdir(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!(
         "nautilus-e2e-{tag}-{}-{:?}",
@@ -532,23 +534,25 @@ fn restore_rejects_a_header_that_disagrees_with_its_payload() {
 #[test]
 fn saved_state_restores_only_on_its_own_backend() {
     let pool = tiny_pool(30);
+    // A state and the workdir whose feature store holds its snapshot.
     let state = |backend: BackendKind| {
         let path = std::env::temp_dir()
             .join(format!("nautilus-kind-state-{backend:?}-{}", std::process::id()));
+        let wd = workdir(&format!("kind-{backend:?}"));
         let mut session = ModelSelection::new(
             small_candidates(),
             SystemConfig::tiny(),
             Strategy::Nautilus,
             backend,
-            workdir(&format!("kind-save-{backend:?}")),
+            &wd,
         )
         .unwrap();
         session.fit(cycle_input(&pool, 0, backend)).unwrap();
         session.save_state(&path).unwrap();
-        path
+        (path, wd)
     };
     let (real, sim) = (state(BackendKind::Real), state(BackendKind::Simulated));
-    for (path, backend, ok) in [
+    for ((path, wd), backend, ok) in [
         (&real, BackendKind::Real, true),
         (&real, BackendKind::Simulated, false),
         (&sim, BackendKind::Simulated, true),
@@ -559,18 +563,29 @@ fn saved_state_restores_only_on_its_own_backend() {
             SystemConfig::tiny(),
             Strategy::CurrentPractice,
             backend,
-            workdir(&format!("kind-restore-{backend:?}")),
+            wd,
         )
         .unwrap();
         let restored = fresh.restore_state(path);
         assert_eq!(restored.is_ok(), ok, "{path:?} on {backend:?}: {restored:?}");
     }
-    let _ = std::fs::remove_file(real);
-    let _ = std::fs::remove_file(sim);
+    // The snapshot lives in the store: a state restores nowhere else.
+    let mut elsewhere = ModelSelection::new(
+        small_candidates(),
+        SystemConfig::tiny(),
+        Strategy::CurrentPractice,
+        BackendKind::Real,
+        workdir("kind-elsewhere"),
+    )
+    .unwrap();
+    assert!(matches!(elsewhere.restore_state(&real.0), Err(SessionError::Invalid(_))));
+    let _ = std::fs::remove_file(&real.0);
+    let _ = std::fs::remove_file(&sim.0);
 }
 
 #[test]
 fn update_workload_writes_the_checkpoints_new_writes() {
+    use nautilus_dnn::checkpoint::save_to_bytes;
     let wd = workdir("evolve-ckpt");
     let mut session = ModelSelection::new(
         small_candidates(),
@@ -581,23 +596,43 @@ fn update_workload_writes_the_checkpoints_new_writes() {
     )
     .unwrap();
     session.fit(cycle_input(&tiny_pool(30), 0, BackendKind::Real)).unwrap();
-    // Clear what `new` wrote, so only the update can produce the files.
-    for entry in std::fs::read_dir(&wd).unwrap() {
-        let path = entry.unwrap().path();
-        if path.file_name().unwrap().to_string_lossy().starts_with("ckpt-") {
-            std::fs::remove_file(path).unwrap();
-        }
-    }
     let spec = WorkloadSpec { kind: WorkloadKind::Ftr2, scale: Scale::Tiny };
-    let mut new_cands = spec.candidates().unwrap();
-    new_cands.truncate(6);
-    let report = session.update_workload(new_cands).unwrap();
-    for i in 0..6 {
-        assert!(wd.join(format!("ckpt-init-{i}.bin")).exists(), "ckpt-init-{i}.bin");
-    }
+    let new_cands: Vec<_> = spec.candidates().unwrap().into_iter().skip(4).take(6).collect();
+    let before = session.stats().disk_write_bytes;
+    let report = session.update_workload(new_cands.clone()).unwrap();
     assert!(report.num_units >= 1);
-    for u in 0..report.num_units {
-        assert!(wd.join(format!("ckpt-plan-{u}.bin")).exists(), "ckpt-plan-{u}.bin");
+    // The store holds the new workload's original and plan checkpoints, and
+    // the update wrote at least their bytes.
+    let store = nautilus_store::TensorStore::open(wd.join("features"), Default::default()).unwrap();
+    let object = |key: String| store.get_object(&key).unwrap().unwrap_or_else(|| panic!("{key}"));
+    let mut expected = 0;
+    for (i, c) in new_cands.iter().enumerate() {
+        let bytes = object(format!("ckpt:init:{i}"));
+        assert!(bytes == save_to_bytes(&c.graph), "ckpt:init:{i}");
+        expected += bytes.len() as u64;
     }
+    for (u, (_, plan)) in session.units().iter().enumerate() {
+        let bytes = object(format!("ckpt:plan:{u}"));
+        assert!(bytes == save_to_bytes(&plan.graph), "ckpt:plan:{u}");
+        expected += bytes.len() as u64;
+    }
+    assert!(session.stats().disk_write_bytes - before >= expected);
     assert!(report.original_checkpoints_secs > 0.0);
+}
+
+#[test]
+fn twin_totals_hold_at_the_default_pool_width() {
+    // Units train concurrently here, so the page-cache model may see reads
+    // in another order than the simulated device: the disk/cached split can
+    // differ, the totals cannot.
+    let points = twins::STRATEGIES.map(|s| (WorkloadKind::Ftr2, s));
+    for (kind, strategy) in points.into_iter().chain([(WorkloadKind::Ftu, Strategy::Nautilus)]) {
+        let real = twins::run(kind, strategy, BackendKind::Real);
+        let sim = twins::run(kind, strategy, BackendKind::Simulated);
+        let total = |t: &twins::Twin| (t.io.0, t.io.1 + t.io.2);
+        let what = format!("{} {strategy:?}", kind.name());
+        assert_eq!(total(&real), total(&sim), "{what}: written, read bytes");
+        assert_eq!((real.units, &real.v, real.flops), (sim.units, &sim.v, sim.flops), "{what}");
+        assert_eq!(real.manifest, sim.manifest, "{what}");
+    }
 }

@@ -28,11 +28,12 @@ impl UnitExecutor for Reversed {
                 work.multi,
                 plan,
                 unit,
+                i,
                 work.candidates,
                 &work.data,
                 work.store,
                 backend,
-                work.strategy.full_checkpoints(),
+                work.strategy,
                 work.config.shuffle_each_epoch,
             )?);
         }

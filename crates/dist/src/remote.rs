@@ -20,6 +20,7 @@ use nautilus_core::backend::Backend;
 use nautilus_core::config::DistConfig;
 use nautilus_core::plan::ExecutablePlan;
 use nautilus_core::session::{CycleWork, SessionError, UnitExecutor, UnitOutcome};
+use nautilus_data::Dataset;
 use nautilus_dnn::checkpoint;
 use nautilus_store::TensorStore;
 use nautilus_util::http;
@@ -134,8 +135,10 @@ fn unit_features(
                 .chunk_plan(&key)
                 .map_err(|e| DistError::Io(format!("chunk plan {key}: {e}")))?;
             for chunk in &cp.chunks {
-                let bytes = std::fs::read(&chunk.path)
-                    .map_err(|e| DistError::Io(format!("chunk {}: {e}", chunk.path.display())))?;
+                let modeled = || DistError::Io(format!("{key} holds modeled chunks"));
+                let path = chunk.path.as_ref().ok_or_else(modeled)?;
+                let bytes = std::fs::read(path)
+                    .map_err(|e| DistError::Io(format!("chunk {}: {e}", path.display())))?;
                 out.push((key.clone(), chunk.records as u64, bytes));
             }
         }
@@ -206,9 +209,14 @@ impl UnitExecutor for RemoteUnits {
         work: &CycleWork<'_>,
         backend: &mut Backend,
     ) -> Result<Vec<UnitOutcome>, SessionError> {
-        let Some((train, valid)) = work.data.records else {
-            return Err(SessionError::Invalid("remote units need the real backend".into()));
+        // The snapshot ships with every shard, read from the store (a
+        // simulated session's modeled snapshot fails closed here).
+        let split = |s: &str| -> Result<Dataset, SessionError> {
+            let (inputs, _) = work.store.read_all(&format!("raw:{s}"))?;
+            let (labels, _) = work.store.read_all(&format!("labels:{s}"))?;
+            Dataset::new(inputs, labels).map_err(|e| SessionError::Invalid(format!("{s}: {e}")))
         };
+        let (train, valid) = (split("train")?, split("valid")?);
         let fail = |e: DistError| SessionError::Executor(Box::new(e));
         let dcfg = self.dcfg;
         let connect_timeout = Duration::from_millis(dcfg.connect_timeout_ms.max(1));
@@ -218,7 +226,7 @@ impl UnitExecutor for RemoteUnits {
         // Shard payloads: shared blocks once, per-unit feature manifests.
         let graph_blocks: Vec<Vec<u8>> =
             work.candidates.iter().map(|c| checkpoint::save_to_bytes(&c.graph)).collect();
-        let data_block = proto::encode_data_block(train, valid);
+        let data_block = proto::encode_data_block(&train, &valid);
         let shards = work
             .units
             .iter()

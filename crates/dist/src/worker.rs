@@ -11,10 +11,10 @@
 //!   worker rejects an empty candidate list or a `V` outside the
 //!   materializable nodes with `422`, rebuilds the deterministic unit list
 //!   from the shipped `(candidates, config, strategy, V)`, replays the
-//!   feature chunks into
-//!   a fresh local store (preserving the coordinator's chunk boundaries),
-//!   trains the requested unit, and answers with framed metrics + the
-//!   trained plan graph.
+//!   feature chunks into a fresh local store (preserving the coordinator's
+//!   chunk boundaries) beside the shipped snapshot and the unit's start
+//!   checkpoint, trains the requested unit, and answers with framed
+//!   metrics + the trained plan graph.
 //!
 //! The worker is stateless across requests: every shard gets a fresh
 //! `TensorStore` under `workdir/shard-<seq>`, so retried or reassigned
@@ -24,8 +24,9 @@ use crate::proto;
 use nautilus_core::backend::{Backend, BackendKind};
 use nautilus_core::multimodel::MultiModelGraph;
 use nautilus_core::session::{open_feature_store, ModelSelection};
-use nautilus_core::trainer::CycleDataView;
-use nautilus_store::SharedIoStats;
+use nautilus_core::trainer::{snapshot_items, start_checkpoint, CycleDataView};
+use nautilus_dnn::checkpoint;
+use nautilus_store::{Object, SharedIoStats};
 use nautilus_util::http::{serve, Limits, Request, Response, ServerHandle};
 use nautilus_util::json::Json;
 use nautilus_util::{eventlog, telemetry};
@@ -205,20 +206,30 @@ fn train_shard(
             format!("unit index {} out of range ({} units)", spec.unit_index, units.len()),
         ));
     };
-    store.append_many(&spec.features).map_err(|e| (500u16, format!("store append: {e}")))?;
-    store.flush_writes().map_err(|e| (500u16, format!("store flush: {e}")))?;
+    // Everything the unit reads: the features, the snapshot, and its start
+    // checkpoint, rebuilt from the shipped candidates.
+    let (key, original) = start_checkpoint(spec.strategy, spec.unit_index, unit);
+    let start_graph = original.map_or(&plan.graph, |c| &spec.candidates[c].graph);
+    let start = checkpoint::save_to_bytes(start_graph);
+    let stored = store
+        .append_many(&spec.features)
+        .and_then(|_| store.append_many(&snapshot_items(&spec.train, &spec.valid)))
+        .and_then(|_| store.put_objects(vec![(key, Object::Bytes(start))]))
+        .and_then(|_| store.flush_writes());
+    stored.map_err(|e| (500u16, format!("store: {e}")))?;
 
     let mut backend = Backend::new(BackendKind::Real, spec.config.hardware, io);
-    let data = CycleDataView::records(&spec.train, &spec.valid);
+    let data = CycleDataView { n_train: spec.train.len(), n_valid: spec.valid.len() };
     let (results, trained) = nautilus_core::trainer::train_unit(
         &multi,
         plan,
         unit,
+        spec.unit_index,
         &spec.candidates,
         &data,
         &store,
         &mut backend,
-        spec.strategy.full_checkpoints(),
+        spec.strategy,
         spec.config.shuffle_each_epoch,
     )
     .map_err(|e| (500u16, format!("train: {e}")))?;

@@ -5,8 +5,9 @@
 //! `nautilus-tensor`'s binary format. The paper's Fig 11 hinges on
 //! checkpoint traffic: Current Practice writes the *whole* model (~400–500
 //! MB for BERT) after every training run, while Nautilus's rewritten plans
-//! prune frozen parameters; [`checkpoint_bytes`] provides both estimates
-//! without serializing.
+//! prune frozen parameters ([`save_to_bytes_with`]'s `trainable_only`);
+//! [`encoded_len`] gives either checkpoint's exact size from shapes alone,
+//! so a shapes-only (simulated) model is sized as its real counterpart.
 
 use crate::graph::{ModelGraph, Node, NodeId};
 use crate::layer::LayerKind;
@@ -68,8 +69,9 @@ struct GraphHeader {
 
 json_struct!(GraphHeader { version, nodes, outputs });
 
-/// Serializes a model graph (structure + any real parameters) to bytes.
-pub fn save_to_bytes(graph: &ModelGraph) -> Vec<u8> {
+/// The header of a checkpoint of `graph`. A node's parameters are in the
+/// payload when `stored(node)` says so.
+fn header(graph: &ModelGraph, stored: impl Fn(&Node) -> bool) -> Vec<u8> {
     let header = GraphHeader {
         version: 1,
         nodes: graph
@@ -82,21 +84,49 @@ pub fn save_to_bytes(graph: &ModelGraph) -> Vec<u8> {
                 frozen: n.frozen,
                 param_sig: n.param_sig,
                 param_shapes: n.param_shapes.iter().map(|s| s.0.clone()).collect(),
-                has_data: !n.params.is_empty(),
+                has_data: stored(n),
             })
             .collect(),
         outputs: graph.outputs().iter().map(|o| o.index()).collect(),
     };
-    let header_json = json::to_vec(&header);
-    let mut buf = Vec::with_capacity(header_json.len() + 16 + graph.params_bytes());
+    json::to_vec(&header)
+}
+
+/// Serializes a model graph (structure + any real parameters) to bytes.
+pub fn save_to_bytes(graph: &ModelGraph) -> Vec<u8> {
+    save_to_bytes_with(graph, false)
+}
+
+/// Serializes a model graph; with `trainable_only`, frozen nodes keep their
+/// structure but not their parameters (Nautilus's pruned checkpoints).
+pub fn save_to_bytes_with(graph: &ModelGraph, trainable_only: bool) -> Vec<u8> {
+    let stored = |n: &Node| !(n.params.is_empty() || trainable_only && n.frozen);
+    let header_json = header(graph, stored);
+    let params = || graph.nodes().iter().filter(|n| stored(n)).flat_map(|n| &n.params);
+    let payload: usize = params().map(|p| ser::encoded_len(p.shape())).sum();
+    let mut buf = Vec::with_capacity(8 + header_json.len() + payload);
     buf.put_u64_le(header_json.len() as u64);
     buf.put_slice(&header_json);
-    for n in graph.nodes() {
-        for p in &n.params {
-            ser::encode_into(p, &mut buf);
-        }
+    for p in params() {
+        ser::encode_into(p, &mut buf);
     }
     buf
+}
+
+/// The exact length of [`save_to_bytes_with`]'s output for `graph` with
+/// every parameter in memory, computed from shapes: for a real graph it is
+/// the serialized length, and a shapes-only graph is sized as its real
+/// counterpart.
+pub fn encoded_len(graph: &ModelGraph, trainable_only: bool) -> u64 {
+    let stored = |n: &Node| !(n.param_shapes.is_empty() || trainable_only && n.frozen);
+    let params: usize = graph
+        .nodes()
+        .iter()
+        .filter(|n| stored(n))
+        .flat_map(|n| &n.param_shapes)
+        .map(ser::encoded_len)
+        .sum();
+    (8 + header(graph, stored).len() + params) as u64
 }
 
 /// Reconstructs a model graph from [`save_to_bytes`] output.
@@ -163,21 +193,6 @@ pub fn load(path: &std::path::Path) -> Result<(ModelGraph, usize), CheckpointErr
     let data = std::fs::read(path)?;
     let n = data.len();
     Ok((load_from_bytes(&data)?, n))
-}
-
-/// Estimated checkpoint size in bytes.
-///
-/// `trainable_only` models Nautilus's pruned checkpoints (frozen parameters
-/// are not re-saved); `false` models Current Practice, which re-saves the
-/// entire model. A small per-node header overhead is included.
-pub fn checkpoint_bytes(graph: &ModelGraph, trainable_only: bool) -> u64 {
-    const NODE_HEADER_OVERHEAD: u64 = 160;
-    let params = if trainable_only {
-        graph.trainable_params_bytes()
-    } else {
-        graph.params_bytes()
-    } as u64;
-    params + NODE_HEADER_OVERHEAD * graph.len() as u64
 }
 
 #[cfg(test)]
@@ -265,13 +280,28 @@ mod tests {
     }
 
     #[test]
-    fn estimate_tracks_trainable_split() {
+    fn trainable_only_checkpoints_omit_frozen_parameters() {
         let g = sample_graph();
-        let full = checkpoint_bytes(&g, false);
-        let pruned = checkpoint_bytes(&g, true);
-        assert!(full > pruned);
-        // Trainable head: (4*2 + 2) * 4 bytes.
-        assert_eq!(pruned - 160 * 3, 40);
+        let full = save_to_bytes(&g);
+        let pruned = save_to_bytes_with(&g, true);
+        for (bytes, trainable_only) in [(&full, false), (&pruned, true)] {
+            assert_eq!(encoded_len(&g, trainable_only), bytes.len() as u64);
+        }
+        // The frozen layer's (6*4 + 4) floats are the difference, payload
+        // and NTSR headers, less the one byte its header entry grows by
+        // ("false" vs "true").
+        let frozen = ser::encoded_len(&Shape::new([6, 4])) + ser::encoded_len(&Shape::new([4]));
+        assert_eq!(full.len() - pruned.len(), frozen - 1);
+        let back = load_from_bytes(&pruned).unwrap();
+        assert!(back.node(NodeId(1)).params.is_empty(), "frozen parameters pruned");
+        assert_eq!(back.node(NodeId(2)).params, g.node(NodeId(2)).params);
+        // A shapes-only copy is sized as the real graph.
+        let mut shapes_only = g.clone();
+        for id in shapes_only.ids().collect::<Vec<_>>() {
+            shapes_only.node_mut(id).params.clear();
+        }
+        assert_eq!(encoded_len(&shapes_only, false), full.len() as u64);
+        assert_eq!(encoded_len(&shapes_only, true), pruned.len() as u64);
     }
 
     #[test]

@@ -13,10 +13,6 @@
 //! previous `Arc<ModelArtifact>` keep using it untouched. Cold variants
 //! LRU-evict their delta to a [`DeltaStore`](crate::deltastore::DeltaStore)
 //! and fault back in transparently on the next [`ModelRegistry::get`].
-//!
-//! The pre-multi-tenant single-slot surface (`current`, `version`,
-//! `publish_single*`) survives as thin deprecated wrappers over the
-//! configured default tenant.
 
 use crate::deltastore::DeltaStore;
 use nautilus_core::config::ServingConfig;
@@ -388,7 +384,7 @@ impl ModelRegistry {
         })
     }
 
-    /// The tenant served by un-suffixed routes and deprecated wrappers.
+    /// The tenant served by un-suffixed routes.
     pub fn default_id(&self) -> &ModelId {
         &self.default_id
     }

@@ -1,14 +1,14 @@
 //! Shared IO counters.
 //!
-//! Every read/write done by a store (or *accounted* by the simulated
-//! backend) increments these counters; the Fig 11 experiment compares them
-//! across execution strategies. The counters also mirror into the
-//! [`nautilus_util::telemetry`] byte counters so traces carry them.
+//! Every read/write a [`crate::TensorStore`] performs or models increments
+//! these counters; the Fig 11 experiment compares them across execution
+//! strategies, and the simulated backend's clock turns them into time. The
+//! counters also mirror into the [`nautilus_util::telemetry`] byte counters
+//! so traces carry them.
 //!
-//! Both backends split reads into disk vs cache: the simulated backend
-//! through [`crate::PageCacheModel`] charges, the real backend through the
-//! same model tracking the chunk files [`crate::TensorStore`] actually
-//! touches (a stand-in for the OS page cache the paper relies on).
+//! Reads split into disk vs cache through the store's
+//! [`crate::PageCacheModel`] over the chunks it reads (a stand-in for the
+//! OS page cache the paper relies on), on both backends alike.
 
 use nautilus_util::telemetry;
 use std::sync::{Arc, Mutex};

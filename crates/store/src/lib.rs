@@ -8,14 +8,18 @@
 //! provides:
 //!
 //! * [`io`] — shared byte/operation counters ([`io::IoStats`]) threaded
-//!   through every store, the source of the Fig 11 disk-traffic numbers.
-//! * [`pagecache`] — an LRU page-cache *cost model* used by the simulated
-//!   backend: first reads charge disk throughput, cached re-reads charge
-//!   DRAM throughput. The real backend reads actual files and lets the real
-//!   OS cache do its thing.
+//!   through every store, the source of the Fig 11 disk-traffic numbers
+//!   and of the simulated clock's IO time.
+//! * [`pagecache`] — an LRU page-cache *model* the store splits every read
+//!   with: first reads count as disk bytes, cached re-reads as DRAM bytes.
+//!   The real backend reads actual files and lets the real OS cache do its
+//!   thing; the model only decides how the bytes are counted.
 //! * [`tensor_store`] — an append-only, chunked store of per-record tensors
 //!   keyed by layer, supporting incremental materialization (one chunk per
-//!   labeling cycle, §4.2.3) and full scans in record order.
+//!   labeling cycle, §4.2.3) and full scans in record order, plus opaque
+//!   byte objects (checkpoints). It is the one IO ledger: the simulated
+//!   backend records *modeled* entries of exact size in it instead of
+//!   payloads.
 //! * [`budget`] — disk budget bookkeeping for `Bdisk` enforcement.
 //! * [`prefetch`] — epoch-aware asynchronous readahead (decode chunk N+1
 //!   while the trainer consumes chunk N) and write-behind for
@@ -37,4 +41,4 @@ pub use calibrate::IoCalibration;
 pub use io::{IoStats, SharedIoStats};
 pub use pagecache::{CacheStats, PageCacheModel};
 pub use prefetch::{EpochPrefetcher, IoPolicy};
-pub use tensor_store::{ChunkPlan, ChunkRef, StoreError, TensorStore};
+pub use tensor_store::{ChunkPlan, ChunkRef, Object, StoreError, TensorStore};

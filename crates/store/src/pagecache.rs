@@ -1,16 +1,18 @@
-//! LRU page-cache cost model for the simulated backend.
+//! LRU page-cache model of the store's ledger.
 //!
 //! The paper relies on the OS disk cache to absorb repeated epoch reads of
 //! materialized features ("if there is excess DRAM available, we rely on the
-//! OS disk cache", §3). The simulated backend reproduces that behavior with
-//! an explicit model: cached objects are tracked by key with LRU eviction
-//! under a capacity; a read either *hits* (served at DRAM bandwidth) or
-//! *misses* (served at disk bandwidth and then admitted). Writes pass
-//! through to disk and admit their pages.
+//! OS disk cache", §3). [`crate::TensorStore`] accounts every chunk it reads
+//! or models through an explicit model, on both backends: cached objects
+//! are tracked by key with LRU eviction under a capacity; a read either
+//! *hits* (served at DRAM bandwidth) or *misses* (served at disk bandwidth
+//! and then admitted). Writes pass through to disk and admit their pages.
 //!
-//! Objects larger than the cache are never admitted (scan-resistant), which
-//! is what makes MAT-ALL's giant concatenated features lose to selective
-//! materialization in Fig 6 — exactly the paper's observed effect.
+//! Objects larger than the cache are never admitted (scan-resistant), and a
+//! working set larger than the cache misses on every epoch's in-order scan
+//! (LRU evicts the chunk read next), which is what makes MAT-ALL's giant
+//! concatenated features lose to selective materialization in Fig 6 —
+//! exactly the paper's observed effect.
 
 use std::collections::HashMap;
 

@@ -15,10 +15,12 @@
 //! thread, per key in feed order and per chunk in append order, exactly
 //! as the synchronous path does. Prefetched training is therefore
 //! bit-identical to synchronous training, at any thread count, including
-//! every telemetry byte counter.
+//! every telemetry byte counter. Modeled chunks (the simulated backend's)
+//! are accounted in the same order at their recorded size, and their keys
+//! yield no tensor.
 
-use crate::tensor_store::{ChunkRef, StoreError, TensorStore};
-use nautilus_tensor::{ser, Shape, Tensor};
+use crate::tensor_store::{concat_chunks, load_chunk, ChunkRef, StoreError, TensorStore};
+use nautilus_tensor::Tensor;
 use nautilus_util::{eventlog, telemetry};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -177,16 +179,7 @@ fn fetch_worker(shared: &EngineShared) {
         if delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(delay_ms));
         }
-        let result = (|| {
-            let data = {
-                let _sp = telemetry::span("store", "store.chunk_read");
-                std::fs::read(&path)?
-            };
-            let _sp = telemetry::span("store", "store.chunk_decode");
-            let t = ser::decode(&data).map_err(|e| StoreError::BadChunk(e.to_string()))?;
-            Ok((t, data.len() as u64))
-        })();
-        slot.set(result);
+        slot.set(load_chunk(&path));
     }
 }
 
@@ -200,8 +193,9 @@ struct KeyPlan {
     chunks: Vec<ChunkRef>,
 }
 
-/// Per-key, per-chunk fetch slots for one issued generation.
-type Generation = Vec<Vec<Arc<Slot>>>;
+/// Per-key, per-chunk fetch slots for one issued generation (`None` for a
+/// modeled chunk, which has nothing to fetch).
+type Generation = Vec<Vec<Option<Arc<Slot>>>>;
 
 /// Double-buffered, epoch-aware readahead over a set of store keys.
 ///
@@ -215,6 +209,9 @@ type Generation = Vec<Vec<Arc<Slot>>>;
 /// When the store's [`IoPolicy`] disables prefetching (or there is nothing
 /// to read ahead), no threads are spawned and every call falls back to the
 /// synchronous chunk-granular read path with identical results.
+///
+/// Each call returns one tensor per key that holds payloads, in key order;
+/// a key of modeled chunks is read through the ledger and yields none.
 pub struct EpochPrefetcher<'s> {
     store: &'s TensorStore,
     train: Vec<KeyPlan>,
@@ -254,20 +251,17 @@ impl<'s> EpochPrefetcher<'s> {
             keys.iter()
                 .map(|k| {
                     let p = store.chunk_plan(k)?;
-                    Ok(KeyPlan {
-                        key: k.clone(),
-                        record_shape: p.record_shape,
-                        chunks: p.chunks,
-                    })
+                    Ok(KeyPlan { key: k.clone(), record_shape: p.record_shape, chunks: p.chunks })
                 })
                 .collect()
         };
         let train = plan_for(train_keys)?;
         let valid = plan_for(valid_keys)?;
         let policy = store.io_policy();
-        let total_chunks: usize =
-            train.iter().map(|k| k.chunks.len() * epochs).sum::<usize>()
-                + valid.iter().map(|k| k.chunks.len()).sum::<usize>();
+        let payloads = |plans: &[KeyPlan]| -> usize {
+            plans.iter().flat_map(|k| &k.chunks).filter(|c| c.path.is_some()).count()
+        };
+        let total_chunks = payloads(&train) * epochs + payloads(&valid);
         let engine = (policy.prefetch && policy.io_threads > 0 && total_chunks > 0)
             .then(|| Engine::spawn(policy.io_threads));
         let mut pf = EpochPrefetcher {
@@ -306,13 +300,11 @@ impl<'s> EpochPrefetcher<'s> {
                 kp.chunks
                     .iter()
                     .map(|c| {
+                        let path = c.path.clone()?;
                         let slot = Arc::new(Slot::new());
-                        engine.submit(FetchJob {
-                            path: c.path.clone(),
-                            slot: slot.clone(),
-                            delay_ms: self.delay_ms,
-                        });
-                        slot
+                        let delay_ms = self.delay_ms;
+                        engine.submit(FetchJob { path, slot: slot.clone(), delay_ms });
+                        Some(slot)
                     })
                     .collect()
             })
@@ -324,8 +316,7 @@ impl<'s> EpochPrefetcher<'s> {
     /// each key's chunks.
     fn consume(&self, generation: Generation, train: bool) -> Result<Vec<Tensor>, StoreError> {
         let plans = if train { &self.train } else { &self.valid };
-        let ready =
-            generation.iter().all(|slots| slots.iter().all(|s| s.is_done()));
+        let ready = generation.iter().flatten().flatten().all(|s| s.is_done());
         if ready {
             telemetry::PREFETCH_HITS.add(1);
         } else {
@@ -341,11 +332,19 @@ impl<'s> EpochPrefetcher<'s> {
         for (kp, slots) in plans.iter().zip(generation) {
             let mut parts = Vec::with_capacity(slots.len());
             for (c, slot) in kp.chunks.iter().zip(slots) {
-                let (t, n) = slot.take()?;
+                let n = match slot {
+                    Some(slot) => {
+                        let (t, n) = slot.take()?;
+                        parts.push(t);
+                        n
+                    }
+                    None => c.bytes,
+                };
                 self.store.account_chunk_read(&c.cache_key, n);
-                parts.push(t);
             }
-            out.push(concat_chunks(&kp.record_shape, parts)?);
+            if parts.len() == kp.chunks.len() {
+                out.push(concat_chunks(&kp.record_shape, parts)?);
+            }
         }
         Ok(out)
     }
@@ -354,7 +353,8 @@ impl<'s> EpochPrefetcher<'s> {
     /// bytes, identical accounting order).
     fn read_sync(&self, train: bool) -> Result<Vec<Tensor>, StoreError> {
         let plans = if train { &self.train } else { &self.valid };
-        plans.iter().map(|kp| self.store.read_all(&kp.key).map(|(t, _)| t)).collect()
+        let scans = plans.iter().map(|kp| self.store.scan(&kp.key));
+        scans.filter_map(Result::transpose).collect()
     }
 
     /// Tensors for training epoch `e`, one per `train_keys` entry, in key
@@ -386,14 +386,6 @@ impl<'s> EpochPrefetcher<'s> {
             None => self.read_sync(false),
         }
     }
-}
-
-fn concat_chunks(record_shape: &[usize], parts: Vec<Tensor>) -> Result<Tensor, StoreError> {
-    if parts.is_empty() {
-        let shape = Shape::new(record_shape.to_vec()).with_batch(0);
-        return Ok(Tensor::zeros(shape));
-    }
-    Tensor::concat_outer(&parts).map_err(|e| StoreError::BadChunk(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,27 @@
-//! Append-only chunked tensor store.
+//! Append-only chunked tensor store, and the one IO ledger of a session.
 //!
 //! One store instance manages a directory; each *key* (e.g. a materialized
 //! layer, or the raw labeled dataset) holds a sequence of chunks, one per
 //! append — which in Nautilus means one per labeling cycle (§4.2.3,
 //! incremental feature materialization). Records are per-record tensors of a
 //! fixed shape; appends take batched tensors `[n, ...record]` and scans
-//! return them the same way. The manifest is the ledger of what each key
-//! holds; a *modeled* chunk (the simulated backend's) is an entry with a
-//! record count and size but no payload file.
+//! return them the same way. A key can instead hold one opaque byte
+//! *object* (a model checkpoint), replaced whole by
+//! [`TensorStore::put_objects`].
+//!
+//! The manifest is the ledger of what each key holds; a *modeled* chunk or
+//! object (the simulated backend's) is an entry with a record count and its
+//! exact encoded size but no payload file. Every write and every read, of a
+//! payload or of a modeled entry alike, goes through the store's page-cache
+//! model and its [`SharedIoStats`], so both backends count the same bytes;
+//! the simulated clock turns those counters into time.
 
 use crate::io::SharedIoStats;
 use crate::pagecache::{CacheStats, PageCacheModel};
 use crate::prefetch::{IoPolicy, WriteBehind};
 use nautilus_tensor::{ser, Shape, Tensor};
 use nautilus_util::{json, json_struct, pool, telemetry};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -100,15 +108,15 @@ struct Manifest {
 
 json_struct!(Manifest { keys });
 
-/// An on-disk store of per-record tensors grouped by key.
+/// An on-disk store of per-record tensors and byte objects grouped by key.
 ///
-/// Reads and writes go through an [`PageCacheModel`] keyed by chunk file —
-/// a stand-in for the OS page cache the paper relies on ("if there is
-/// excess DRAM available, we rely on the OS disk cache", §3) — so the
-/// shared [`SharedIoStats`] split disk vs cached bytes on the *real*
-/// backend the same way the simulated backend's charges do. The model
-/// only affects accounting, never data: every read still comes from the
-/// filesystem (where the actual OS cache does the work being modeled).
+/// Reads and writes go through an [`PageCacheModel`] keyed by chunk — a
+/// stand-in for the OS page cache the paper relies on ("if there is excess
+/// DRAM available, we rely on the OS disk cache", §3) — so the shared
+/// [`SharedIoStats`] split disk vs cached bytes the same way on both
+/// backends. The model only affects accounting, never data: every read of
+/// a payload still comes from the filesystem (where the actual OS cache
+/// does the work being modeled).
 #[derive(Debug)]
 pub struct TensorStore {
     root: PathBuf,
@@ -119,11 +127,11 @@ pub struct TensorStore {
     wb: WriteBehind,
 }
 
-/// One chunk of a key, as the prefetcher sees it.
+/// One chunk of a key, as chunk-granular readers see it.
 #[derive(Debug, Clone)]
 pub struct ChunkRef {
-    /// Absolute path of the chunk file.
-    pub path: PathBuf,
+    /// Absolute path of the chunk file; `None` for a modeled chunk.
+    pub path: Option<PathBuf>,
     /// The chunk's key in the page-cache model.
     pub cache_key: String,
     /// Records in the chunk.
@@ -141,26 +149,33 @@ pub struct ChunkPlan {
     pub chunks: Vec<ChunkRef>,
 }
 
+/// What a stored byte object holds.
+#[derive(Debug, Clone)]
+pub enum Object {
+    /// The object's bytes, written to a payload file.
+    Bytes(Vec<u8>),
+    /// Only the object's exact size: a modeled entry with no payload file.
+    Modeled(u64),
+}
+
 /// What one appended chunk carries.
 enum Chunk<'a> {
     /// Records, encoded into a payload file.
     Records(&'a Tensor),
-    /// Only a record count and a modeled size: no payload file.
+    /// An opaque byte object: its bytes, or only their size.
+    Object(&'a Object),
+    /// Only a record shape and count: no payload file. Its size is the
+    /// encoded size the records would have.
     Modeled { record_shape: &'a [usize], records: usize, bytes: u64 },
 }
 
 impl Chunk<'_> {
-    fn record_shape(&self) -> Vec<usize> {
+    /// The chunk's record shape and record count.
+    fn records(&self) -> (Vec<usize>, usize) {
         match self {
-            Chunk::Records(batch) => batch.shape().without_batch().0,
-            Chunk::Modeled { record_shape, .. } => record_shape.to_vec(),
-        }
-    }
-
-    fn records(&self) -> usize {
-        match self {
-            Chunk::Records(batch) => batch.shape().dim(0),
-            Chunk::Modeled { records, .. } => *records,
+            Chunk::Records(batch) => (batch.shape().without_batch().0, batch.shape().dim(0)),
+            Chunk::Object(_) => (Vec::new(), 0),
+            Chunk::Modeled { record_shape, records, .. } => (record_shape.to_vec(), *records),
         }
     }
 }
@@ -174,6 +189,44 @@ fn dir_for(key: &str) -> String {
         .take(40)
         .collect();
     format!("{safe}-{:016x}", h.finish())
+}
+
+/// The directory every object's file shares (an object is one file, and a
+/// directory per object would cost a `mkdir` per checkpoint).
+const OBJECTS: &str = "objects";
+
+/// The file name of a key's `index`-th chunk.
+fn chunk_file(index: usize) -> String {
+    format!("chunk-{index:06}.bin")
+}
+
+/// The page-cache key of chunk `index` of `key`: the same for a payload
+/// chunk and a modeled one.
+fn cache_key(key: &str, index: usize) -> String {
+    format!("{key}#{index}")
+}
+
+/// Reads and decodes one tensor chunk file; returns it and its size.
+pub(crate) fn load_chunk(path: &Path) -> Result<(Tensor, u64), StoreError> {
+    let data = {
+        let _sp = telemetry::span("store", "store.chunk_read");
+        std::fs::read(path)?
+    };
+    let _sp = telemetry::span("store", "store.chunk_decode");
+    let t = ser::decode(&data).map_err(|e| StoreError::BadChunk(e.to_string()))?;
+    Ok((t, data.len() as u64))
+}
+
+/// Concatenates a key's chunks in append order (`[0, ...record]` when
+/// there are none).
+pub(crate) fn concat_chunks(
+    record_shape: &[usize],
+    parts: Vec<Tensor>,
+) -> Result<Tensor, StoreError> {
+    if parts.is_empty() {
+        return Ok(Tensor::zeros(Shape::new(record_shape.to_vec()).with_batch(0)));
+    }
+    Tensor::concat_outer(&parts).map_err(|e| StoreError::BadChunk(e.to_string()))
 }
 
 impl TensorStore {
@@ -235,36 +288,32 @@ impl TensorStore {
         self.policy
     }
 
-    /// The chunk layout of `key` (for chunk-granular readers such as the
-    /// prefetcher). Barriers on pending write-behind chunks first, so the
-    /// returned paths are safe to read.
-    pub fn chunk_plan(&self, key: &str) -> Result<ChunkPlan, StoreError> {
-        self.wb.drain()?;
-        let (meta, files) = self.payload(key)?;
-        let dir = self.root.join(&meta.dir);
-        Ok(ChunkPlan {
-            record_shape: meta.record_shape.clone(),
-            chunks: meta
-                .chunks
-                .iter()
-                .zip(files)
-                .map(|(c, file)| ChunkRef {
-                    path: dir.join(file),
-                    cache_key: format!("{}/{file}", meta.dir),
-                    records: c.records,
-                    bytes: c.bytes,
-                })
-                .collect(),
-        })
+    fn meta(&self, key: &str) -> Result<&KeyMeta, StoreError> {
+        self.manifest.keys.get(key).ok_or_else(|| StoreError::MissingKey(key.to_string()))
     }
 
     /// `key`'s metadata and its chunks' payload files, in append order. A
     /// modeled chunk has no file to read, so the key fails closed.
     fn payload(&self, key: &str) -> Result<(&KeyMeta, Vec<&str>), StoreError> {
-        let meta =
-            self.manifest.keys.get(key).ok_or_else(|| StoreError::MissingKey(key.to_string()))?;
+        let meta = self.meta(key)?;
         let files = meta.chunks.iter().map(|c| c.file.as_deref()).collect::<Option<Vec<_>>>();
         Ok((meta, files.ok_or_else(|| StoreError::NoPayload(key.to_string()))?))
+    }
+
+    /// The chunk layout of `key`, modeled chunks included (for
+    /// chunk-granular readers such as the prefetcher). Barriers on pending
+    /// write-behind chunks first, so the returned paths are safe to read.
+    pub fn chunk_plan(&self, key: &str) -> Result<ChunkPlan, StoreError> {
+        self.wb.drain()?;
+        let meta = self.meta(key)?;
+        let dir = self.root.join(&meta.dir);
+        let chunks = meta.chunks.iter().enumerate().map(|(i, c)| ChunkRef {
+            path: c.file.as_ref().map(|f| dir.join(f)),
+            cache_key: cache_key(key, i),
+            records: c.records,
+            bytes: c.bytes,
+        });
+        Ok(ChunkPlan { record_shape: meta.record_shape.clone(), chunks: chunks.collect() })
     }
 
     /// Blocks until every deferred (write-behind) chunk write has landed,
@@ -314,22 +363,60 @@ impl TensorStore {
     /// append in order. A key's first chunk fixes its record shape; later
     /// chunks must match.
     pub fn append_many(&mut self, items: &[(String, Tensor)]) -> Result<Vec<u64>, StoreError> {
-        self.append_chunks(items.iter().map(|(key, batch)| (key.as_str(), Chunk::Records(batch))))
+        let sizes = self
+            .append_chunks(items.iter().map(|(key, batch)| (key.as_str(), Chunk::Records(batch))))?;
+        self.persist_manifest()?;
+        Ok(sizes)
     }
 
-    /// Records modeled chunks, one per `(key, record shape, records,
-    /// bytes)`: manifest entries of the given size with no payload file.
-    /// The store counts no IO for them (the simulated backend charges the
-    /// write to its own device model). `delete`, `num_records` and
-    /// `total_bytes` see them like any chunk; reads fail closed with
-    /// [`StoreError::NoPayload`]. Returns the bytes per item.
+    /// Records modeled chunks, one per `(key, record shape, records)`:
+    /// manifest entries with no payload file, each of the exact size
+    /// [`TensorStore::append_many`] would write for such a batch. The
+    /// ledger counts their writes like any chunk's. `delete`, `num_records`
+    /// and `total_bytes` see them like any chunk; payload reads fail closed
+    /// with [`StoreError::NoPayload`], and [`TensorStore::scan`] accounts
+    /// them without data. Returns the bytes per item.
     pub fn append_modeled(
         &mut self,
-        items: &[(String, Vec<usize>, usize, u64)],
+        items: &[(String, Vec<usize>, usize)],
     ) -> Result<Vec<u64>, StoreError> {
-        self.append_chunks(items.iter().map(|(key, record_shape, records, bytes)| {
-            (key.as_str(), Chunk::Modeled { record_shape, records: *records, bytes: *bytes })
-        }))
+        let sizes = self.append_chunks(items.iter().map(|(key, record_shape, records)| {
+            let shape = Shape::new(record_shape.clone()).with_batch(*records);
+            let bytes = ser::encoded_len(&shape) as u64;
+            (key.as_str(), Chunk::Modeled { record_shape, records: *records, bytes })
+        }))?;
+        self.persist_manifest()?;
+        Ok(sizes)
+    }
+
+    /// Stores each `(key, object)` in turn, replacing whatever the key
+    /// held, as one chunk of the same ledger: the same manifest, page-cache
+    /// model and counters. Objects are taken one at a time, so a lazy
+    /// iterator holds one encoded object at once, and the manifest is
+    /// persisted once. Returns the bytes written per object.
+    pub fn put_objects(
+        &mut self,
+        objects: impl IntoIterator<Item = (String, Object)>,
+    ) -> Result<Vec<u64>, StoreError> {
+        let mut sizes = Vec::new();
+        for (key, object) in objects {
+            self.remove_entry(&key)?;
+            let chunk = (key.as_str(), Chunk::Object(&object));
+            sizes.extend(self.append_chunks(std::iter::once(chunk))?);
+        }
+        self.persist_manifest()?;
+        Ok(sizes)
+    }
+
+    /// Reads the object under `key` through the ledger: its bytes, or `None`
+    /// for a modeled object (whose read is still accounted).
+    pub fn get_object(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
+        let (parts, _) = self.read_chunks(key, |_| true, |path| {
+            let data = std::fs::read(path)?;
+            let n = data.len() as u64;
+            Ok((data, n))
+        })?;
+        Ok(parts.and_then(|mut p| p.pop()))
     }
 
     fn append_chunks<'a>(
@@ -342,13 +429,15 @@ impl TensorStore {
         }
         let _sp = telemetry::span("store", "store.append_many");
         // Phase 1 (sequential): validate shapes, create key entries and
-        // directories, and assign each payload its chunk file path.
+        // directories, and assign each chunk its index (and each payload its
+        // file path).
         let mut pending: HashMap<&str, usize> = HashMap::new();
-        let mut paths = Vec::with_capacity(items.len());
+        let mut slots = Vec::with_capacity(items.len());
         for &(key, ref chunk) in &items {
-            let record_shape = chunk.record_shape();
+            let (record_shape, _) = chunk.records();
+            let object = matches!(chunk, Chunk::Object(_));
             let entry = self.manifest.keys.entry(key.to_string()).or_insert_with(|| KeyMeta {
-                dir: dir_for(key),
+                dir: if object { OBJECTS.to_string() } else { dir_for(key) },
                 record_shape: record_shape.clone(),
                 records: 0,
                 bytes: 0,
@@ -362,43 +451,46 @@ impl TensorStore {
                 });
             }
             let seen = pending.entry(key).or_insert(0);
-            let file = format!("chunk-{:06}.bin", entry.chunks.len() + *seen);
+            let index = entry.chunks.len() + *seen;
             *seen += 1;
-            paths.push(match chunk {
-                Chunk::Records(_) => {
+            let file = if object { format!("{}.bin", dir_for(key)) } else { chunk_file(index) };
+            let path = match chunk {
+                Chunk::Modeled { .. } | Chunk::Object(Object::Modeled(_)) => None,
+                _ => {
                     let dir = self.root.join(&entry.dir);
                     std::fs::create_dir_all(&dir)?;
-                    Some((dir.join(&file), file))
+                    Some(dir.join(&file))
                 }
-                Chunk::Modeled { .. } => None,
-            });
+            };
+            slots.push((index, file, path));
         }
         // Phase 2 (parallel): encode each payload; write it inline, or — in
-        // write-behind mode — hand the encoded bytes back for deferral so
-        // only the `fs::write` leaves the critical path. Byte counts (and
-        // therefore manifest/budget/telemetry accounting) are known
-        // synchronously either way.
+        // write-behind mode, for record chunks — hand the encoded bytes back
+        // for deferral so only the `fs::write` leaves the critical path. An
+        // object (a checkpoint) is always on disk when its put returns. Byte
+        // counts (and therefore manifest/budget/telemetry accounting) are
+        // known synchronously either way.
         let deferred = self.policy.write_behind;
         let written: Vec<Result<(u64, Option<Vec<u8>>), StoreError>> = pool::join_all(
             items
                 .iter()
-                .zip(paths.iter())
-                .map(|((_, chunk), path)| {
+                .zip(slots.iter())
+                .map(|((_, chunk), (_, _, path))| {
                     Box::new(move || {
-                        let batch = match chunk {
-                            Chunk::Records(batch) => batch,
+                        let bytes: Cow<'_, [u8]> = match chunk {
                             Chunk::Modeled { bytes, .. } => return Ok((*bytes, None)),
-                        };
-                        let (path, _) =
-                            path.as_ref().expect("phase 1 assigns every payload a file");
-                        let bytes = {
-                            let _sp = telemetry::span("store", "store.chunk_encode");
-                            ser::encode(batch)
+                            Chunk::Object(Object::Modeled(bytes)) => return Ok((*bytes, None)),
+                            Chunk::Object(Object::Bytes(bytes)) => Cow::Borrowed(bytes),
+                            Chunk::Records(batch) => {
+                                let _sp = telemetry::span("store", "store.chunk_encode");
+                                Cow::Owned(ser::encode(batch))
+                            }
                         };
                         let n = bytes.len() as u64;
-                        if deferred {
-                            return Ok((n, Some(bytes)));
+                        if deferred && matches!(chunk, Chunk::Records(_)) {
+                            return Ok((n, Some(bytes.into_owned())));
                         }
+                        let path = path.as_ref().expect("phase 1 assigns every payload a file");
                         let _sp = telemetry::span("store", "store.chunk_write");
                         std::fs::write(path, &bytes)?;
                         Ok((n, None))
@@ -408,81 +500,96 @@ impl TensorStore {
                 .collect(),
         );
         // Phase 3 (sequential): fold the chunk metadata into the manifest
-        // in input order and persist it once. Deferred chunk payloads are
-        // queued to the write-behind threads here; readers barrier on them
-        // via `chunk_plan`/`read_all`/`read_records`, and deferred write
-        // errors surface at that barrier (or at `flush_writes`). Note the
-        // manifest can momentarily name chunks whose data is still in
-        // flight — a crash in that window loses the tail of the append,
-        // which is the documented write-behind trade-off.
+        // and the ledger in input order (the caller persists the manifest).
+        // Deferred chunk payloads are queued to the write-behind threads
+        // here; readers barrier on them via `chunk_plan`/`read_all`/
+        // `read_records`/`scan`, and deferred write errors surface at that
+        // barrier (or at `flush_writes`). Note the manifest can momentarily
+        // name chunks whose data is still in flight — a crash in that window
+        // loses the tail of the append, which is the documented write-behind
+        // trade-off.
         let mut sizes = Vec::with_capacity(items.len());
-        for (((key, chunk), path), result) in items.iter().zip(paths).zip(written) {
+        for (((key, chunk), (index, file, path)), result) in items.iter().zip(slots).zip(written) {
             let (n, payload) = result?;
             let entry = self.manifest.keys.get_mut(*key).expect("entry created in phase 1");
-            let cache_key = path.as_ref().map(|(_, file)| format!("{}/{file}", entry.dir));
-            let file = path.as_ref().map(|(_, file)| file.clone());
-            entry.chunks.push(ChunkMeta { file, records: chunk.records(), bytes: n });
-            entry.records += chunk.records();
+            let file = path.as_ref().map(|_| file);
+            let (_, records) = chunk.records();
+            entry.chunks.push(ChunkMeta { file, records, bytes: n });
+            entry.records += records;
             entry.bytes += n;
-            if let Some(cache_key) = cache_key {
-                let mut cache = self.cache_lock();
-                cache.write(&cache_key, n);
-                Self::publish_cache_gauge(&cache);
-                drop(cache);
-                self.io.record_write(n);
-            }
-            if let (Some((path, _)), Some(data)) = (path, payload) {
+            let mut cache = self.cache_lock();
+            cache.write(&cache_key(key, index), n);
+            Self::publish_cache_gauge(&cache);
+            drop(cache);
+            self.io.record_write(n);
+            if let (Some(path), Some(data)) = (path, payload) {
                 self.wb.enqueue(path, data, self.policy.io_threads);
             }
             sizes.push(n);
         }
-        self.persist_manifest()?;
         Ok(sizes)
     }
 
-    /// Reads every record under `key` as one batched tensor, in append
-    /// order. Returns the tensor and the number of bytes read.
-    pub fn read_all(&self, key: &str) -> Result<(Tensor, u64), StoreError> {
-        let _sp = telemetry::span("store", "store.read_all");
-        self.wb.drain()?; // read barrier on deferred chunk writes
-        let (meta, files) = self.payload(key)?;
-        let dir = self.root.join(&meta.dir);
-        // Chunk read + decode fans out over the pool; join_all returns
-        // chunks in append order, so the concatenation is unchanged.
-        let loaded: Vec<Result<(Tensor, u64), StoreError>> = pool::join_all(
-            files
+    /// Reads the chunks of `key` that `pick` selects (by index), in append
+    /// order — payloads loaded on the pool by `load` — and accounts each
+    /// through the page-cache model in append order, modeled chunks at
+    /// their recorded size. Returns the loaded chunks, or `None` when a
+    /// modeled chunk was among them, and the bytes read.
+    fn read_chunks<T: Send>(
+        &self,
+        key: &str,
+        pick: impl Fn(usize) -> bool,
+        load: fn(&Path) -> Result<(T, u64), StoreError>,
+    ) -> Result<(Option<Vec<T>>, u64), StoreError> {
+        let mut chunks = self.chunk_plan(key)?.chunks;
+        chunks = chunks.into_iter().enumerate().filter(|(i, _)| pick(*i)).map(|(_, c)| c).collect();
+        let loaded: Vec<Result<Option<(T, u64)>, StoreError>> = pool::join_all(
+            chunks
                 .iter()
-                .map(|file| {
-                    let path = dir.join(file);
-                    Box::new(move || {
-                        let data = {
-                            let _sp = telemetry::span("store", "store.chunk_read");
-                            std::fs::read(path)?
-                        };
-                        let _sp = telemetry::span("store", "store.chunk_decode");
-                        let t = ser::decode(&data)
-                            .map_err(|e| StoreError::BadChunk(e.to_string()))?;
-                        Ok((t, data.len() as u64))
-                    })
-                        as Box<dyn FnOnce() -> Result<(Tensor, u64), StoreError> + Send + '_>
+                .map(|c| {
+                    let path = c.path.as_deref();
+                    Box::new(move || path.map(load).transpose())
+                        as Box<dyn FnOnce() -> Result<Option<(T, u64)>, StoreError> + Send + '_>
                 })
                 .collect(),
         );
-        let mut parts = Vec::with_capacity(files.len());
-        let mut total = 0u64;
-        for (file, r) in files.iter().zip(loaded) {
-            let (t, n) = r?;
-            // Account in append order (deterministic LRU traffic).
-            self.account_chunk_read(&format!("{}/{file}", meta.dir), n);
+        let (mut parts, mut total, mut modeled) = (Vec::new(), 0u64, false);
+        for (c, r) in chunks.iter().zip(loaded) {
+            let n = match r? {
+                Some((part, n)) => {
+                    parts.push(part);
+                    n
+                }
+                None => {
+                    modeled = true;
+                    c.bytes
+                }
+            };
+            self.account_chunk_read(&c.cache_key, n);
             total += n;
-            parts.push(t);
         }
-        if parts.is_empty() {
-            let shape = Shape::new(meta.record_shape.clone()).with_batch(0);
-            return Ok((Tensor::zeros(shape), 0));
-        }
-        let out = Tensor::concat_outer(&parts).map_err(|e| StoreError::BadChunk(e.to_string()))?;
-        Ok((out, total))
+        Ok(((!modeled).then_some(parts), total))
+    }
+
+    /// Reads every record under `key` through the ledger: the batched
+    /// records in append order, or `None` when the key holds modeled chunks
+    /// (whose reads are accounted all the same).
+    pub fn scan(&self, key: &str) -> Result<Option<Tensor>, StoreError> {
+        let _sp = telemetry::span("store", "store.scan");
+        let (parts, _) = self.read_chunks(key, |_| true, load_chunk)?;
+        let shape = &self.meta(key)?.record_shape;
+        parts.map(|p| concat_chunks(shape, p)).transpose()
+    }
+
+    /// Reads every record under `key` as one batched tensor, in append
+    /// order. Returns the tensor and the number of bytes read; a key of
+    /// modeled chunks fails closed before anything is read.
+    pub fn read_all(&self, key: &str) -> Result<(Tensor, u64), StoreError> {
+        let _sp = telemetry::span("store", "store.read_all");
+        let record_shape = self.payload(key)?.0.record_shape.clone();
+        let (parts, total) = self.read_chunks(key, |_| true, load_chunk)?;
+        let parts = parts.ok_or_else(|| StoreError::NoPayload(key.to_string()))?;
+        Ok((concat_chunks(&record_shape, parts)?, total))
     }
 
     /// Reads records `[start, end)` under `key`, touching only the chunks
@@ -497,62 +604,26 @@ impl TensorStore {
         end: usize,
     ) -> Result<(Tensor, u64), StoreError> {
         let _sp = telemetry::span("store", "store.read_records");
-        self.wb.drain()?; // read barrier on deferred chunk writes
-        let (meta, files) = self.payload(key)?;
+        let meta = self.payload(key)?.0;
         let end = end.min(meta.records);
         let start = start.min(end);
         let record = Shape::new(meta.record_shape.clone());
         if start == end {
             return Ok((Tensor::zeros(record.with_batch(0)), 0));
         }
-        let dir = self.root.join(&meta.dir);
-        // Collect the overlapping chunks, then read + decode + slice them
-        // on the pool; results come back in chunk order.
-        let mut offset = 0usize;
-        let mut wanted: Vec<(PathBuf, usize, usize)> = Vec::new();
-        let mut chunk_keys: Vec<String> = Vec::new();
-        for (c, file) in meta.chunks.iter().zip(files) {
-            let chunk_range = offset..offset + c.records;
-            offset += c.records;
-            if chunk_range.end <= start || chunk_range.start >= end {
-                continue;
-            }
-            let lo = start.saturating_sub(chunk_range.start);
-            let hi = (end - chunk_range.start).min(c.records);
-            wanted.push((dir.join(file), lo, hi));
-            chunk_keys.push(format!("{}/{file}", meta.dir));
-        }
-        let loaded: Vec<Result<(Tensor, u64), StoreError>> = pool::join_all(
-            wanted
-                .into_iter()
-                .map(|(path, lo, hi)| {
-                    Box::new(move || {
-                        let data = {
-                            let _sp = telemetry::span("store", "store.chunk_read");
-                            std::fs::read(path)?
-                        };
-                        let _sp = telemetry::span("store", "store.chunk_decode");
-                        let t = ser::decode(&data)
-                            .map_err(|e| StoreError::BadChunk(e.to_string()))?;
-                        let slices: Vec<Tensor> = (lo..hi).map(|i| t.outer_slice(i)).collect();
-                        let part = Tensor::stack(&slices)
-                            .map_err(|e| StoreError::BadChunk(e.to_string()))?;
-                        Ok((part, data.len() as u64))
-                    })
-                        as Box<dyn FnOnce() -> Result<(Tensor, u64), StoreError> + Send>
-                })
-                .collect(),
-        );
-        let mut parts = Vec::new();
-        let mut bytes = 0u64;
-        for (chunk_key, r) in chunk_keys.iter().zip(loaded) {
-            let (part, n) = r?;
-            self.account_chunk_read(chunk_key, n);
-            bytes += n;
-            parts.push(part);
-        }
-        let out =
-            Tensor::concat_outer(&parts).map_err(|e| StoreError::BadChunk(e.to_string()))?;
+        // Chunk i holds records [offsets[i], offsets[i + 1]).
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(meta.chunks.iter().scan(0, |n, c| {
+                *n += c.records;
+                Some(*n)
+            }))
+            .collect();
+        let pick = |i: usize| offsets[i] < end && offsets[i + 1] > start;
+        let first = offsets.iter().zip(&offsets[1..]).position(|(_, &hi)| hi > start).unwrap_or(0);
+        let (parts, bytes) = self.read_chunks(key, pick, load_chunk)?;
+        let all = concat_chunks(&meta.record_shape, parts.expect("payload checked"))?;
+        let rows: Vec<Tensor> = (start..end).map(|r| all.outer_slice(r - offsets[first])).collect();
+        let out = Tensor::stack(&rows).map_err(|e| StoreError::BadChunk(e.to_string()))?;
         Ok((out, bytes))
     }
 
@@ -586,23 +657,40 @@ impl TensorStore {
         self.manifest.keys.values().map(|m| m.bytes).sum()
     }
 
-    /// Removes a key and its data; returns the bytes freed.
-    pub fn delete(&mut self, key: &str) -> Result<u64, StoreError> {
+    /// Drops `key` from the manifest, the page-cache model and the disk,
+    /// without persisting the manifest; returns the bytes freed.
+    fn remove_entry(&mut self, key: &str) -> Result<u64, StoreError> {
         self.wb.drain()?; // never remove a directory with writes in flight
         let Some(meta) = self.manifest.keys.remove(key) else { return Ok(0) };
         {
             let mut cache = self.cache_lock();
-            for file in meta.chunks.iter().filter_map(|c| c.file.as_ref()) {
-                cache.invalidate(&format!("{}/{file}", meta.dir));
+            for i in 0..meta.chunks.len() {
+                cache.invalidate(&cache_key(key, i));
             }
             Self::publish_cache_gauge(&cache);
         }
         let dir = self.root.join(&meta.dir);
-        if dir.exists() {
+        if meta.dir == OBJECTS {
+            for file in meta.chunks.iter().filter_map(|c| c.file.as_ref()) {
+                match std::fs::remove_file(dir.join(file)) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                    _ => {}
+                }
+            }
+        } else if dir.exists() {
             std::fs::remove_dir_all(&dir)?;
         }
-        self.persist_manifest()?;
         Ok(meta.bytes)
+    }
+
+    /// Removes a key and its data; returns the bytes freed.
+    pub fn delete(&mut self, key: &str) -> Result<u64, StoreError> {
+        if !self.contains(key) {
+            return Ok(0);
+        }
+        let freed = self.remove_entry(key)?;
+        self.persist_manifest()?;
+        Ok(freed)
     }
 
     /// Removes every key; returns the bytes freed.
@@ -965,8 +1053,8 @@ mod tests {
         assert_eq!(plan.chunks.len(), 2);
         assert_eq!(plan.chunks[0].records, 3);
         assert_eq!(plan.chunks[1].records, 2);
-        assert!(plan.chunks[0].path.exists());
-        assert!(plan.chunks[0].cache_key.ends_with("chunk-000000.bin"));
+        assert!(plan.chunks[0].path.as_ref().unwrap().exists());
+        assert_eq!(plan.chunks[1].cache_key, "k#1");
         assert!(matches!(s.chunk_plan("nope"), Err(StoreError::MissingKey(_))));
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -976,23 +1064,95 @@ mod tests {
         let root = temp_root("modeled");
         let io = SharedIoStats::new();
         let mut s = TensorStore::open(&root, io.clone()).unwrap();
-        let item = |records: usize| ("m".to_string(), vec![8, 32], records, records as u64 * 1024);
-        assert_eq!(s.append_modeled(&[item(4), item(2)]).unwrap(), vec![4096, 2048]);
+        let item = |records: usize| ("m".to_string(), vec![8, 32], records);
+        // Exactly what `append_many` writes for such a batch: NTSR header
+        // (magic, version, rank, three dims) plus the f32 payload.
+        let size = |records: u64| 36 + records * 8 * 32 * 4;
+        assert_eq!(s.append_modeled(&[item(4), item(2)]).unwrap(), vec![size(4), size(2)]);
+        assert_eq!(size(4), ser::encode(&Tensor::zeros([4, 8, 32])).len() as u64);
         assert_eq!(s.num_records("m"), 6);
         assert_eq!(s.record_shape("m"), Some(Shape::new([8, 32])));
-        assert_eq!(s.total_bytes(), 6144);
-        assert_eq!(io.snapshot().disk_write_bytes, 0, "the store performed no IO");
+        assert_eq!(s.total_bytes(), size(6) + 36);
+        let written = io.snapshot().disk_write_bytes;
+        assert_eq!(written, size(6) + 36, "the ledger counts modeled writes");
         assert!(matches!(s.read_all("m"), Err(StoreError::NoPayload(_))));
         assert!(matches!(s.read_records("m", 0, 1), Err(StoreError::NoPayload(_))));
-        assert!(matches!(s.chunk_plan("m"), Err(StoreError::NoPayload(_))));
-        let wrong = ("m".to_string(), vec![8], 1, 32);
+        assert!(s.chunk_plan("m").unwrap().chunks.iter().all(|c| c.path.is_none()));
+        assert_eq!(io.snapshot().total_read_bytes(), 0, "failed reads count nothing");
+        // A scan reads the modeled chunks through the ledger, without data.
+        assert!(s.scan("m").unwrap().is_none());
+        assert_eq!(io.snapshot().cached_read_bytes, size(6) + 36);
+        let wrong = ("m".to_string(), vec![8], 1);
         assert!(matches!(s.append_modeled(&[wrong]), Err(StoreError::ShapeMismatch { .. })));
         // The manifest is the ledger: a reopened store sees the same entries.
         drop(s);
         let mut s = TensorStore::open(&root, io.clone()).unwrap();
         assert_eq!(s.num_records("m"), 6);
-        assert_eq!(s.delete("m").unwrap(), 6144, "delete frees modeled bytes");
+        assert_eq!(s.delete("m").unwrap(), size(6) + 36, "delete frees modeled bytes");
         assert_eq!(s.total_bytes(), 0);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn objects_replace_whole_and_share_the_ledger() {
+        let root = temp_root("objects");
+        let io = SharedIoStats::new();
+        let mut s = TensorStore::open(&root, io.clone()).unwrap();
+        s.set_io_policy(IoPolicy { write_behind: true, ..IoPolicy::default() });
+        let put =
+            |s: &mut TensorStore, object| s.put_objects(vec![("ckpt".into(), object)]).unwrap();
+        assert_eq!(put(&mut s, Object::Bytes(b"first".to_vec())), vec![5]);
+        assert_eq!(put(&mut s, Object::Bytes(b"second!".to_vec())), vec![7]);
+        // Write-behind defers record chunks only: the object is on disk.
+        let file = root.join(OBJECTS).join(format!("{}.bin", dir_for("ckpt")));
+        assert_eq!(std::fs::read(file).unwrap(), b"second!");
+        assert_eq!(s.bytes("ckpt"), 7, "a put replaces the object");
+        assert_eq!(s.get_object("ckpt").unwrap().as_deref(), Some(&b"second!"[..]));
+        let st = io.snapshot();
+        assert_eq!((st.disk_write_bytes, st.cached_read_bytes, st.disk_read_bytes), (12, 7, 0));
+        // A reopened store reads it cold from disk.
+        drop(s);
+        let io = SharedIoStats::new();
+        let mut s = TensorStore::open(&root, io.clone()).unwrap();
+        assert_eq!(s.get_object("ckpt").unwrap().as_deref(), Some(&b"second!"[..]));
+        assert_eq!(io.snapshot().disk_read_bytes, 7);
+        // A modeled object is the same ledger entry without a payload.
+        assert_eq!(put(&mut s, Object::Modeled(7)), vec![7]);
+        assert_eq!(s.get_object("ckpt").unwrap(), None);
+        assert_eq!(io.snapshot().cached_read_bytes, 7);
+        assert!(matches!(s.get_object("nope"), Err(StoreError::MissingKey(_))));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn modeled_and_payload_stores_keep_the_same_ledger() {
+        let mut rng = seeded_rng(3);
+        let batches = [randn([3, 4, 2], 1.0, &mut rng), randn([5, 4, 2], 1.0, &mut rng)];
+        let run = |modeled: bool| {
+            let root = temp_root(if modeled { "twin-m" } else { "twin-p" });
+            let io = SharedIoStats::new();
+            let mut s = TensorStore::open(&root, io.clone()).unwrap();
+            s.set_page_cache_bytes(200); // one 3-record chunk fits, not both
+            for b in &batches {
+                if modeled {
+                    s.append_modeled(&[("k".into(), vec![4, 2], b.shape().dim(0))]).unwrap();
+                } else {
+                    append(&mut s, "k", b);
+                }
+            }
+            let object = b"checkpoint bytes".to_vec();
+            let put = if modeled { Object::Modeled(16) } else { Object::Bytes(object) };
+            s.put_objects(vec![("o".into(), put)]).unwrap();
+            for _ in 0..2 {
+                assert_eq!(s.scan("k").unwrap().is_some(), !modeled);
+                assert_eq!(s.get_object("o").unwrap().is_some(), !modeled);
+            }
+            let manifest: Vec<_> =
+                s.keys().into_iter().map(|k| (s.num_records(&k), s.bytes(&k), k)).collect();
+            drop(s);
+            std::fs::remove_dir_all(&root).unwrap();
+            (manifest, io.snapshot())
+        };
+        assert_eq!(run(true), run(false));
     }
 }

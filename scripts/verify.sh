@@ -56,7 +56,8 @@ fi
 # a run of matching lines no more than 12 lines apart in one file (one
 # `if` or `match`). Three are expected, each commented: `LocalUnits`'
 # fan-out (the virtual clock is one timeline), the calibration probe, and
-# ingest's check that an input matches its backend.
+# where what the session stores meets its backend (an input's records, a
+# checkpoint's bytes or modeled size).
 max_backend_sites=3
 backend_sites=$(
     for f in crates/core/src/*.rs; do
@@ -73,6 +74,19 @@ n_backend_sites=$(printf '%s\n' "$backend_sites" | awk -F: 'NF > 1 {
 if [ "$n_backend_sites" -gt "$max_backend_sites" ]; then
     printf '%s\n' "$backend_sites" >&2
     echo "error: $n_backend_sites backend-kind decision sites in crates/core/src (max $max_backend_sites)" >&2
+    exit 1
+fi
+
+# Guard: the feature store is the one IO ledger. No second page-cache model
+# or IO charge may reappear in the session's crate, and only the store
+# records into the shared IO counters.
+if grep -rnE 'PageCacheModel|charge_read|charge_write' crates/core/src; then
+    echo "error: a second IO ledger in crates/core/src (the feature store accounts IO)" >&2
+    exit 1
+fi
+if grep -rnE '\brecord_(write|[a-z_]*read)\(' --include='*.rs' crates src tests benchmark/src \
+    | grep -v '^crates/store/src/'; then
+    echo "error: IO recorded outside crates/store/src (the feature store accounts IO)" >&2
     exit 1
 fi
 

@@ -46,6 +46,26 @@ fn parse_args() -> Args {
     Args { command, options }
 }
 
+/// A scratch directory for one invocation's checkpoints and feature store,
+/// unique to this process and removed when the command ends, so concurrent
+/// invocations never touch each other's files.
+struct Workdir(std::path::PathBuf);
+
+impl Workdir {
+    fn new(command: &str) -> Workdir {
+        let name = format!("nautilus-cli-{command}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir); // left by a crashed process of the same id
+        Workdir(dir)
+    }
+}
+
+impl Drop for Workdir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn parse_workload(s: &str) -> WorkloadKind {
     match s {
         "ftr1" => WorkloadKind::Ftr1,
@@ -116,10 +136,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "plan" => {
-            let workdir = std::env::temp_dir().join("nautilus-cli-plan");
-            let _ = std::fs::remove_dir_all(&workdir);
+            let workdir = Workdir::new("plan");
             let session =
-                ModelSelection::new(candidates, config, strategy, backend, &workdir)?;
+                ModelSelection::new(candidates, config, strategy, backend, &workdir.0)?;
             let init = session.init_report();
             println!(
                 "{} candidates -> {} training units, {} materialized layers, theoretical speedup {:.2}x",
@@ -160,10 +179,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "run" => {
-            let workdir = std::env::temp_dir().join("nautilus-cli-run");
-            let _ = std::fs::remove_dir_all(&workdir);
+            let workdir = Workdir::new("run");
             let mut session =
-                ModelSelection::new(candidates, config, strategy, backend, &workdir)?;
+                ModelSelection::new(candidates, config, strategy, backend, &workdir.0)?;
             let (tr, va) = spec.records_per_cycle();
             let pool = match (scale, kind) {
                 (Scale::Tiny, WorkloadKind::Ftu) => {

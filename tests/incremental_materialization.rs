@@ -55,10 +55,11 @@ fn chunked_materialization_equals_one_shot() {
     let mut backend = Backend::new(BackendKind::Real, cfg.hardware, io.clone());
     let mut inc =
         Materializer::new(TensorStore::open(workdir("chunks"), io.clone()).unwrap(), 64 << 20);
-    inc.install_v(&multi, &cands, v.clone(), &mut backend).unwrap();
+    inc.install_v(&multi, &cands, v.clone()).unwrap();
     for i in 0..3 {
         let chunk = data.range(i * 10, (i + 1) * 10);
-        inc.materialize(&multi, &cands, &v, "train", Some(&chunk), 10, &mut backend).unwrap();
+        let inputs = Some(&chunk.inputs);
+        inc.materialize(&multi, &cands, &v, "train", inputs, 10, &mut backend).unwrap();
     }
 
     // One shot: all 30 at once.
@@ -66,8 +67,9 @@ fn chunked_materialization_equals_one_shot() {
     let mut backend2 = Backend::new(BackendKind::Real, cfg.hardware, io2.clone());
     let mut oneshot =
         Materializer::new(TensorStore::open(workdir("oneshot"), io2).unwrap(), 64 << 20);
-    oneshot.install_v(&multi, &cands, v.clone(), &mut backend2).unwrap();
-    oneshot.materialize(&multi, &cands, &v, "train", Some(&data), 30, &mut backend2).unwrap();
+    oneshot.install_v(&multi, &cands, v.clone()).unwrap();
+    let inputs = Some(&data.inputs);
+    oneshot.materialize(&multi, &cands, &v, "train", inputs, 30, &mut backend2).unwrap();
 
     let (a, _) = inc.store.read_all(&format!("{key}:train")).unwrap();
     let (b, _) = oneshot.store.read_all(&format!("{key}:train")).unwrap();
