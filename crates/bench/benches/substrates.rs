@@ -370,59 +370,6 @@ fn bench_store(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn bench_prefetch(c: &mut Criterion) {
-    // Epoch scans with compute between reads: synchronous store reads vs
-    // the double-buffered prefetcher (reads + decodes on I/O threads while
-    // the "trainer" computes). scripts/verify.sh gates prefetched <= sync
-    // (min-sample, with grace) via results/BENCH_prefetch.json.
-    use nautilus_store::{EpochPrefetcher, IoPolicy};
-    use nautilus_tensor::ops::matmul;
-    use std::hint::black_box;
-
-    const EPOCHS: usize = 4;
-    let root = std::env::temp_dir().join(format!("nautilus-bench-prefetch-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut store = TensorStore::open(&root, SharedIoStats::new()).unwrap();
-    let mut rng = seeded_rng(5);
-    let keys: Vec<String> = (0..2).map(|k| format!("feat{k}")).collect();
-    for key in &keys {
-        for _chunk in 0..2 {
-            store.append_many(&[(key.clone(), randn([128, 32, 32], 1.0, &mut rng))]).unwrap();
-        }
-    }
-    // Stand-in for a training epoch's compute, sized on the order of the
-    // epoch's read+decode work so there is something to overlap with.
-    let a = randn([256, 256], 1.0, &mut rng);
-    let b_mat = randn([256, 256], 1.0, &mut rng);
-    let compute = |feeds: &[Tensor]| {
-        black_box(feeds);
-        black_box(matmul(&a, &b_mat).unwrap());
-    };
-
-    let mut group = c.benchmark_group("prefetch");
-    group.sample_size(20);
-    store.set_io_policy(IoPolicy { prefetch: false, ..IoPolicy::default() });
-    group.bench_function("epoch_scan_sync", |bch| {
-        bch.iter(|| {
-            let mut pf = EpochPrefetcher::new(&store, &keys, &[], EPOCHS).unwrap();
-            for e in 0..EPOCHS {
-                compute(&pf.epoch(e).unwrap());
-            }
-        })
-    });
-    store.set_io_policy(IoPolicy { prefetch: true, io_threads: 2, ..IoPolicy::default() });
-    group.bench_function("epoch_scan_prefetched", |bch| {
-        bch.iter(|| {
-            let mut pf = EpochPrefetcher::new(&store, &keys, &[], EPOCHS).unwrap();
-            for e in 0..EPOCHS {
-                compute(&pf.epoch(e).unwrap());
-            }
-        })
-    });
-    group.finish();
-    let _ = std::fs::remove_dir_all(&root);
-}
-
 fn bench_pagecache_ablation(c: &mut Criterion) {
     // MAT-ALL's repeated epoch reads: with a cache that fits the working
     // set vs one that thrashes (the Fig 6A mechanism), through the store's
@@ -723,7 +670,6 @@ criterion_group!(
     bench_multitenant,
     bench_block,
     bench_store,
-    bench_prefetch,
     bench_pagecache_ablation,
     bench_training_step
 );

@@ -84,56 +84,27 @@ impl Default for HardwareProfile {
     }
 }
 
-/// Feature-store I/O scheduling and calibration knobs.
+/// Feature-store I/O calibration knobs.
 ///
-/// `prefetch`/`write_behind` control the asynchronous store pipeline
-/// (epoch-aware readahead for training scans, deferred chunk writes for
-/// materialization output). Both preserve bit-exact results — only the
-/// overlap of I/O with compute changes. `calibrate` replaces the planner's
-/// static `PlannerCosts::disk_bytes_per_sec` with a startup micro-probe of
-/// the actual machine, re-blended with the observed page-cache hit curve
-/// at every re-plan.
+/// `calibrate` replaces the planner's static
+/// `PlannerCosts::disk_bytes_per_sec` with a startup micro-probe of the
+/// actual machine, re-blended with the observed page-cache hit curve at
+/// every re-plan. (Store reads and writes themselves have no knobs: each
+/// runs on the calling thread.)
 #[derive(Debug, Clone, Copy)]
 pub struct IoConfig {
-    /// Overlap feature reads with training compute (double-buffered,
-    /// epoch-aware readahead on dedicated I/O threads).
-    pub prefetch: bool,
-    /// Dedicated I/O threads per prefetcher / write-behind engine.
-    pub io_threads: usize,
-    /// Defer materialization chunk writes to I/O threads (readers barrier
-    /// on in-flight chunks).
-    pub write_behind: bool,
     /// Measure disk bandwidth at session start and feed it to MAT-OPT
     /// instead of the static planner constant.
     pub calibrate: bool,
     /// Bytes transferred per calibration measurement.
     pub calibrate_probe_bytes: u64,
-    /// Failure-injection hook: artificial delay added to every chunk fetch
-    /// on the I/O threads, milliseconds. Tests use this to prove the
-    /// trainer *blocks* on slow prefetches instead of consuming stale
-    /// buffers. Leave 0 in production.
-    pub read_delay_ms: u64,
 }
 
-json_struct!(IoConfig {
-    prefetch,
-    io_threads,
-    write_behind,
-    calibrate,
-    calibrate_probe_bytes,
-    read_delay_ms
-});
+json_struct!(IoConfig { calibrate, calibrate_probe_bytes });
 
 impl Default for IoConfig {
     fn default() -> Self {
-        IoConfig {
-            prefetch: true,
-            io_threads: 2,
-            write_behind: true,
-            calibrate: false,
-            calibrate_probe_bytes: 4 << 20,
-            read_delay_ms: 0,
-        }
+        IoConfig { calibrate: false, calibrate_probe_bytes: 4 << 20 }
     }
 }
 
@@ -379,8 +350,7 @@ pub struct SystemConfig {
     pub gemm_kernel: String,
     /// Online inference server knobs (queue bounds, micro-batching).
     pub serving: ServingConfig,
-    /// Feature-store I/O pipeline knobs (prefetch, write-behind,
-    /// calibration).
+    /// Feature-store I/O calibration knobs.
     pub io: IoConfig,
     /// Live observability knobs (`/metrics`, health watchdog SLOs,
     /// structured event log).
@@ -633,24 +603,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Overlap feature reads with training compute.
-    pub fn io_prefetch(mut self, v: bool) -> Self {
-        self.cfg.io.prefetch = v;
-        self
-    }
-
-    /// Dedicated I/O threads per prefetcher / write-behind engine.
-    pub fn io_threads(mut self, v: usize) -> Self {
-        self.cfg.io.io_threads = v;
-        self
-    }
-
-    /// Defer materialization chunk writes to I/O threads.
-    pub fn io_write_behind(mut self, v: bool) -> Self {
-        self.cfg.io.write_behind = v;
-        self
-    }
-
     /// Measure disk bandwidth at session start and feed it to MAT-OPT.
     pub fn io_calibrate(mut self, v: bool) -> Self {
         self.cfg.io.calibrate = v;
@@ -660,12 +612,6 @@ impl SystemConfigBuilder {
     /// Bytes transferred per calibration measurement.
     pub fn io_calibrate_probe_bytes(mut self, v: u64) -> Self {
         self.cfg.io.calibrate_probe_bytes = v;
-        self
-    }
-
-    /// Failure-injection: artificial per-chunk fetch delay, milliseconds.
-    pub fn io_read_delay_ms(mut self, v: u64) -> Self {
-        self.cfg.io.read_delay_ms = v;
         self
     }
 
@@ -881,27 +827,36 @@ mod tests {
     #[test]
     fn io_knobs_build_and_round_trip() {
         use nautilus_util::json::{FromJson, ToJson};
-        let cfg = SystemConfig::builder()
-            .io_prefetch(false)
-            .io_threads(5)
-            .io_write_behind(false)
-            .io_calibrate(true)
-            .io_calibrate_probe_bytes(1 << 20)
-            .io_read_delay_ms(7)
-            .build();
-        assert!(!cfg.io.prefetch);
-        assert_eq!(cfg.io.io_threads, 5);
-        assert!(!cfg.io.write_behind);
+        let cfg =
+            SystemConfig::builder().io_calibrate(true).io_calibrate_probe_bytes(1 << 20).build();
         assert!(cfg.io.calibrate);
         assert_eq!(cfg.io.calibrate_probe_bytes, 1 << 20);
-        assert_eq!(cfg.io.read_delay_ms, 7);
 
         let bytes = nautilus_util::json::to_vec(&cfg.io.to_json());
         let back = IoConfig::from_json(&nautilus_util::json::from_slice(&bytes).unwrap())
             .expect("io config round-trips through json");
-        assert!(!back.prefetch && back.calibrate);
-        assert_eq!(back.io_threads, 5);
-        assert_eq!(back.read_delay_ms, 7);
+        assert!(back.calibrate);
+        assert_eq!(back.calibrate_probe_bytes, 1 << 20);
+    }
+
+    #[test]
+    fn config_json_with_the_removed_io_pipeline_fields_still_parses() {
+        use nautilus_util::json::{FromJson, ToJson};
+        // A config saved when the store had an asynchronous pipeline carries
+        // four `io` fields that no longer exist; unknown fields are ignored.
+        let mut cfg = SystemConfig::tiny();
+        cfg.io.calibrate = true;
+        let text = String::from_utf8(nautilus_util::json::to_vec(&cfg.to_json())).unwrap();
+        let old = text.replacen(
+            "\"io\":{",
+            "\"io\":{\"prefetch\":true,\"io_threads\":2,\"write_behind\":true,\"read_delay_ms\":0,",
+            1,
+        );
+        assert_ne!(old, text, "the io object was found and extended");
+        let json = nautilus_util::json::from_slice(old.as_bytes()).unwrap();
+        let back = SystemConfig::from_json(&json).expect("a config with the removed io fields parses");
+        assert!(back.io.calibrate);
+        assert_eq!(back.io.calibrate_probe_bytes, cfg.io.calibrate_probe_bytes);
     }
 
     #[test]
@@ -951,8 +906,7 @@ mod tests {
     #[test]
     fn io_defaults_enable_async_pipeline_but_not_calibration() {
         let io = IoConfig::default();
-        assert!(io.prefetch && io.write_behind);
-        assert!(io.io_threads >= 1);
+        assert!(io.calibrate_probe_bytes > 0);
         assert!(!io.calibrate, "calibration is opt-in (it touches the disk at startup)");
     }
 

@@ -44,7 +44,7 @@ use nautilus_data::Dataset;
 use nautilus_dnn::checkpoint;
 use nautilus_dnn::graph::GraphError;
 use nautilus_dnn::{ModelGraph, NodeId};
-use nautilus_store::{IoCalibration, IoPolicy, Object, SharedIoStats, StoreError, TensorStore};
+use nautilus_store::{IoCalibration, Object, SharedIoStats, StoreError, TensorStore};
 use nautilus_tensor::Shape;
 use nautilus_util::{eventlog, telemetry};
 use std::collections::BTreeSet;
@@ -324,12 +324,6 @@ pub fn open_feature_store(
     // hardware profile declares (the simulated backend reads through its
     // own per-object model instead).
     store.set_page_cache_bytes(config.hardware.page_cache_bytes);
-    store.set_io_policy(IoPolicy {
-        prefetch: config.io.prefetch,
-        io_threads: config.io.io_threads,
-        write_behind: config.io.write_behind,
-        read_delay_ms: config.io.read_delay_ms,
-    });
     Ok(store)
 }
 
@@ -913,8 +907,7 @@ impl ModelSelection {
         }
         // A state saved before its first cycle carries nothing to check.
         if header.n_train + header.n_valid > 0 {
-            let chunks = store.chunk_plan("raw:train")?.chunks;
-            self.check_payload(chunks.iter().all(|c| c.path.is_some()))?;
+            self.check_payload(store.holds_payload("raw:train")?)?;
         }
         self.cycle = header.cycle;
         self.n_train = header.n_train;

@@ -180,11 +180,9 @@ pub fn train_unit(
         })
         .collect();
 
-    // Every epoch reads the feeds and the labels, streamed from the store
-    // through the epoch prefetcher: generation e+1 (and, during the last
-    // epoch, the validation split) is read and decoded on I/O threads while
-    // epoch e computes, with all accounting on this thread in the
-    // synchronous order.
+    // Every epoch reads the feeds and the labels from the store on this
+    // thread, key by key and chunk by chunk, through the ledger; repeat
+    // reads are page-cache hits, as in the paper (§3).
     let mut reads = EpochPrefetcher::new(
         store,
         &feed_keys(plan, "train"),
@@ -220,8 +218,7 @@ pub fn train_unit(
     }
 
     // Validation: one forward pass over the valid split (member heads are
-    // shared in the fused graph, so it is one pass total), its feeds
-    // prefetched alongside the last training epoch.
+    // shared in the fused graph, so it is one pass total).
     let feeds = reads.valid()?;
     let mut results: Vec<MemberResult> = unit
         .members

@@ -121,8 +121,8 @@ fn probe_net(workers: &[String], probe_bytes: usize, timeout: Duration) -> f64 {
 }
 
 /// Serializes the feature chunks one unit's plan loads, in store append
-/// order, as `(store key, records, encoded bytes)` manifest entries.
-/// `chunk_plan` drains pending write-behind chunks first.
+/// order, as `(store key, records, encoded bytes)` manifest entries, read
+/// through the store's ledger.
 fn unit_features(
     store: &TensorStore,
     plan: &ExecutablePlan,
@@ -131,15 +131,11 @@ fn unit_features(
     for base in plan.materialized_keys() {
         for split in ["train", "valid"] {
             let key = format!("{base}:{split}");
-            let cp = store
-                .chunk_plan(&key)
-                .map_err(|e| DistError::Io(format!("chunk plan {key}: {e}")))?;
-            for chunk in &cp.chunks {
-                let modeled = || DistError::Io(format!("{key} holds modeled chunks"));
-                let path = chunk.path.as_ref().ok_or_else(modeled)?;
-                let bytes = std::fs::read(path)
-                    .map_err(|e| DistError::Io(format!("chunk {}: {e}", path.display())))?;
-                out.push((key.clone(), chunk.records as u64, bytes));
+            let chunks = store
+                .read_encoded(&key)
+                .map_err(|e| DistError::Io(format!("features {key}: {e}")))?;
+            for (records, bytes) in chunks {
+                out.push((key.clone(), records as u64, bytes));
             }
         }
     }

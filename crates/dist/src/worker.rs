@@ -189,7 +189,7 @@ fn train_shard(
     // Bit-identity prerequisites: the same process and store settings as
     // the coordinator's session. A fresh per-shard store; replaying chunks
     // in manifest order reproduces the coordinator's chunk boundaries (and
-    // thus identical prefetch/read behavior).
+    // thus the same reads in the same order).
     let io = SharedIoStats::new();
     let dir = state.workdir.join(format!("shard-{seq}"));
     let mut store = open_feature_store(&spec.config, dir, io.clone())
@@ -214,8 +214,7 @@ fn train_shard(
     let stored = store
         .append_many(&spec.features)
         .and_then(|_| store.append_many(&snapshot_items(&spec.train, &spec.valid)))
-        .and_then(|_| store.put_objects(vec![(key, Object::Bytes(start))]))
-        .and_then(|_| store.flush_writes());
+        .and_then(|_| store.put_objects(vec![(key, Object::Bytes(start))]));
     stored.map_err(|e| (500u16, format!("store: {e}")))?;
 
     let mut backend = Backend::new(BackendKind::Real, spec.config.hardware, io);

@@ -21,10 +21,10 @@
 //!   backend records *modeled* entries of exact size in it instead of
 //!   payloads.
 //! * [`budget`] — disk budget bookkeeping for `Bdisk` enforcement.
-//! * [`prefetch`] — epoch-aware asynchronous readahead (decode chunk N+1
-//!   while the trainer consumes chunk N) and write-behind for
-//!   materialization output, with all accounting kept on the consumer
-//!   thread so prefetched runs stay bit-identical to synchronous ones.
+//! * [`prefetch`] — the trainer's epoch reader over
+//!   [`TensorStore::scan`]. Every store read and write runs on the calling
+//!   thread and is finished when the call returns; the crate owns no
+//!   threads.
 //! * [`calibrate`] — a startup micro-probe measuring the machine's actual
 //!   I/O bandwidths, blended with the observed page-cache hit curve to
 //!   replace the planner's static disk constant.
@@ -40,5 +40,5 @@ pub use budget::DiskBudget;
 pub use calibrate::IoCalibration;
 pub use io::{IoStats, SharedIoStats};
 pub use pagecache::{CacheStats, PageCacheModel};
-pub use prefetch::{EpochPrefetcher, IoPolicy};
-pub use tensor_store::{ChunkPlan, ChunkRef, Object, StoreError, TensorStore};
+pub use prefetch::EpochPrefetcher;
+pub use tensor_store::{Object, StoreError, TensorStore};

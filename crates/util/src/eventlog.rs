@@ -3,9 +3,8 @@
 //! The [`telemetry`](crate::telemetry) module answers *"how much / how
 //! fast"*; this module answers *"what happened"*: discrete state
 //! transitions that matter in production — hot-swap publishes, LRU
-//! evictions and fault-ins, prefetch stalls, write-behind errors,
-//! overload shedding, calibration results, SLO breaches. Each event is
-//! one JSON object per line:
+//! evictions and fault-ins, overload shedding, calibration results, SLO
+//! breaches. Each event is one JSON object per line:
 //!
 //! ```text
 //! {"ts_ms":1754730000123,"level":"warn","event":"serve.shed","queue_depth":64}
@@ -43,7 +42,7 @@ pub enum Level {
     Info = 1,
     /// Degradations the system absorbs (shed, stall, SLO breach).
     Warn = 2,
-    /// Failures surfaced to callers (write-behind errors).
+    /// Failures surfaced to callers.
     Error = 3,
 }
 
@@ -313,7 +312,7 @@ mod tests {
         info("serve.publish", &[("tenant", Value::Str("alice")), ("version", Value::U64(3))]);
         warn("serve.shed", &[("queue_depth", Value::U64(64))]);
         error(
-            "store.write_behind_error",
+            "test.error",
             &[("path", Value::Str("/tmp/x \"q\"")), ("fatal", Value::Bool(false))],
         );
 

@@ -700,14 +700,6 @@ declare_counters! {
     PAGECACHE_HITS => "pagecache.hits";
     /// Page-cache read misses (object count).
     PAGECACHE_MISSES => "pagecache.misses";
-    /// Prefetched generations that were fully resident when the trainer
-    /// asked for them (compute fully overlapped the I/O).
-    PREFETCH_HITS => "prefetch.hits";
-    /// Prefetched generations the trainer had to block on (I/O slower
-    /// than compute; the wait shows up as a `prefetch.wait` span).
-    PREFETCH_STALLS => "prefetch.stalls";
-    /// Chunk writes deferred to the write-behind I/O threads.
-    WRITE_BEHIND_CHUNKS => "write_behind.chunks";
     /// Gauge: the disk-throughput constant (bytes/s) the MILP consumed on
     /// its most recent solve — measured when I/O calibration is on, the
     /// static default otherwise.

@@ -90,6 +90,13 @@ if grep -rnE '\brecord_(write|[a-z_]*read)\(' --include='*.rs' crates src tests 
     exit 1
 fi
 
+# Guard: the store owns no threads. Every read and write runs on the
+# calling thread and is finished when the call returns.
+if grep -rnE 'thread::(spawn|Builder)' crates/store/src; then
+    echo "error: a thread spawned in crates/store/src (store I/O runs on the caller's thread)" >&2
+    exit 1
+fi
+
 cargo build --release --offline
 cargo test -q --offline
 
@@ -125,7 +132,7 @@ fi
 # package directory, not the workspace root. Filters match by substring,
 # so `gemm` also selects the `gemm_census` group.
 NAUTILUS_BENCH_SAMPLES=9 NAUTILUS_RESULTS="$PWD/results" \
-    cargo bench --offline -p nautilus-bench --bench substrates -- gemm conv pool telemetry serve multitenant prefetch int8
+    cargo bench --offline -p nautilus-bench --bench substrates -- gemm conv pool telemetry serve multitenant int8
 python3 - results/bench-substrates.json results/BENCH_pool.json <<'EOF'
 import json, sys
 
@@ -160,43 +167,6 @@ for bench, seq_id, pool_id in [
           f"(min {seq_min} vs {pool_min}), speedup {speedup:.2f}x [{status}]")
 json.dump(out, open(dst, "w"), indent=2)
 print(f"pool gate: wrote {dst}")
-sys.exit(1 if failed else 0)
-EOF
-
-# Prefetch pipeline gate: epoch scans through the double-buffered
-# prefetcher may not regress against synchronous store reads. On a 1-core
-# runner the overlap win is small (I/O threads contend with compute), so
-# this is a no-regression bound with the same grace as the pool gate; on
-# multi-core the prefetched path should win outright. On a true 1-core box
-# the I/O threads steal the only core, so the bound is widened there —
-# the multicore bound stays strict.
-python3 - results/bench-substrates.json results/BENCH_prefetch.json <<'EOF'
-import json, os, sys
-
-src, dst = sys.argv[1], sys.argv[2]
-results = {r["id"]: r for r in json.load(open(src))}
-
-GRACE = 1.25 if (os.cpu_count() or 1) > 1 else 1.6
-sync = results["prefetch/epoch_scan_sync"]
-pre = results["prefetch/epoch_scan_prefetched"]
-sync_min, pre_min = min(sync["samples_ns"]), min(pre["samples_ns"])
-# Minimum samples: the noise-robust statistic for A/B timing; the
-# emitted JSON records medians alongside.
-speedup = sync_min / pre_min if pre_min else 0.0
-out = {
-    "sync_ns": sync["median_ns"],
-    "prefetched_ns": pre["median_ns"],
-    "sync_min_ns": sync_min,
-    "prefetched_min_ns": pre_min,
-    "speedup": round(speedup, 3),
-}
-failed = pre_min > sync_min * GRACE
-status = "REGRESSION" if failed else "ok"
-print(f"prefetch gate: sync {sync['median_ns']} ns, prefetched "
-      f"{pre['median_ns']} ns (min {sync_min} vs {pre_min}), "
-      f"speedup {speedup:.2f}x [{status}]")
-json.dump(out, open(dst, "w"), indent=2)
-print(f"prefetch gate: wrote {dst}")
 sys.exit(1 if failed else 0)
 EOF
 
@@ -610,38 +580,30 @@ for want in ("core", "store", "dnn", "milp", "pool"):
 for want in ("flops", "disk_read_bytes", "cached_read_bytes", "pool.steals"):
     assert want in counters, f"missing counter {want!r}: {sorted(counters)}"
 
-# Asynchronous I/O pipeline: the quickstart's Nautilus run streams
-# materialized features through the prefetcher, so readahead must have
-# landed at least once, and the MILP must have planned with the measured
-# disk bandwidth (the example enables calibration), not the 500 MB/s
-# static default.
+# Calibration: the MILP must have planned with the measured disk bandwidth
+# (the example enables calibration), not the 500 MB/s static default.
 counter_vals = {}
 for e in events:
     if e.get("ph") == "C" and "value" in e.get("args", {}):
         counter_vals[e["name"]] = max(counter_vals.get(e["name"], 0), e["args"]["value"])
-hits = counter_vals.get("prefetch.hits", 0)
-assert hits > 0, f"prefetcher never got ahead of the trainer: {counter_vals}"
 disk_bps = counter_vals.get("planner.disk_bytes_per_sec", 0)
 assert disk_bps > 0, "MILP ran without recording its disk constant"
 assert disk_bps != 500_000_000, "planner used the static default, not the probe"
 
-# Training must no longer block on store reads: chunk read/decode spans
-# live on the I/O threads, so no store.chunk_read may be time-contained
-# in a train.epoch or train.step span on the same tid.
+# Training reads its feeds from the store on its own thread: at least one
+# store.scan span is time-contained in a train.epoch span on the same tid.
 by_tid = {}
 for e in spans:
     by_tid.setdefault(e["tid"], []).append(e)
-violations = []
+nested = 0
 for tid, evs in by_tid.items():
-    trains = [e for e in evs if e["name"] in ("train.epoch", "train.step")]
-    reads = [e for e in evs if e["name"] == "store.chunk_read"]
-    for r in reads:
-        for t in trains:
-            if t["ts"] <= r["ts"] and r["ts"] + r["dur"] <= t["ts"] + t["dur"]:
-                violations.append((tid, t["name"]))
-assert not violations, f"blocking chunk reads inside training spans: {violations[:5]}"
+    epochs = [e for e in evs if e["name"] == "train.epoch"]
+    for r in (e for e in evs if e["name"] == "store.scan"):
+        if any(t["ts"] <= r["ts"] and r["ts"] + r["dur"] <= t["ts"] + t["dur"] for t in epochs):
+            nested += 1
+assert nested > 0, "no store.scan span inside a train.epoch span on the same thread"
 print(f"trace gate: {len(spans)} spans across {sorted(cats)}, "
-      f"{len(counters)} counters, {hits} prefetch hits, "
+      f"{len(counters)} counters, {nested} store.scan spans in train.epoch, "
       f"planner disk {disk_bps/1e6:.0f} MB/s [ok]")
 EOF
 

@@ -1,16 +1,15 @@
-//! Trainer-level properties of the asynchronous feature-store pipeline.
+//! Trainer-level properties of the feature-store I/O path.
 //!
-//! The epoch prefetcher overlaps chunk reads/decodes with training compute,
-//! and write-behind defers materialization chunk writes to I/O threads.
-//! Neither is allowed to change anything observable: validation accuracies
-//! and the store's byte accounting must be bit-identical to fully
-//! synchronous I/O at every pool width, and a slow disk must make the
-//! trainer *wait* — never train on stale or partial buffers.
+//! Every store read and write runs on the calling thread and is finished
+//! when the call returns, and the ledger accounts reads in key order, then
+//! append order. Nothing observable may depend on the pool width:
+//! validation accuracies and the store's exact byte accounting must be
+//! equal at every width.
 
 use nautilus_repro::core::session::{CycleInput, ModelSelection};
 use nautilus_repro::core::workloads::{Scale, WorkloadKind, WorkloadSpec};
 use nautilus_repro::core::{BackendKind, Strategy, SystemConfig};
-use nautilus_util::{pool, telemetry};
+use nautilus_util::pool;
 use std::path::PathBuf;
 
 type CycleAccuracies = Vec<Vec<(String, Option<f32>)>>;
@@ -65,56 +64,16 @@ fn run(config: SystemConfig, tag: &str) -> Outcome {
     }
 }
 
-fn sync_config() -> SystemConfig {
-    let mut cfg = SystemConfig::tiny();
-    cfg.io.prefetch = false;
-    cfg.io.write_behind = false;
-    cfg
-}
-
-fn async_config(io_threads: usize) -> SystemConfig {
-    let mut cfg = SystemConfig::tiny();
-    cfg.io.prefetch = true;
-    cfg.io.write_behind = true;
-    cfg.io.io_threads = io_threads;
-    cfg
-}
-
 #[test]
 fn prefetched_training_is_bit_identical_to_synchronous_at_any_width() {
-    // The prefetcher keeps all page-cache/IO accounting on the consumer
-    // thread in the synchronous order, so not just the accuracies but the
-    // exact byte counters must survive the async rewrite — at every
-    // combination of pool width and I/O thread count.
-    let reference = pool::with_parallelism_limit(1, || run(sync_config(), "ref-sync"));
-    for width in [1usize, 2, 8] {
-        let sync = pool::with_parallelism_limit(width, || {
-            run(sync_config(), &format!("w{width}-sync"))
+    // Units train as pool tasks and read their feeds on their own thread,
+    // so neither the accuracies nor the exact byte counters may move with
+    // the pool width.
+    let reference = pool::with_parallelism_limit(1, || run(SystemConfig::tiny(), "w1"));
+    for width in [2usize, 8] {
+        let got = pool::with_parallelism_limit(width, || {
+            run(SystemConfig::tiny(), &format!("w{width}"))
         });
-        let pre = pool::with_parallelism_limit(width, || {
-            run(async_config(width), &format!("w{width}-pre"))
-        });
-        assert_eq!(reference, sync, "sync run diverged at width {width}");
-        assert_eq!(reference, pre, "prefetched run diverged at width {width}");
+        assert_eq!(reference, got, "run diverged at width {width}");
     }
-}
-
-#[test]
-fn trainer_blocks_on_slow_io_rather_than_training_on_stale_buffers() {
-    // Inject 25 ms of latency into every chunk fetch on the I/O threads.
-    // If the trainer ever consumed a buffer before its fetch completed,
-    // the accuracies (or the byte accounting) would diverge from the
-    // fast run — instead it must block, which surfaces as prefetch stalls.
-    telemetry::enable();
-    let stalls_before = telemetry::PREFETCH_STALLS.get();
-    let mut slow_cfg = SystemConfig::tiny();
-    slow_cfg.io.read_delay_ms = 25;
-    let slow = run(slow_cfg, "stall-slow");
-    let stalls_after = telemetry::PREFETCH_STALLS.get();
-    assert!(
-        stalls_after > stalls_before,
-        "injected delay must surface as prefetch stalls ({stalls_before} -> {stalls_after})"
-    );
-    let fast = run(SystemConfig::tiny(), "stall-fast");
-    assert_eq!(slow, fast, "slow I/O changed training results");
 }
